@@ -14,8 +14,9 @@ from .errors import VerificationFailed
 from .partitions import Cell, all_partitions
 from .polynomials import Polynomial
 from .recurrence import alternating_row_sum
-from .snf import determinant, snf_inductive, snf_recurrence, verify_snf
-from .weights import leading_monomial, rect_weight_matrix, square_matrix
+from .snf import determinant, snf_inductive, snf_recurrence
+from .snf import verify_snf  # noqa: F401  (the benchmark tracer patches it here)
+from .weights import leading_monomial, square_matrix
 
 __all__ = ["SelfTestReport", "run_selftest"]
 
@@ -111,20 +112,16 @@ def run_selftest(max_size: int, det_side_limit: int = 6) -> SelfTestReport:
             d, e = corner
             if d > e:
                 continue
+            # snf_inductive certifies its result or raises.
             try:
-                result = snf_inductive(lam, d, e)
+                snf_inductive(lam, d, e)
+                detail = ""
             except VerificationFailed as exc:
-                record(
-                    "border-rectangles",
-                    False,
-                    f"partition {lam.parts} rectangle {d}x{e}: {exc}",
-                )
-                continue
-            ok, _ = verify_snf(rect_weight_matrix(lam, d, e), result)
+                detail = f": {exc}"
             record(
                 "border-rectangles",
-                ok,
-                f"partition {lam.parts} rectangle {d}x{e}",
+                not detail,
+                f"partition {lam.parts} rectangle {d}x{e}{detail}",
             )
 
     return report

@@ -101,20 +101,15 @@ class RowCoefficients:
 
     partition: Partition
     coefficients: tuple[Polynomial, ...]
-    choice_polys: tuple[Polynomial, ...]
     fixed_sets: tuple[frozenset[Cell], ...]
 
 
 def row_coefficients(lam: Partition) -> RowCoefficients:
-    rho = lam.rank
-    choices = tuple(choice_poly(lam, i) for i in range(rho + 1))
-    fixed = tuple(fixed_cells(lam, i) for i in range(rho + 1))
-    coeffs = tuple(
-        choices[i] * Polynomial.from_monomial(Monomial.from_cells(fixed[i]))
-        for i in range(rho + 1)
-    )
+    indices = range(lam.rank + 1)
     return RowCoefficients(
-        partition=lam, coefficients=coeffs, choice_polys=choices, fixed_sets=fixed
+        partition=lam,
+        coefficients=tuple(row_coefficient(lam, i) for i in indices),
+        fixed_sets=tuple(fixed_cells(lam, i) for i in indices),
     )
 
 

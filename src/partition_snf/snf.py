@@ -90,19 +90,23 @@ def _certify(
     diagonal: tuple[Polynomial, ...],
     algorithm: str,
 ) -> PolyMatrix:
-    if not P.is_upper_unitriangular():
-        raise VerificationFailed(f"{algorithm}: row transform is not upper unitriangular")
-    if not Q.is_lower_unitriangular():
-        raise VerificationFailed(f"{algorithm}: column transform is not lower unitriangular")
+    """Check ``P @ W @ Q`` against the expected diagonal form and the
+    transforms for unitriangularity; return the product.
+
+    Every failure raises :class:`VerificationFailed` carrying the residual
+    (computed minus expected), structural failures included.
+    """
     computed = (P @ W) @ Q
-    expected = _expected_product(diagonal, W.rows, W.cols)
-    residual = computed - expected
-    if not residual.is_zero():
-        raise VerificationFailed(
-            f"{algorithm}: product differs from the expected diagonal form",
-            residual=residual,
-        )
-    return computed
+    residual = computed - _expected_product(diagonal, W.rows, W.cols)
+    if not P.is_upper_unitriangular():
+        problem = "row transform is not upper unitriangular"
+    elif not Q.is_lower_unitriangular():
+        problem = "column transform is not lower unitriangular"
+    elif not residual.is_zero():
+        problem = "product differs from the expected diagonal form"
+    else:
+        return computed
+    raise VerificationFailed(f"{algorithm}: {problem}", residual=residual)
 
 
 def snf_recurrence(lam: Partition) -> SnfResult:
@@ -273,8 +277,10 @@ def snf_inductive(lam: Partition, d: int, e: int) -> SnfResult:
 
 
 def verify_snf(W: PolyMatrix, result: SnfResult):
-    """Re-check a reduction against its weight matrix.
+    """Check a reduction against its weight matrix.
 
+    Results of :func:`snf_recurrence` and :func:`snf_inductive` are
+    already certified; this entry point is for transforms from elsewhere.
     Returns ``(True, None)`` on success, otherwise ``(False, residual)``
     where the residual is the computed product minus the expected
     diagonal form.
@@ -287,12 +293,11 @@ def verify_snf(W: PolyMatrix, result: SnfResult):
             f"transforms {P.rows}x{P.cols} / {Q.rows}x{Q.cols} do not fit a "
             f"{W.rows}x{W.cols} matrix"
         )
-    structural = P.is_upper_unitriangular() and Q.is_lower_unitriangular()
-    computed = (P @ W) @ Q
-    residual = computed - _expected_product(result.diagonal, W.rows, W.cols)
-    if structural and residual.is_zero():
-        return True, None
-    return False, residual
+    try:
+        _certify(P, W, Q, result.diagonal, result.algorithm)
+    except VerificationFailed as exc:
+        return False, exc.residual
+    return True, None
 
 
 def determinant(W: PolyMatrix) -> Polynomial:
@@ -311,9 +316,9 @@ def determinant(W: PolyMatrix) -> Polynomial:
     def expand(r: int, mask: int) -> Polynomial:
         if r == n:
             return Polynomial.one()
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
+        known = memo.get(mask)
+        if known is not None:
+            return known
         acc = Polynomial.zero()
         pos = 0
         row = W.entries[r]

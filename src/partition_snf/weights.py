@@ -15,7 +15,7 @@ same shapes recur across cells and across whole reduction runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import (
     CellOutOfRange,
@@ -50,9 +50,9 @@ def clear_weight_cache() -> None:
 
 def _relative_weight(shape: tuple[int, ...]) -> Polynomial:
     """Weight of a shape anchored at (1,1), memoized by shape."""
-    cached = _SHAPE_CACHE.get(shape)
-    if cached is not None:
-        return cached
+    hit = _SHAPE_CACHE.get(shape)
+    if hit is not None:
+        return hit
     p = Partition(shape)
     terms: dict[Monomial, int] = {}
     for mu in p.subpartitions():
@@ -66,21 +66,7 @@ def _relative_weight(shape: tuple[int, ...]) -> Polynomial:
     return poly
 
 
-def _direct_weight(lam: Partition, row: int, col: int) -> Polynomial:
-    """Uncached reference path building absolute monomials directly."""
-    shape = subdiagram_shape(lam, row, col)
-    p = Partition(shape)
-    terms: dict[Monomial, int] = {}
-    for mu in p.subpartitions():
-        cells = []
-        for r, length in enumerate(shape, start=1):
-            for c in range(mu.part(r) + 1, length + 1):
-                cells.append(Cell(row + r - 1, col + c - 1))
-        terms[Monomial.from_cells(cells)] = 1
-    return Polynomial(terms)
-
-
-def weight_at(lam: Partition, row: int, col: int, *, cached: bool = True) -> Polynomial:
+def weight_at(lam: Partition, row: int, col: int) -> Polynomial:
     """Weight of an arbitrary positive position.
 
     Total extension of :func:`weight_polynomial`: any position outside the
@@ -88,20 +74,18 @@ def weight_at(lam: Partition, row: int, col: int, *, cached: bool = True) -> Pol
     on the border strip.  The reduction engines need this at positions one
     past the strip.
     """
-    if not cached:
-        return _direct_weight(lam, row, col)
     shape = subdiagram_shape(lam, row, col)
     if not shape:
         return Polynomial.one()
     return _relative_weight(shape).translate(row - 1, col - 1)
 
 
-def weight_polynomial(lam: Partition, cell, *, cached: bool = True) -> Polynomial:
+def weight_polynomial(lam: Partition, cell) -> Polynomial:
     """Weight of a cell of the extended diagram; 1 on the border strip."""
     cell = Cell(*cell)
     if cell not in lam.extended:
         raise CellOutOfRange(f"{cell} is outside the extended diagram of {lam!r}")
-    return weight_at(lam, cell.row, cell.col, cached=cached)
+    return weight_at(lam, cell.row, cell.col)
 
 
 def leading_monomial(lam: Partition, cell) -> Polynomial:
@@ -180,12 +164,6 @@ class PolyMatrix:
                 for j in range(self.cols)
             ),
             origin=Cell(self.origin.col, self.origin.row),
-        )
-
-    def map_entries(self, fn: Callable[[Polynomial], Polynomial]) -> "PolyMatrix":
-        return PolyMatrix(
-            tuple(tuple(fn(e) for e in row) for row in self.entries),
-            origin=self.origin,
         )
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":

@@ -7,7 +7,14 @@ exactly like the grids they pin down.
 
 from hypothesis import strategies as st
 
-from partition_snf import Cell, Monomial, Partition, Polynomial, letter_naming
+from partition_snf import (
+    Cell,
+    Monomial,
+    Partition,
+    Polynomial,
+    letter_naming,
+    subdiagram_shape,
+)
 
 
 def letter_cells(lam: Partition) -> dict[str, Cell]:
@@ -39,6 +46,22 @@ def poly(lam: Partition, text: str) -> Polynomial:
         coeff = sign * (int(digits) if digits else 1)
         mono = Monomial.from_cells(cells[ch] for ch in token)
         terms[mono] = terms.get(mono, 0) + coeff
+    return Polynomial(terms)
+
+
+def direct_weight(lam: Partition, cell) -> Polynomial:
+    """Uncached reference weight: enumerate the subpartitions of the
+    sub-diagram at ``cell`` and build absolute monomials directly, with no
+    shape memo and no translation."""
+    row, col = cell
+    shape = subdiagram_shape(lam, row, col)
+    terms: dict[Monomial, int] = {}
+    for mu in Partition(shape).subpartitions():
+        cells = []
+        for r, length in enumerate(shape, start=1):
+            for c in range(mu.part(r) + 1, length + 1):
+                cells.append(Cell(row + r - 1, col + c - 1))
+        terms[Monomial.from_cells(cells)] = 1
     return Polynomial(terms)
 
 

@@ -1,6 +1,6 @@
 import json
 
-from partition_snf import polynomial_from_json
+from partition_snf import Polynomial, polynomial_from_json
 from partition_snf.cli import main
 
 LETTER_GRID_3_2 = {
@@ -139,6 +139,15 @@ class TestSnfCommand:
         )
         assert code == 1
         assert "border" in err
+
+    def test_failed_certification_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "partition_snf.snf.leading_monomial", lambda lam, cell: Polynomial.zero()
+        )
+        code, out, err = run_cli(capsys, "snf", "3,2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("verification failed: ")
 
 
 class TestRecurrenceCommand:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import partition_snf.snf as snf_module
 from partition_snf import (
     Cell,
     DimensionMismatch,
@@ -13,10 +14,12 @@ from partition_snf import (
     PolyMatrix,
     Polynomial,
     TooLarge,
+    VerificationFailed,
     all_partitions,
     determinant,
     leading_monomial,
     rect_weight_matrix,
+    run_selftest,
     snf_inductive,
     snf_recurrence,
     square_matrix,
@@ -188,6 +191,16 @@ class TestVerify:
         assert not ok
         assert residual is not None
 
+    def test_lower_entry_in_row_transform_gives_residual(self):
+        W = square_matrix(LAM, Cell(1, 1))
+        good = snf_recurrence(LAM)
+        rows = [list(row) for row in good.P.entries]
+        rows[1][0] = Polynomial.one()
+        ok, residual = verify_snf(W, dataclasses.replace(good, P=PolyMatrix.from_rows(rows)))
+        assert not ok
+        assert isinstance(residual, PolyMatrix)
+        assert not residual.is_zero()
+
     def test_dimension_mismatch(self):
         W = square_matrix(LAM, Cell(1, 1))
         result = snf_recurrence(Partition((1,)))
@@ -199,6 +212,35 @@ class TestVerify:
             result = snf_recurrence(lam)
             assert determinant(result.P) == 1
             assert determinant(result.Q) == 1
+
+
+class TestCertify:
+    def test_structural_failure_carries_residual(self):
+        # The product matches, so only the transform shape is wrong; the
+        # residual is still attached, as an all-zero matrix.
+        minus_one = PolyMatrix.from_rows([[-1]])
+        with pytest.raises(VerificationFailed, match="not upper unitriangular") as info:
+            snf_module._certify(
+                minus_one, PolyMatrix.identity(1), minus_one, (Polynomial.one(),), "test"
+            )
+        assert isinstance(info.value.residual, PolyMatrix)
+        assert info.value.residual.is_zero()
+
+    def test_product_failure_carries_residual(self):
+        W = square_matrix(LAM, Cell(1, 1))
+        good = snf_recurrence(LAM)
+        diagonal = (good.diagonal[0], poly(LAM, "d"), good.diagonal[2])
+        with pytest.raises(VerificationFailed, match="differs") as info:
+            snf_module._certify(good.P, W, good.Q, diagonal, "test")
+        assert info.value.residual.entries[1][1] == poly(LAM, "e-d")
+
+    def test_selftest_reports_failed_certification(self, monkeypatch):
+        monkeypatch.setattr(
+            snf_module, "leading_monomial", lambda lam, cell: Polynomial.zero()
+        )
+        report = run_selftest(3)
+        assert not report.ok
+        assert any(f.startswith("snf-agreement: ") for f in report.failures)
 
 
 class TestDeterminant:
