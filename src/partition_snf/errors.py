@@ -54,7 +54,8 @@ class NotSquare(PartitionSnfError, ValueError):
 
 
 class TooLarge(PartitionSnfError, ValueError):
-    """Cofactor determinant is restricted to small matrices."""
+    """Input or result exceeds a size limit of the library: the side of a
+    cofactor determinant, or the total degree of a monomial."""
 
 
 class VerificationFailed(PartitionSnfError, RuntimeError):

@@ -142,19 +142,22 @@ class Partition:
         return Partition(tuple(cols))
 
     @cached_property
-    def extended(self) -> ExtendedDiagram:
-        """The diagram with its border strip adjoined.
+    def extended_row_lengths(self) -> tuple[int, ...]:
+        """Row lengths of the extended diagram, without building its cells.
 
         Row 1 gains the single cell past the end of the first row; every
         further row ``r`` extends to one past the length of row ``r - 1``,
         so the strip stays contiguous down to the cell below the end of
         column 1.  The empty partition extends to the single cell (1, 1).
         """
-        n = len(self.parts)
-        lengths = []
-        for r in range(1, n + 2):
-            above = self.parts[r - 2] if r >= 2 else (self.parts[0] if self.parts else 0)
-            lengths.append(above + 1)
+        first = self.parts[0] if self.parts else 0
+        return tuple(p + 1 for p in (first,) + self.parts)
+
+    @cached_property
+    def extended(self) -> ExtendedDiagram:
+        """The diagram with its border strip adjoined; see
+        :attr:`extended_row_lengths` for the shape of the strip."""
+        lengths = self.extended_row_lengths
         cells = set()
         border = set()
         for r, length in enumerate(lengths, start=1):
@@ -168,7 +171,7 @@ class Partition:
             base=self,
             cells=frozenset(cells),
             border=frozenset(border),
-            row_lengths=tuple(lengths),
+            row_lengths=lengths,
         )
 
     def subdiagram(self, cell) -> "Partition":

@@ -5,6 +5,16 @@ positive exponents, the empty monomial being 1; a polynomial maps monomials
 to nonzero coefficients, the empty map being 0.  Both are immutable and
 kept in canonical form, so equality is plain structural equality.
 
+A monomial is stored packed, one Python int per diagram row: the exponent
+of column ``c`` is the 16-bit field at bit ``16 * (c - 1)`` of its row's
+int, and trailing zero rows are dropped.  Multiplication then adds the row
+ints pairwise, and a translation prepends zero rows and shifts each row by
+whole fields.  No exponent exceeds the total degree, so capping the degree
+at 65535 keeps every field from carrying into the next; a larger degree
+raises :class:`TooLarge`.  The layout is private to this module: cells and
+exponents are decoded only where they are read, for rendering, JSON and
+ordering.
+
 The canonical term order used for rendering and serialization is total
 degree descending, ties broken by the expanded cell sequence ascending.
 With row-major letter names this reproduces forms like
@@ -13,9 +23,10 @@ With row-major letter names this reproduces forms like
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from operator import add
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import NameCollision
+from .errors import NameCollision, TooLarge
 from .partitions import Cell
 
 __all__ = [
@@ -29,15 +40,42 @@ __all__ = [
     "polynomial_from_json",
 ]
 
+_FIELD = 16
+_MASK = (1 << _FIELD) - 1
+# Every exponent is at most the total degree, so this cap keeps each
+# exponent inside its field.
+_MAX_DEGREE = _MASK
+
+
+def _degree_error(degree: int) -> TooLarge:
+    return TooLarge(f"monomial degree {degree} exceeds the limit {_MAX_DEGREE}")
+
+
+_new = object.__new__
+
+
+def _packed(rows: tuple[int, ...], degree: int) -> "Monomial":
+    m = _new(Monomial)
+    m._rows = rows
+    m._degree = degree
+    m._hash = hash(rows)
+    return m
+
+
+def _run(length: int) -> int:
+    """Packed row with exponent 1 in the first ``length`` fields."""
+    return ((1 << (_FIELD * length)) - 1) // _MASK
+
 
 class Monomial:
     """Product of cell variables with positive integer exponents."""
 
-    __slots__ = ("_pairs", "_degree", "_hash")
+    __slots__ = ("_rows", "_degree", "_hash")
 
     def __init__(self, pairs: Iterable[tuple[Cell, int]] | Mapping[Cell, int] = ()):
         items = pairs.items() if isinstance(pairs, Mapping) else pairs
-        merged: dict[Cell, int] = {}
+        rows: list[int] = []
+        degree = 0
         for cell, exp in items:
             exp = int(exp)
             if exp == 0:
@@ -47,18 +85,15 @@ class Monomial:
             cell = Cell(int(cell[0]), int(cell[1]))
             if cell.row < 1 or cell.col < 1:
                 raise ValueError(f"cell coordinates must be >= 1, got {cell}")
-            merged[cell] = merged.get(cell, 0) + exp
-        self._pairs = tuple(sorted(merged.items()))
-        self._degree = sum(e for _, e in self._pairs)
-        self._hash = hash(self._pairs)
-
-    @classmethod
-    def _raw(cls, pairs: tuple[tuple[Cell, int], ...]) -> "Monomial":
-        m = object.__new__(cls)
-        m._pairs = pairs
-        m._degree = sum(e for _, e in pairs)
-        m._hash = hash(pairs)
-        return m
+            degree += exp
+            if degree > _MAX_DEGREE:
+                raise _degree_error(degree)
+            if len(rows) < cell.row:
+                rows.extend([0] * (cell.row - len(rows)))
+            rows[cell.row - 1] += exp << (_FIELD * (cell.col - 1))
+        self._rows = tuple(rows)
+        self._degree = degree
+        self._hash = hash(self._rows)
 
     @classmethod
     def variable(cls, cell) -> "Monomial":
@@ -66,15 +101,40 @@ class Monomial:
 
     @classmethod
     def from_cells(cls, cells: Iterable) -> "Monomial":
-        counts: dict[Cell, int] = {}
-        for cell in cells:
-            cell = Cell(*cell)
-            counts[cell] = counts.get(cell, 0) + 1
-        return cls(counts)
+        return cls((Cell(*cell), 1) for cell in cells)
+
+    @classmethod
+    def skew(cls, outer: Sequence[int], inner: Sequence[int] = ()) -> "Monomial":
+        """One variable on each cell of the skew diagram ``outer/inner``,
+        both anchored at (1,1): row ``r`` covers columns
+        ``inner[r-1] + 1 .. outer[r-1]``, ``inner`` padded with zeros."""
+        rows = []
+        degree = 0
+        for r, length in enumerate(outer):
+            start = inner[r] if r < len(inner) else 0
+            if start > length:
+                raise ValueError(
+                    f"row {r + 1} of {tuple(inner)} exceeds {tuple(outer)}"
+                )
+            degree += length - start
+            rows.append(_run(length - start) << (_FIELD * start))
+        if degree > _MAX_DEGREE:
+            raise _degree_error(degree)
+        while rows and not rows[-1]:
+            rows.pop()
+        return _packed(tuple(rows), degree)
 
     @property
     def pairs(self) -> tuple[tuple[Cell, int], ...]:
-        return self._pairs
+        """``(cell, exponent)`` pairs in row-major cell order."""
+        out = []
+        for r, x in enumerate(self._rows, start=1):
+            while x:
+                shift = ((x & -x).bit_length() - 1) // _FIELD * _FIELD
+                exp = (x >> shift) & _MASK
+                out.append((Cell(r, shift // _FIELD + 1), exp))
+                x ^= exp << shift
+        return tuple(out)
 
     @property
     def degree(self) -> int:
@@ -82,74 +142,82 @@ class Monomial:
 
     @property
     def is_one(self) -> bool:
-        return not self._pairs
+        return not self._rows
 
     def cells(self) -> tuple[Cell, ...]:
-        return tuple(c for c, _ in self._pairs)
+        return tuple(c for c, _ in self.pairs)
 
     def exponent(self, cell) -> int:
-        cell = Cell(*cell)
-        for c, e in self._pairs:
-            if c == cell:
-                return e
-        return 0
+        r, c = cell
+        if not (1 <= r <= len(self._rows) and c >= 1):
+            return 0
+        return (self._rows[r - 1] >> (_FIELD * (c - 1))) & _MASK
 
     def expanded(self) -> tuple[Cell, ...]:
         """Cells repeated by exponent; the tie-break key within a degree."""
         out = []
-        for cell, exp in self._pairs:
+        for cell, exp in self.pairs:
             out.extend([cell] * exp)
         return tuple(out)
 
     def __mul__(self, other) -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
-        a, b = self._pairs, other._pairs
+        a, b = self._rows, other._rows
         if not a:
             return other
         if not b:
             return self
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            ca, ea = a[i]
-            cb, eb = b[j]
-            if ca == cb:
-                out.append((ca, ea + eb))
-                i += 1
-                j += 1
-            elif ca < cb:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return Monomial._raw(tuple(out))
+        degree = self._degree + other._degree
+        if degree > _MAX_DEGREE:
+            raise _degree_error(degree)
+        if len(a) < len(b):
+            a, b = b, a
+        rows = tuple(map(add, a, b)) + a[len(b):]
+        # _packed inlined: this is the innermost loop of every product.
+        m = _new(Monomial)
+        m._rows = rows
+        m._degree = degree
+        m._hash = hash(rows)
+        return m
 
     def translate(self, dr: int, dc: int) -> "Monomial":
-        # Shifting both coordinates preserves the cell order, so no re-sort.
-        pairs = tuple((Cell(c.row + dr, c.col + dc), e) for c, e in self._pairs)
-        for cell, _ in pairs:
-            if cell.row < 1 or cell.col < 1:
-                raise ValueError(f"translation moved {cell} out of range")
-        return Monomial._raw(pairs)
+        rows = self._rows
+        if not rows:
+            return self
+        if (dr < 0 and any(rows[:-dr])) or (
+            dc < 0 and any(x & ((1 << (-_FIELD * dc)) - 1) for x in rows)
+        ):
+            moved = next(
+                Cell(c.row + dr, c.col + dc)
+                for c, _ in self.pairs
+                if c.row + dr < 1 or c.col + dc < 1
+            )
+            raise ValueError(f"translation moved {moved} out of range")
+        if dr < 0:
+            rows = rows[-dr:]
+        elif dr:
+            rows = (0,) * dr + rows
+        if dc > 0:
+            rows = tuple(x << (_FIELD * dc) for x in rows)
+        elif dc:
+            rows = tuple(x >> (-_FIELD * dc) for x in rows)
+        return _packed(rows, self._degree)
 
     def transpose(self) -> "Monomial":
-        return Monomial._raw(tuple(sorted((Cell(c.col, c.row), e) for c, e in self._pairs)))
+        return Monomial((Cell(c.col, c.row), e) for c, e in self.pairs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self._pairs == other._pairs
+        return isinstance(other, Monomial) and self._rows == other._rows
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        if not self._pairs:
+        if not self._rows:
             return "Monomial(1)"
         body = "*".join(
-            f"x[{c.row},{c.col}]" + (f"^{e}" if e > 1 else "") for c, e in self._pairs
+            f"x[{c.row},{c.col}]" + (f"^{e}" if e > 1 else "") for c, e in self.pairs
         )
         return f"Monomial({body})"
 

@@ -54,19 +54,22 @@ def choice_poly(lam: Partition, i: int) -> Polynomial:
     """
     if i == 0:
         return Polynomial.one()
-    grid = choice_grid(lam, i)
+    if not 1 <= i <= lam.rank:
+        raise IndexOutOfRange(f"grid index {i} outside 1..{lam.rank}")
     width = lam.parts[i - 1] - i
+    # Grid row a ends at column a + width; its last c cells are the skew
+    # row between columns a + width - c and a + width.
+    ends = tuple(a + width for a in range(1, i + 1))
     terms: dict[Monomial, int] = {}
 
-    def descend(row_idx: int, cap: int, chosen: list[Cell]) -> None:
-        if row_idx == len(grid):
-            terms[Monomial.from_cells(chosen)] = 1
+    def descend(row_idx: int, cap: int, starts: tuple[int, ...]) -> None:
+        if row_idx == i:
+            terms[Monomial.skew(ends, starts)] = 1
             return
-        row = grid[row_idx]
         for take in range(cap + 1):
-            descend(row_idx + 1, take, chosen + list(row[len(row) - take :]))
+            descend(row_idx + 1, take, starts + (ends[row_idx] - take,))
 
-    descend(0, width, [])
+    descend(0, width, ())
     return Polynomial(terms)
 
 
@@ -77,12 +80,13 @@ def fixed_cells(lam: Partition, i: int) -> frozenset[Cell]:
         raise IndexOutOfRange(f"index {i} outside 0..{lam.rank}")
     if i == 0:
         return frozenset()
+    return frozenset(_fixed_monomial(lam, i).cells())
+
+
+def _fixed_monomial(lam: Partition, i: int) -> Monomial:
+    """Product of the variables on :func:`fixed_cells` for ``1 <= i``."""
     threshold = lam.parts[i - 1] - i
-    cells = set()
-    for a in range(1, i + 1):
-        for b in range(threshold + a + 1, lam.parts[a - 1] + 1):
-            cells.add(Cell(a, b))
-    return frozenset(cells)
+    return Monomial.skew(lam.parts[:i], [threshold + a for a in range(1, i + 1)])
 
 
 def row_coefficient(lam: Partition, i: int) -> Polynomial:
@@ -91,8 +95,8 @@ def row_coefficient(lam: Partition, i: int) -> Polynomial:
         raise IndexOutOfRange(f"index {i} outside 0..{lam.rank}")
     if i == 0:
         return Polynomial.one()
-    fixed = Monomial.from_cells(fixed_cells(lam, i))
-    return choice_poly(lam, i) * Polynomial.from_monomial(fixed)
+    fixed = Polynomial.from_monomial(_fixed_monomial(lam, i))
+    return choice_poly(lam, i) * fixed
 
 
 @dataclass(frozen=True)
@@ -101,15 +105,18 @@ class RowCoefficients:
 
     partition: Partition
     coefficients: tuple[Polynomial, ...]
-    fixed_sets: tuple[frozenset[Cell], ...]
+
+    @property
+    def fixed_sets(self) -> tuple[frozenset[Cell], ...]:
+        """The fixed-cell set of every index, derived when read."""
+        lam = self.partition
+        return tuple(fixed_cells(lam, i) for i in range(lam.rank + 1))
 
 
 def row_coefficients(lam: Partition) -> RowCoefficients:
-    indices = range(lam.rank + 1)
     return RowCoefficients(
         partition=lam,
-        coefficients=tuple(row_coefficient(lam, i) for i in indices),
-        fixed_sets=tuple(fixed_cells(lam, i) for i in indices),
+        coefficients=tuple(row_coefficient(lam, i) for i in range(lam.rank + 1)),
     )
 
 

@@ -142,7 +142,7 @@ def snf_recurrence(lam: Partition) -> SnfResult:
 
 def _rectangle_fits(lam: Partition, d: int, e: int) -> bool:
     # Extended row lengths are weakly decreasing, so the corner row decides.
-    lengths = lam.extended.row_lengths
+    lengths = lam.extended_row_lengths
     return d <= len(lengths) and lengths[d - 1] >= e
 
 

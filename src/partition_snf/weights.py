@@ -53,15 +53,9 @@ def _relative_weight(shape: tuple[int, ...]) -> Polynomial:
     hit = _SHAPE_CACHE.get(shape)
     if hit is not None:
         return hit
-    p = Partition(shape)
-    terms: dict[Monomial, int] = {}
-    for mu in p.subpartitions():
-        cells = []
-        for r, length in enumerate(shape, start=1):
-            for c in range(mu.part(r) + 1, length + 1):
-                cells.append(Cell(r, c))
-        terms[Monomial.from_cells(cells)] = 1
-    poly = Polynomial(terms)
+    poly = Polynomial(
+        {Monomial.skew(shape, mu.parts): 1 for mu in Partition(shape).subpartitions()}
+    )
     _SHAPE_CACHE[shape] = poly
     return poly
 
@@ -95,11 +89,9 @@ def leading_monomial(lam: Partition, cell) -> Polynomial:
     if cell not in lam.extended:
         raise CellOutOfRange(f"{cell} is outside the extended diagram of {lam!r}")
     shape = subdiagram_shape(lam, cell.row, cell.col)
-    cells = []
-    for r, length in enumerate(shape, start=1):
-        for c in range(1, length + 1):
-            cells.append(Cell(cell.row + r - 1, cell.col + c - 1))
-    return Polynomial.from_monomial(Monomial.from_cells(cells))
+    return Polynomial.from_monomial(
+        Monomial.skew(shape).translate(cell.row - 1, cell.col - 1)
+    )
 
 
 @dataclass(frozen=True)

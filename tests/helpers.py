@@ -69,3 +69,68 @@ def partitions_strategy(max_part: int = 6, max_len: int = 5):
     return st.lists(
         st.integers(min_value=1, max_value=max_part), max_size=max_len
     ).map(lambda parts: Partition(tuple(sorted(parts, reverse=True))))
+
+
+# -- pair-tuple monomial reference ------------------------------------------
+#
+# A monomial as a sorted tuple of ((row, col), exponent) pairs, multiplied
+# by a merge of the two sorted tuples: the representation the packed
+# ``Monomial`` replaced, kept here as an oracle for it.
+
+
+def ref_monomial(pairs) -> tuple:
+    merged: dict[tuple[int, int], int] = {}
+    for (r, c), e in pairs:
+        if e:
+            merged[(r, c)] = merged.get((r, c), 0) + e
+    return tuple(sorted(merged.items()))
+
+
+def ref_mul(a: tuple, b: tuple) -> tuple:
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (ca, ea), (cb, eb) = a[i], b[j]
+        if ca == cb:
+            out.append((ca, ea + eb))
+            i += 1
+            j += 1
+        elif ca < cb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return tuple(out + list(a[i:]) + list(b[j:]))
+
+
+def ref_translate(a: tuple, dr: int, dc: int) -> tuple:
+    out = tuple(((r + dr, c + dc), e) for (r, c), e in a)
+    if any(r < 1 or c < 1 for (r, c), _ in out):
+        raise ValueError("translation moved a cell out of range")
+    return out
+
+
+def ref_transpose(a: tuple) -> tuple:
+    return tuple(sorted(((c, r), e) for (r, c), e in a))
+
+
+def ref_degree(a: tuple) -> int:
+    return sum(e for _, e in a)
+
+
+def ref_expanded(a: tuple) -> tuple:
+    return tuple(cell for cell, e in a for _ in range(e))
+
+
+def ref_exponent(a: tuple, cell) -> int:
+    return dict(a).get(tuple(cell), 0)
+
+
+def ref_term_key(a: tuple):
+    return (-ref_degree(a), ref_expanded(a))
+
+
+def skew_cells(outer: Partition, inner: Partition) -> list[Cell]:
+    """Cells of ``outer`` that are not cells of ``inner``, row-major."""
+    return [cell for cell in outer.cells() if cell not in inner]

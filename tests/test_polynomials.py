@@ -10,16 +10,31 @@ from partition_snf import (
     Monomial,
     NameCollision,
     Partition,
+    PartitionSnfError,
     Polynomial,
+    TooLarge,
     UniPoly,
+    all_partitions,
     coordinate_naming,
     letter_naming,
     polynomial_from_json,
     polynomial_to_json,
     render,
 )
+from partition_snf.polynomials import _term_key
 
-from helpers import poly
+from helpers import (
+    poly,
+    ref_degree,
+    ref_expanded,
+    ref_exponent,
+    ref_monomial,
+    ref_mul,
+    ref_term_key,
+    ref_translate,
+    ref_transpose,
+    skew_cells,
+)
 
 LAM = Partition((3, 2))
 
@@ -64,6 +79,144 @@ class TestMonomial:
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
             Monomial([(Cell(1, 1), -1)])
+
+
+# Rows up to 20 and columns up to 300 make rows span many 16-bit fields;
+# exponents up to 40 exercise multi-bit fields.
+CELLS = st.tuples(st.integers(1, 20), st.integers(1, 300))
+PAIRS = st.lists(st.tuples(CELLS, st.integers(1, 40)), max_size=8)
+
+
+class TestPackedAgainstPairReference:
+    """The packed monomial agrees with the sorted pair-tuple merge."""
+
+    @given(PAIRS, PAIRS)
+    @settings(max_examples=200)
+    def test_mul(self, a, b):
+        ra, rb = ref_monomial(a), ref_monomial(b)
+        prod = Monomial(a) * Monomial(b)
+        expected = ref_mul(ra, rb)
+        assert prod.pairs == expected
+        assert prod.degree == ref_degree(expected)
+        assert prod.expanded() == ref_expanded(expected)
+        assert prod == Monomial(expected)
+        assert hash(prod) == hash(Monomial(expected))
+
+    @given(PAIRS, st.integers(-20, 20), st.integers(-300, 300))
+    @settings(max_examples=300)
+    def test_translate(self, a, dr, dc):
+        ref = ref_monomial(a)
+        m = Monomial(a)
+        try:
+            expected = ref_translate(ref, dr, dc)
+        except ValueError:
+            with pytest.raises(ValueError):
+                m.translate(dr, dc)
+            return
+        moved = m.translate(dr, dc)
+        assert moved.pairs == expected
+        assert moved.degree == m.degree
+        assert moved == Monomial(expected)
+        assert hash(moved) == hash(Monomial(expected))
+
+    @given(PAIRS)
+    def test_negative_shift_out_of_range_raises(self, a):
+        m = Monomial(a)
+        if m.is_one:
+            return
+        (r, c), _ = m.pairs[0]
+        with pytest.raises(ValueError):
+            m.translate(-r, 0)
+        low = min(col for (_, col), _ in m.pairs)
+        with pytest.raises(ValueError):
+            m.translate(0, -low)
+
+    @given(PAIRS)
+    def test_transpose_degree_pairs_expanded(self, a):
+        ref = ref_monomial(a)
+        m = Monomial(a)
+        assert m.pairs == ref
+        assert m.cells() == tuple(cell for cell, _ in ref)
+        assert m.degree == ref_degree(ref)
+        assert m.expanded() == ref_expanded(ref)
+        assert m.transpose().pairs == ref_transpose(ref)
+        assert m.transpose().transpose() == m
+
+    @given(PAIRS, CELLS)
+    def test_exponent(self, a, probe):
+        ref = ref_monomial(a)
+        m = Monomial(a)
+        for cell, e in ref:
+            assert m.exponent(cell) == e
+        assert m.exponent(probe) == ref_exponent(ref, probe)
+
+    @given(PAIRS, PAIRS)
+    def test_hash_and_equality(self, a, b):
+        ma, mb = Monomial(a), Monomial(b)
+        assert (ma == mb) == (ref_monomial(a) == ref_monomial(b))
+        if ma == mb:
+            assert hash(ma) == hash(mb)
+        # Insertion order and splitting an exponent do not matter.
+        split = [(cell, 1) for cell, e in reversed(a) for _ in range(e)]
+        assert Monomial(split) == ma
+        assert hash(Monomial(split)) == hash(ma)
+
+    @given(st.lists(PAIRS, max_size=8))
+    def test_term_key_order(self, many):
+        monos = [Monomial(a) for a in many]
+        got = [m.pairs for m in sorted(monos, key=lambda m: _term_key((m, 1)))]
+        want = sorted((ref_monomial(a) for a in many), key=ref_term_key)
+        assert got == want
+
+
+class TestSkew:
+    def test_matches_cells_for_small_shapes(self):
+        for shape in all_partitions(8):
+            for mu in shape.subpartitions():
+                assert Monomial.skew(shape.parts, mu.parts) == Monomial.from_cells(
+                    skew_cells(shape, mu)
+                )
+
+    def test_matches_cells_for_long_row(self):
+        row = Partition((300,))
+        for mu in row.subpartitions():
+            skew = Monomial.skew(row.parts, mu.parts)
+            assert skew == Monomial.from_cells(skew_cells(row, mu))
+            assert skew.degree == 300 - mu.size
+
+    def test_full_shape_and_rejected_inner(self):
+        assert Monomial.skew((2, 1)) == Monomial.from_cells(Partition((2, 1)).cells())
+        assert Monomial.skew((2, 1), (2, 1)).is_one
+        with pytest.raises(ValueError):
+            Monomial.skew((2, 1), (3,))
+
+
+class TestDegreeLimit:
+    """Total degree is capped at 65535 so no exponent field can carry."""
+
+    def test_constructor(self):
+        with pytest.raises(TooLarge):
+            Monomial({Cell(1, 1): 65536})
+
+    def test_product(self):
+        a = Monomial({Cell(1, 1): 40000})
+        b = Monomial({Cell(1, 1): 25536})
+        with pytest.raises(TooLarge):
+            a * b
+
+    def test_power(self):
+        with pytest.raises(TooLarge):
+            Polynomial.variable((1, 1)) ** 65536
+
+    def test_limit_itself_works(self):
+        m = Monomial({Cell(1, 1): 65534}) * Monomial.variable(Cell(1, 1))
+        assert m.degree == 65535
+        assert m.pairs == ((Cell(1, 1), 65535),)
+        assert m.exponent(Cell(1, 2)) == 0
+        assert m.translate(0, 1).pairs == ((Cell(1, 2), 65535),)
+
+    def test_is_a_library_error(self):
+        assert issubclass(TooLarge, PartitionSnfError)
 
 
 class TestArithmetic:
