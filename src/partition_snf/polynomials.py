@@ -15,6 +15,16 @@ raises :class:`TooLarge`.  The layout is private to this module: cells and
 exponents are decoded only where they are read, for rendering, JSON and
 ordering.
 
+Two kernels carry the heavy loops.  :func:`matrix_product` packs every
+monomial of both operands into a single int over a layout shared by that
+one product: the total degree in the lowest 16-bit field, then each row
+at a stride as wide as the widest row of either operand.  A monomial
+product is then one integer addition, each output entry accumulates in
+one int-keyed dict, and only the results are decoded back into
+monomials.  :meth:`Polynomial.skew_sum` builds a weight, the sum of the
+skew monomials over every sub-partition of a shape, by walking the
+sub-partitions iteratively straight into packed rows.
+
 The canonical term order used for rendering and serialization is total
 degree descending, ties broken by the expanded cell sequence ascending.
 With row-major letter names this reproduces forms like
@@ -23,7 +33,8 @@ With row-major letter names this reproduces forms like
 
 from __future__ import annotations
 
-from operator import add
+from itertools import chain
+from operator import add, attrgetter, lshift
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NameCollision, TooLarge
@@ -36,6 +47,7 @@ __all__ = [
     "render",
     "coordinate_naming",
     "letter_naming",
+    "matrix_product",
     "polynomial_to_json",
     "polynomial_from_json",
 ]
@@ -60,6 +72,9 @@ def _packed(rows: tuple[int, ...], degree: int) -> "Monomial":
     m._degree = degree
     m._hash = hash(rows)
     return m
+
+
+_degree_of = attrgetter("_degree")
 
 
 def _run(length: int) -> int:
@@ -267,6 +282,63 @@ class Polynomial:
         return cls({mono: coeff})
 
     @classmethod
+    def skew_sum(cls, outer: Sequence[int]) -> "Polynomial":
+        """Sum of ``Monomial.skew(outer, mu)`` over every partition ``mu``
+        inside ``outer``, each with coefficient 1; ``outer`` has positive
+        parts.
+
+        The sub-partitions are walked iteratively, last row fastest, and
+        each term is built straight from packed row runs; the cost is
+        linear in terms times rows.
+        """
+        outer = tuple(outer)
+        if any(p < 1 for p in outer):
+            raise ValueError(f"parts of {outer} must be positive")
+        degree = sum(outer)
+        if degree > _MAX_DEGREE:
+            raise _degree_error(degree)
+        n = len(outer)
+        runs = [_run(s) for s in range(max(outer, default=0) + 1)]
+        full = [runs[p] for p in outer]
+        # rows[r] is row r of the current term: the run of outer[r] fields
+        # with the first mu[r] of them cleared.  mu[:k] is nonzero and
+        # mu[k:] zero, so rows from k on are full and none after k can grow.
+        mu = [0] * n
+        rows = list(full)
+        k = 0
+        terms: dict[Monomial, int] = {}
+        while True:
+            if k < n:
+                key = tuple(rows)
+            else:
+                last = n
+                while last and not rows[last - 1]:
+                    last -= 1
+                key = tuple(rows[:last])
+            terms[_packed(key, degree)] = 1
+            # Advance to the next mu: raise the last row that may grow and
+            # empty every row below it.
+            r = min(k, n - 1)
+            while r >= 0 and mu[r] >= (
+                outer[r] if r == 0 else min(outer[r], mu[r - 1])
+            ):
+                r -= 1
+            if r < 0:
+                break
+            s = mu[r] = mu[r] + 1
+            rows[r] = full[r] - runs[s]
+            degree -= 1
+            for t in range(r + 1, k):
+                degree += mu[t]
+                mu[t] = 0
+                rows[t] = full[t]
+            k = r + 1
+        out = cls.__new__(cls)
+        out._terms = terms
+        out._hash = None
+        return out
+
+    @classmethod
     def _promote(cls, value):
         if isinstance(value, Polynomial):
             return value
@@ -434,6 +506,85 @@ class Polynomial:
 
 _ZERO = Polynomial()
 _ONE = Polynomial({Monomial(): 1})
+
+
+def matrix_product(
+    left: Sequence[Sequence[Polynomial]], right: Sequence[Sequence[Polynomial]]
+) -> tuple[tuple[Polynomial, ...], ...]:
+    """Rows of the matrix product ``left @ right``, both given as rows of
+    polynomials; the caller checks that the inner dimensions agree.
+
+    Every monomial of both operands is packed into one int over a layout
+    shared by this product: the total degree in the lowest field, then
+    the rows, each as wide as the widest row anywhere in either operand.
+    A product never widens a row and no exponent exceeds the total degree,
+    so multiplying two monomials is one integer addition and no field
+    carries.  Only result monomials that are not already among the inputs
+    are decoded.
+    """
+    distinct = {
+        id(poly): poly
+        for matrix in (left, right)
+        for row in matrix
+        for poly in row
+        if poly._terms
+    }
+    every_row = [mono._rows for poly in distinct.values() for mono in poly._terms]
+    top = max(chain.from_iterable(every_row), default=0)
+    height = max(map(len, every_row), default=0)
+    stride = max(1, -(-top.bit_length() // _FIELD)) * _FIELD
+    shifts = range(_FIELD, _FIELD + stride * height, stride)
+    # Nonzero entries as ([(key, coeff), ...], top degree); zero as None.
+    # Input monomials seed the decoded results: a product with 1 is one
+    # of them again.
+    encoded = {}
+    decoded: dict[int, Monomial] = {}
+    for ident, poly in distinct.items():
+        terms = poly._terms
+        keys = [sum(map(lshift, mono._rows, shifts)) | mono._degree for mono in terms]
+        decoded.update(zip(keys, terms))
+        encoded[ident] = (
+            list(zip(keys, terms.values())),
+            max(map(_degree_of, terms)),
+        )
+    a_rows = [[encoded.get(id(poly)) for poly in row] for row in left]
+    b_cols = list(zip(*([encoded.get(id(poly)) for poly in row] for row in right)))
+
+    row_mask = (1 << stride) - 1
+    known = decoded.get
+
+    def decode(key: int) -> Monomial:
+        rows = []
+        packed = key >> _FIELD
+        while packed:
+            rows.append(packed & row_mask)
+            packed >>= stride
+        mono = decoded[key] = _packed(tuple(rows), key & _MASK)
+        return mono
+
+    result = []
+    for a_row in a_rows:
+        out_row = []
+        for b_col in b_cols:
+            acc: dict[int, int] = {}
+            get = acc.get
+            for a, b in zip(a_row, b_col):
+                if a is None or b is None:
+                    continue
+                a_terms, a_degree = a
+                b_terms, b_degree = b
+                if a_degree + b_degree > _MAX_DEGREE:
+                    raise _degree_error(a_degree + b_degree)
+                for ka, ca in a_terms:
+                    for kb, cb in b_terms:
+                        key = ka + kb
+                        acc[key] = get(key, 0) + ca * cb
+            poly = Polynomial.__new__(Polynomial)
+            poly._terms = {known(k) or decode(k): c for k, c in acc.items() if c}
+            poly._hash = None
+            out_row.append(poly)
+        result.append(tuple(out_row))
+    return tuple(result)
 
 
 def coordinate_naming(cells: Iterable[Cell]) -> dict[Cell, str]:

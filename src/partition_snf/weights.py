@@ -27,6 +27,7 @@ from .partitions import Cell, Partition, subdiagram_shape
 from .polynomials import (
     Monomial,
     Polynomial,
+    matrix_product,
     polynomial_from_json,
     polynomial_to_json,
 )
@@ -53,9 +54,7 @@ def _relative_weight(shape: tuple[int, ...]) -> Polynomial:
     hit = _SHAPE_CACHE.get(shape)
     if hit is not None:
         return hit
-    poly = Polynomial(
-        {Monomial.skew(shape, mu.parts): 1 for mu in Partition(shape).subpartitions()}
-    )
+    poly = Polynomial.skew_sum(shape)
     _SHAPE_CACHE[shape] = poly
     return poly
 
@@ -165,22 +164,7 @@ class PolyMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        zero = Polynomial.zero()
-        out = []
-        for i in range(self.rows):
-            row = self.entries[i]
-            out_row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = row[k]
-                    if a:
-                        b = other.entries[k][j]
-                        if b:
-                            acc = acc + a * b
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return PolyMatrix(tuple(out))
+        return PolyMatrix(matrix_product(self.entries, other.entries))
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):

@@ -134,3 +134,15 @@ def ref_term_key(a: tuple):
 def skew_cells(outer: Partition, inner: Partition) -> list[Cell]:
     """Cells of ``outer`` that are not cells of ``inner``, row-major."""
     return [cell for cell in outer.cells() if cell not in inner]
+
+
+def naive_matrix_product(left, right) -> tuple:
+    """Rows of ``left @ right`` as plain sums of ``Polynomial`` products:
+    the reference for the packed matrix-product kernel."""
+    return tuple(
+        tuple(
+            sum((a * b for a, b in zip(row, col)), Polynomial.zero())
+            for col in zip(*right)
+        )
+        for row in left
+    )

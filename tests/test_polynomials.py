@@ -11,6 +11,7 @@ from partition_snf import (
     NameCollision,
     Partition,
     PartitionSnfError,
+    PolyMatrix,
     Polynomial,
     TooLarge,
     UniPoly,
@@ -21,9 +22,10 @@ from partition_snf import (
     polynomial_to_json,
     render,
 )
-from partition_snf.polynomials import _term_key
+from partition_snf.polynomials import _term_key, matrix_product
 
 from helpers import (
+    naive_matrix_product,
     poly,
     ref_degree,
     ref_expanded,
@@ -189,6 +191,116 @@ class TestSkew:
         assert Monomial.skew((2, 1), (2, 1)).is_one
         with pytest.raises(ValueError):
             Monomial.skew((2, 1), (3,))
+
+
+class TestSkewSum:
+    """``Polynomial.skew_sum`` equals the sum of skew monomials over the
+    enumerated subpartitions."""
+
+    @staticmethod
+    def oracle(shape: Partition) -> Polynomial:
+        return Polynomial(
+            {Monomial.skew(shape.parts, mu.parts): 1 for mu in shape.subpartitions()}
+        )
+
+    def test_every_shape_up_to_size_10(self):
+        for shape in all_partitions(10):
+            assert Polynomial.skew_sum(shape.parts) == self.oracle(shape), shape
+
+    @pytest.mark.parametrize("parts", [(300,), (40, 40, 40)])
+    def test_long_and_wide_shapes(self, parts):
+        assert Polynomial.skew_sum(parts) == self.oracle(Partition(parts))
+
+    def test_empty_shape_is_one(self):
+        assert Polynomial.skew_sum(()) == Polynomial.one()
+
+    def test_rejects_nonpositive_parts(self):
+        with pytest.raises(ValueError):
+            Polynomial.skew_sum((2, 0))
+
+    def test_degree_limit(self):
+        with pytest.raises(TooLarge):
+            Polynomial.skew_sum((65536,))
+
+
+def sum_of_terms(terms) -> Polynomial:
+    return sum(
+        (Polynomial.from_monomial(Monomial(a), c) for a, c in terms), Polynomial.zero()
+    )
+
+
+# Entries are 0, 1, or a few terms with coefficients that may cancel.
+ENTRY = st.one_of(
+    st.just(Polynomial.zero()),
+    st.just(Polynomial.one()),
+    st.lists(st.tuples(PAIRS, st.integers(-3, 3)), min_size=1, max_size=3).map(
+        sum_of_terms
+    ),
+)
+
+
+def x_power(e: int) -> Polynomial:
+    return Polynomial.from_monomial(Monomial({Cell(1, 1): e}))
+
+
+@st.composite
+def operands(draw):
+    m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
+    pool = draw(st.lists(ENTRY, min_size=1, max_size=4))
+    # Entries come from a small pool, each possibly negated, so sums of
+    # products often cancel to zero.
+    entry = st.tuples(st.sampled_from(pool), st.booleans()).map(
+        lambda pair: -pair[0] if pair[1] else pair[0]
+    )
+    left = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    return left, right
+
+
+class TestMatrixProduct:
+    """The packed matrix-product kernel agrees with summed polynomial
+    products."""
+
+    @given(operands())
+    @settings(max_examples=200)
+    def test_matches_naive_product(self, ops):
+        left, right = ops
+        got = matrix_product(left, right)
+        assert got == naive_matrix_product(left, right)
+        for row in got:
+            for entry in row:
+                assert all(coeff for _, coeff in entry.items())
+                for mono, _ in entry.items():
+                    rebuilt = Monomial(mono.pairs)
+                    assert mono == rebuilt
+                    assert hash(mono) == hash(rebuilt)
+                    assert mono.degree == rebuilt.degree
+
+    def test_cancellation_to_zero(self):
+        x = Polynomial.variable((1, 300)) + Polynomial.variable((20, 1))
+        got = matrix_product([[x, -x]], [[x], [x]])
+        assert got == ((Polynomial.zero(),),)
+        assert got[0][0].is_zero
+
+    def test_non_square(self):
+        a = Polynomial.variable((1, 2))
+        b = Polynomial.variable((3, 1))
+        zero, one = Polynomial.zero(), Polynomial.one()
+        got = matrix_product([[a, one + b]], [[b, zero, one], [a, a, zero]])
+        assert got == ((a * b + a + a * b, a + a * b, a),)
+
+    def test_degree_guard(self):
+        with pytest.raises(TooLarge):
+            PolyMatrix(((x_power(40000),),)) @ PolyMatrix(((x_power(25536),),))
+        top = PolyMatrix(((x_power(40000),),)) @ PolyMatrix(((x_power(25535),),))
+        assert top.entries == ((x_power(65535),),)
+
+    def test_zero_opposite_high_degree_does_not_raise(self):
+        x, zero = x_power(1), Polynomial.zero()
+        got = matrix_product([[x_power(40000), x]], [[zero], [x_power(25536)]])
+        assert got == ((x_power(25537),),)
+        got = matrix_product([[zero, x]], [[x_power(65535)], [x]])
+        assert got == ((x_power(2),),)
 
 
 class TestDegreeLimit:

@@ -76,6 +76,13 @@ class TestWeightPolynomial:
             for cell in sorted(lam.extended.cells):
                 assert weight_polynomial(lam, cell) == direct_weight(lam, cell)
 
+    def test_long_column_enumerates_iteratively(self):
+        column = Partition((1,) * 1200)
+        weight = weight_at(column, 1, 1)
+        assert len(weight) == 1201
+        assert weight.evaluate_at_ones() == 1201
+        assert weight.degree == 1200
+
     def test_weight_at_extends_past_diagram(self):
         assert weight_at(LAM, 1, 5) == 1
         assert weight_at(LAM, 9, 1) == 1
