@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import add, attrgetter, lshift
+from struct import unpack
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NameCollision, TooLarge
@@ -144,11 +145,12 @@ class Monomial:
         """``(cell, exponent)`` pairs in row-major cell order."""
         out = []
         for r, x in enumerate(self._rows, start=1):
-            while x:
-                shift = ((x & -x).bit_length() - 1) // _FIELD * _FIELD
-                exp = (x >> shift) & _MASK
-                out.append((Cell(r, shift // _FIELD + 1), exp))
-                x ^= exp << shift
+            # Read the row's bytes as 16-bit fields: linear in its width.
+            width = (x.bit_length() + _FIELD - 1) // _FIELD
+            fields = unpack(f"<{width}H", x.to_bytes(2 * width, "little"))
+            for c, exp in enumerate(fields, start=1):
+                if exp:
+                    out.append((Cell(r, c), exp))
         return tuple(out)
 
     @property

@@ -109,32 +109,39 @@ def _certify(
     raise VerificationFailed(f"{algorithm}: {problem}", residual=residual)
 
 
+def _signed_row_transform(lam: Partition) -> list[list[Polynomial]]:
+    """Row ``k`` holds the signed row coefficients of the sub-diagram
+    anchored at (k+1, k+1), translated to absolute coordinates."""
+    n = lam.rank + 1
+    grid = [[Polynomial.zero()] * n for _ in range(n)]
+    for k in range(n):
+        shape = Partition(subdiagram_shape(lam, k + 1, k + 1))
+        for i, coeff in enumerate(row_coefficients(shape).coefficients):
+            signed = coeff if i % 2 == 0 else -coeff
+            grid[k][k + i] = signed.translate(k, k)
+    return grid
+
+
 def snf_recurrence(lam: Partition) -> SnfResult:
     """Diagonalize the origin weight square by stacked row relations.
 
     Level ``k`` clears row and column ``k`` of the remaining block using
     the signed row coefficients of the sub-diagram anchored at
-    (k+1, k+1), for rows, and of its conjugate transposed back, for
-    columns.  The cleared block that remains is again a weight square one
-    step further down the diagonal, so the transforms are simply stacked:
-    row ``k`` of P and column ``k`` of Q hold the signed coefficients
-    translated to absolute coordinates.
+    (k+1, k+1).  The cleared block that remains is again a weight square
+    one step further down the diagonal, so the transforms are simply
+    stacked.  Column work is row work on the conjugate: Q is the row
+    transform of the conjugate partition with variables transposed, then
+    transposed.
     """
     n = lam.rank + 1
     W = square_matrix(lam, Cell(1, 1))
-    P = [[Polynomial.zero()] * n for _ in range(n)]
-    Q = [[Polynomial.zero()] * n for _ in range(n)]
-    for k in range(n):
-        shape = Partition(subdiagram_shape(lam, k + 1, k + 1))
-        for i, coeff in enumerate(row_coefficients(shape).coefficients):
-            signed = coeff if i % 2 == 0 else -coeff
-            P[k][k + i] = signed.translate(k, k)
-        conj = shape.conjugate()
-        for i, coeff in enumerate(row_coefficients(conj).coefficients):
-            signed = coeff if i % 2 == 0 else -coeff
-            Q[k + i][k] = signed.transpose_variables().translate(k, k)
-    Pm = PolyMatrix(tuple(tuple(row) for row in P))
-    Qm = PolyMatrix(tuple(tuple(row) for row in Q))
+    Pm = PolyMatrix(tuple(map(tuple, _signed_row_transform(lam))))
+    Qm = PolyMatrix(
+        tuple(
+            tuple(p.transpose_variables() for p in column)
+            for column in zip(*_signed_row_transform(lam.conjugate()))
+        )
+    )
     diagonal = tuple(leading_monomial(lam, Cell(k, k)) for k in range(1, n + 1))
     D = _certify(Pm, W, Qm, diagonal, "recurrence")
     return SnfResult(P=Pm, Q=Qm, D=D, diagonal=diagonal, algorithm="recurrence")
@@ -146,105 +153,99 @@ def _rectangle_fits(lam: Partition, d: int, e: int) -> bool:
     return d <= len(lengths) and lengths[d - 1] >= e
 
 
+def _peel_step(
+    grid: list[list[Polynomial]], a: int, z: Polynomial, updates: list[Polynomial]
+) -> None:
+    """Undo one peeled cell on the row transform, or on the transposed
+    column transform: the cell multiplies the first ``a`` diagonal
+    entries, so scale those rows right of column ``a``, then fold in
+    ``updates`` (minus the smaller partition's weights beside the cell)."""
+    for row in grid[:a]:
+        for j in range(a, len(row)):
+            if row[j]:
+                row[j] = z * row[j]
+    for row in grid:
+        acc = row[a]
+        for i in range(a):
+            if row[i] and updates[i]:
+                acc = acc + row[i] * updates[i]
+        row[a] = acc
+
+
+def _border(grid: list[list[Polynomial]]) -> list[list[Polynomial]]:
+    """Grow a transform by one, putting each row's negated sum in the new
+    column: that subtracts the all-ones line bordering adds to W."""
+    n = len(grid)
+    out = _identity_grid(n + 1)
+    for r, row in enumerate(grid):
+        total = Polynomial.zero()
+        for k, entry in enumerate(row):
+            out[r][k] = entry
+            if entry:
+                total = total + entry
+        out[r][n] = -total
+    return out
+
+
 def _reduce_rectangle(lam: Partition, d: int, e: int):
     """Build the transforms for the d x e rectangle by peeling one cell at
-    a time off the partition, updating the smaller problem's transforms.
+    a time off the partition: plan the peeling down to a single row, then
+    replay the plan bottom-up, updating the smaller problem's transforms.
 
-    Returns (U, V) as mutable grids; the caller wraps and certifies.
+    The column transform is kept transposed, so a cell peeled below the
+    rectangle takes the same step as one peeled beside it, with rows and
+    columns swapped.  Returns (U, VT) as mutable grids; the caller wraps
+    and certifies.
     """
-    one = Polynomial.one()
-    if d == 1:
-        # A single row ends in a border cell with weight 1, so subtracting
-        # weight-many copies of the last column clears all the others.
-        V = _identity_grid(e)
-        for j in range(e - 1):
-            V[e - 1][j] = -weight_at(lam, 1, j + 1)
-        return [[one]], V
+    plan = []
+    while d > 1:
+        for corner in sorted(lam.removable_corners(), key=lambda c: c.row, reverse=True):
+            smaller = lam.remove_corner(corner)
+            if _rectangle_fits(smaller, d, e):
+                # The cell must lie right of the rectangle in one of its
+                # rows, or below it in one of its columns.
+                if (corner.row < d) == (corner.col < e):
+                    raise VerificationFailed(
+                        f"removable corner {corner} is not beside the {d}x{e} rectangle"
+                    )
+                break
+        else:
+            # No single cell can be removed while keeping the rectangle
+            # inside the extension; that happens exactly when the partition
+            # is a rectangle filling the frame.  Shrink both, then border.
+            if not (lam and lam.is_rectangle()):
+                raise VerificationFailed(
+                    f"reduction is stuck on {lam!r} with a {d}x{e} rectangle"
+                )
+            if (d, e) != (len(lam) + 1, lam.parts[0] + 1):
+                raise VerificationFailed(
+                    f"rectangle {d}x{e} does not frame the "
+                    f"{len(lam)}x{lam.parts[0]} partition"
+                )
+            d, e, corner = d - 1, e - 1, None
+            smaller = lam.remove_corner(Cell(d, e))
+        plan.append((smaller, corner))
+        lam = smaller
 
-    for corner in sorted(lam.removable_corners(), key=lambda c: c.row, reverse=True):
-        smaller = lam.remove_corner(corner)
-        if not _rectangle_fits(smaller, d, e):
+    # A single row ends in a border cell with weight 1, so subtracting
+    # weight-many copies of the last column clears all the others.
+    U = [[Polynomial.one()]]
+    VT = _identity_grid(e)
+    for j in range(e - 1):
+        VT[j][e - 1] = -weight_at(lam, 1, j + 1)
+    for smaller, corner in reversed(plan):
+        if corner is None:
+            U, VT = _border(U), _border(VT)
             continue
-        U, V = _reduce_rectangle(smaller, d, e)
         a, b = corner
         z = Polynomial.variable(corner)
-        if a < d:
-            if b < e:
-                raise VerificationFailed(
-                    f"removable corner {corner} inside the {d}x{e} rectangle"
-                )
-            # The removed cell multiplies the top a rows of the smaller
-            # problem's normal form.  Scale the strictly-right block of U,
-            # then fold in the row subtractions that strip the cross terms
-            # (weights taken in the smaller partition; column b+1 may lie
-            # just past its extension, where the weight is 1).
-            for i in range(a):
-                row = U[i]
-                for j in range(a, d):
-                    if row[j]:
-                        row[j] = z * row[j]
-            updates = [-weight_at(smaller, i + 1, b + 1) for i in range(a)]
-            for r in range(d):
-                row = U[r]
-                acc = row[a]
-                for i in range(a):
-                    if row[i] and updates[i]:
-                        acc = acc + row[i] * updates[i]
-                row[a] = acc
+        # Weights are read in the smaller partition; the cell next to the
+        # peeled one may lie just past its extension, where the weight is 1.
+        if a < len(U):
+            _peel_step(U, a, z, [-weight_at(smaller, i + 1, b + 1) for i in range(a)])
         else:
-            if b >= e:
-                raise VerificationFailed(
-                    f"removable corner {corner} inside the {d}x{e} rectangle"
-                )
-            # Mirror image on columns: scale the strictly-below block of V
-            # and fold the column subtractions into row b of V.
-            for j in range(b):
-                for i in range(b, e):
-                    if V[i][j]:
-                        V[i][j] = z * V[i][j]
-            updates = [-weight_at(smaller, a + 1, j + 1) for j in range(b)]
-            target = V[b]
-            for c in range(e):
-                acc = target[c]
-                for j in range(b):
-                    if V[j][c] and updates[j]:
-                        acc = acc + updates[j] * V[j][c]
-                target[c] = acc
-        return U, V
-
-    # No single cell can be removed while keeping the rectangle inside the
-    # extension; that happens exactly when the partition is a rectangle
-    # filling the frame.  Reduce the corner-free rectangle one size down,
-    # then border the transforms and subtract the all-ones last row/column.
-    if not (lam and lam.is_rectangle()):
-        raise VerificationFailed(f"reduction is stuck on {lam!r} with a {d}x{e} rectangle")
-    d2, e2 = len(lam), lam.parts[0]
-    if (d, e) != (d2 + 1, e2 + 1):
-        raise VerificationFailed(
-            f"rectangle {d}x{e} does not frame the {d2}x{e2} partition"
-        )
-    smaller = lam.remove_corner(Cell(d2, e2))
-    U, V = _reduce_rectangle(smaller, d2, e2)
-    zero = Polynomial.zero()
-    nU = _identity_grid(d)
-    for r in range(d2):
-        row_sum = zero
-        for k in range(d2):
-            nU[r][k] = U[r][k]
-            if U[r][k]:
-                row_sum = row_sum + U[r][k]
-        nU[r][d2] = -row_sum
-    nV = _identity_grid(e)
-    for r in range(e2):
-        for c in range(e2):
-            nV[r][c] = V[r][c]
-    for c in range(e2):
-        col_sum = zero
-        for j in range(e2):
-            if V[j][c]:
-                col_sum = col_sum + V[j][c]
-        nV[e2][c] = -col_sum
-    return nU, nV
+            _peel_step(VT, b, z, [-weight_at(smaller, a + 1, j + 1) for j in range(b)])
+    return U, VT
 
 
 def snf_inductive(lam: Partition, d: int, e: int) -> SnfResult:
@@ -265,9 +266,9 @@ def snf_inductive(lam: Partition, d: int, e: int) -> SnfResult:
         raise InvalidRectangle(
             f"corner ({d},{e}) is not on the border strip of {lam!r}"
         )
-    U, V = _reduce_rectangle(lam, d, e)
-    Pm = PolyMatrix(tuple(tuple(row) for row in U))
-    Qm = PolyMatrix(tuple(tuple(row) for row in V))
+    U, VT = _reduce_rectangle(lam, d, e)
+    Pm = PolyMatrix(tuple(map(tuple, U)))
+    Qm = PolyMatrix(tuple(zip(*VT)))
     W = rect_weight_matrix(lam, d, e)
     diagonal = tuple(
         leading_monomial(lam, Cell(k, k + e - d)) for k in range(1, d + 1)

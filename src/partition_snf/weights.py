@@ -194,16 +194,7 @@ class PolyMatrix:
         return True
 
     def is_lower_unitriangular(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        one = Polynomial.one()
-        for i in range(self.rows):
-            if self.entries[i][i] != one:
-                return False
-            for j in range(i + 1, self.cols):
-                if self.entries[i][j]:
-                    return False
-        return True
+        return self.transpose().is_upper_unitriangular()
 
     def to_json(self) -> dict:
         return {

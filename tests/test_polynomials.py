@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partition_snf import (
@@ -134,6 +134,9 @@ class TestPackedAgainstPairReference:
             m.translate(0, -low)
 
     @given(PAIRS)
+    # A row of 4000 columns, with gaps, next to a short second row: decoding
+    # must stay linear in the row's width.
+    @example([((1, c), c % 5) for c in range(1, 4001)] + [((2, 3), 7)])
     def test_transpose_degree_pairs_expanded(self, a):
         ref = ref_monomial(a)
         m = Monomial(a)

@@ -1,5 +1,9 @@
 import dataclasses
+import hashlib
+import inspect
+import json
 import random
+import sys
 
 import pytest
 
@@ -132,6 +136,40 @@ class TestInductiveAlgorithm:
         result = snf_inductive(lam, 3, 3)
         ok, residual = verify_snf(rect_weight_matrix(lam, 3, 3), result)
         assert ok, residual
+
+
+    def test_transforms_pinned_byte_for_byte(self):
+        # The serialized P, Q and diagonal of every recurrence result and
+        # every border rectangle up to size 8, non-square ones included,
+        # as produced before the peeling was planned and replayed.
+        digest = hashlib.sha256()
+        rectangles = 0
+        for lam in all_partitions(8):
+            r = snf_recurrence(lam)
+            digest.update(json.dumps(r.to_json(), sort_keys=True).encode())
+            for d, e in sorted(lam.extended.border):
+                if d <= e:
+                    r = snf_inductive(lam, d, e)
+                    digest.update(json.dumps(r.to_json(), sort_keys=True).encode())
+                    rectangles += 1
+        assert rectangles == 284
+        assert digest.hexdigest() == (
+            "9695d4e396391832304e5fd2254912e40b077424ebaea5ea2fcd0c6cdc62cbb8"
+        )
+
+    def test_long_peels_need_no_stack_depth(self):
+        # Peeling 250 cells one at a time must not use one frame per cell.
+        limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(len(inspect.stack()) + 100)
+            for lam in (Partition((250,)), Partition((1,) * 250)):
+                result = snf_inductive(lam, 2, 2)
+                assert result.diagonal == (
+                    leading_monomial(lam, Cell(1, 1)),
+                    leading_monomial(lam, Cell(2, 2)),
+                )
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestCrossAlgorithm:
