@@ -48,7 +48,8 @@ def run_selftest(max_size: int, det_side_limit: int = 6) -> SelfTestReport:
     """Replay the core identities over all partitions of size <= max_size.
 
     Checks, per partition: the alternating row relation in every column;
-    agreement of the two reduction algorithms on the origin square; the
+    agreement of the two reduction algorithms' transforms, entry for
+    entry, on the origin square (they are unique there); the
     diagonal being the expected leading monomials; the determinant oracle
     against the diagonal product (small sides only); and a certified
     reduction for every border rectangle that is at least as wide as tall.
@@ -84,7 +85,9 @@ def run_selftest(max_size: int, det_side_limit: int = 6) -> SelfTestReport:
             continue
         record(
             "snf-agreement",
-            by_rows.diagonal == by_peeling.diagonal,
+            by_rows.diagonal == by_peeling.diagonal
+            and by_rows.P == by_peeling.P
+            and by_rows.Q == by_peeling.Q,
             f"partition {lam.parts}",
         )
 

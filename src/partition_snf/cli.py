@@ -185,7 +185,12 @@ def _cmd_snf(args):
             lines += block
             results.append((result, block_json))
         if len(results) == 2:
-            agree = results[0][0].diagonal == results[1][0].diagonal
+            by_rows, by_peeling = results[0][0], results[1][0]
+            agree = (
+                by_rows.diagonal == by_peeling.diagonal
+                and by_rows.P == by_peeling.P
+                and by_rows.Q == by_peeling.Q
+            )
             lines.append(f"agree: {'true' if agree else 'false'}")
             payload = {
                 "recurrence": results[0][1],

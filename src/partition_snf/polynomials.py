@@ -15,14 +15,18 @@ raises :class:`TooLarge`.  The layout is private to this module: cells and
 exponents are decoded only where they are read, for rendering, JSON and
 ordering.
 
-Two kernels carry the heavy loops.  :func:`matrix_product` packs every
-monomial of both operands into a single int over a layout shared by that
-one product: the total degree in the lowest 16-bit field, then each row
-at a stride as wide as the widest row of either operand.  A monomial
-product is then one integer addition, each output entry accumulates in
-one int-keyed dict, and only the results are decoded back into
-monomials.  :meth:`Polynomial.skew_sum` builds a weight, the sum of the
-skew monomials over every sub-partition of a shape, by walking the
+The heavy loops run on a second, flatter packing.  A
+:class:`PackedLayout` turns each whole monomial into a single int: the
+total degree in the lowest 16-bit field, then each row at a fixed stride.
+A polynomial becomes a ``{key: coeff}`` dict, a monomial product one
+integer addition, and a translation one shift of the key.
+:func:`matrix_product` multiplies a chain of matrices in one layout as
+wide as the widest row anywhere in the chain, keeping intermediate
+products packed.  The inductive reduction replays its peeling in one
+layout fixed by the partition and decodes its transforms once, at the
+end.  Only keys not seen on the way in are decoded back into monomials.
+:meth:`Polynomial.skew_sum` builds a weight, the sum of the skew
+monomials over every sub-partition of a shape, by walking the
 sub-partitions iteratively straight into packed rows.
 
 The canonical term order used for rendering and serialization is total
@@ -33,7 +37,6 @@ With row-major letter names this reproduces forms like
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import add, attrgetter, lshift
 from struct import unpack
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -510,83 +513,169 @@ _ZERO = Polynomial()
 _ONE = Polynomial({Monomial(): 1})
 
 
-def matrix_product(
-    left: Sequence[Sequence[Polynomial]], right: Sequence[Sequence[Polynomial]]
-) -> tuple[tuple[Polynomial, ...], ...]:
-    """Rows of the matrix product ``left @ right``, both given as rows of
-    polynomials; the caller checks that the inner dimensions agree.
+_degree_field = _MASK.__and__
 
-    Every monomial of both operands is packed into one int over a layout
-    shared by this product: the total degree in the lowest field, then
-    the rows, each as wide as the widest row anywhere in either operand.
-    A product never widens a row and no exponent exceeds the total degree,
-    so multiplying two monomials is one integer addition and no field
-    carries.  Only result monomials that are not already among the inputs
-    are decoded.
+
+def _top(terms: dict[int, int]) -> int:
+    """Top total degree of a packed polynomial, 0 for zero."""
+    return max(map(_degree_field, terms), default=0)
+
+
+def _check_product(top: int) -> None:
+    # Monomial.__mul__ raises on the same sum, so a packed product fails
+    # exactly where the unpacked one would have.
+    if top > _MAX_DEGREE:
+        raise _degree_error(top)
+
+
+def _accumulate(acc: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
+    """Add the product of two packed polynomials into ``acc``: a term
+    product is one key addition.  Terms that cancel are removed."""
+    get = acc.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = ka + kb
+            c = get(key, 0) + ca * cb
+            if c:
+                acc[key] = c
+            else:
+                del acc[key]
+
+
+class PackedLayout:
+    """One int key per monomial, for monomials at most ``width`` columns
+    wide and ``height`` rows tall, and polynomials as ``{key: coeff}``
+    dicts with no zero coefficient (``{}`` is 0).
+
+    A key holds the total degree in its lowest 16-bit field, then row
+    ``r`` of the monomial at bit ``16 + (r - 1) * stride``, where
+    ``stride`` is ``width`` fields.  Multiplying two monomials adds their
+    keys, and translating one shifts everything above the degree field.
+    No field carries while the total degree stays at most 65535, and
+    :meth:`times` and :meth:`fold` raise :class:`TooLarge` before a
+    product could pass it.  Every monomial encoded is remembered, so
+    decoding rebuilds only keys the layout has not seen.
+    """
+
+    __slots__ = ("stride", "_shifts", "_monomials")
+
+    def __init__(self, width: int, height: int):
+        self.stride = _FIELD * max(1, width)
+        self._shifts = range(_FIELD, _FIELD + self.stride * height, self.stride)
+        self._monomials: dict[int, Monomial] = {}
+
+    def encode(self, poly: Polynomial) -> dict[int, int]:
+        shifts = self._shifts
+        terms = poly._terms
+        keys = [sum(map(lshift, mono._rows, shifts)) | mono._degree for mono in terms]
+        self._monomials.update(zip(keys, terms))
+        return dict(zip(keys, terms.values()))
+
+    def variable(self, cell: Cell) -> int:
+        """The key of the variable on ``cell``, for :meth:`times`."""
+        return 1 | 1 << (_FIELD + (cell[0] - 1) * self.stride + (cell[1] - 1) * _FIELD)
+
+    def decode(self, terms: dict[int, int]) -> Polynomial:
+        if not terms:
+            return _ZERO
+        known = self._monomials.get
+        poly = Polynomial.__new__(Polynomial)
+        poly._terms = {known(k) or self._monomial(k): c for k, c in terms.items()}
+        poly._hash = None
+        return poly
+
+    def _monomial(self, key: int) -> Monomial:
+        # Cut the rows out of the key's bytes: linear in its width.
+        body = key >> _FIELD
+        data = body.to_bytes((body.bit_length() + 7) // 8, "little")
+        step = self.stride // 8
+        rows = tuple(
+            int.from_bytes(data[i : i + step], "little")
+            for i in range(0, len(data), step)
+        )
+        mono = self._monomials[key] = _packed(rows, key & _MASK)
+        return mono
+
+    def translate(self, terms: dict[int, int], dr: int, dc: int) -> dict[int, int]:
+        """Every cell moved down ``dr`` rows and right ``dc`` columns, both
+        at least 0, by one shift of each key; the moved rows must still
+        fit the layout's width."""
+        if dr < 0 or dc < 0:
+            raise ValueError(f"packed translation by ({dr}, {dc}) must be nonnegative")
+        shift = dr * self.stride + dc * _FIELD
+        out = {}
+        for key, coeff in terms.items():
+            degree = key & _MASK
+            out[(key ^ degree) << shift | degree] = coeff
+        return out
+
+    def times(self, terms: dict[int, int], key: int) -> dict[int, int]:
+        """``terms`` multiplied by the monomial with key ``key``."""
+        _check_product(_top(terms) + (key & _MASK))
+        return {k + key: c for k, c in terms.items()}
+
+    def fold(self, base: dict[int, int], products) -> dict[int, int]:
+        """``base`` plus the sum of ``a * b`` over the ``(a, b)`` pairs of
+        ``products``; ``base`` itself when every pair has a zero side."""
+        acc = None
+        for a, b in products:
+            if a and b:
+                _check_product(_top(a) + _top(b))
+                if acc is None:
+                    acc = dict(base)
+                _accumulate(acc, a, b)
+        return base if acc is None else acc
+
+
+def matrix_product(
+    *factors: Sequence[Sequence[Polynomial]],
+) -> tuple[tuple[Polynomial, ...], ...]:
+    """Rows of the chain product ``factors[0] @ factors[1] @ ...``, each
+    factor given as rows of polynomials; the caller checks that adjacent
+    dimensions agree.
+
+    Every monomial of every factor is packed into one
+    :class:`PackedLayout`, as wide as the widest row anywhere in the
+    chain.  A product never widens a row, so the intermediate products
+    stay packed, and only the entries of the last one are decoded.  Before
+    two nonzero entries are multiplied, the sum of their top degrees is
+    checked against the limit.
     """
     distinct = {
         id(poly): poly
-        for matrix in (left, right)
+        for matrix in factors
         for row in matrix
         for poly in row
         if poly._terms
     }
     every_row = [mono._rows for poly in distinct.values() for mono in poly._terms]
-    top = max(chain.from_iterable(every_row), default=0)
+    widest = max(map(max, filter(None, every_row)), default=0)
     height = max(map(len, every_row), default=0)
-    stride = max(1, -(-top.bit_length() // _FIELD)) * _FIELD
-    shifts = range(_FIELD, _FIELD + stride * height, stride)
-    # Nonzero entries as ([(key, coeff), ...], top degree); zero as None.
-    # Input monomials seed the decoded results: a product with 1 is one
-    # of them again.
-    encoded = {}
-    decoded: dict[int, Monomial] = {}
-    for ident, poly in distinct.items():
-        terms = poly._terms
-        keys = [sum(map(lshift, mono._rows, shifts)) | mono._degree for mono in terms]
-        decoded.update(zip(keys, terms))
-        encoded[ident] = (
-            list(zip(keys, terms.values())),
-            max(map(_degree_of, terms)),
-        )
-    a_rows = [[encoded.get(id(poly)) for poly in row] for row in left]
-    b_cols = list(zip(*([encoded.get(id(poly)) for poly in row] for row in right)))
+    layout = PackedLayout(-(-widest.bit_length() // _FIELD), height)
+    # Nonzero entries as (terms, top degree); zero as None.
+    encoded = {
+        ident: (layout.encode(poly), max(map(_degree_of, poly._terms)))
+        for ident, poly in distinct.items()
+    }
+    rows = [[encoded.get(id(poly)) for poly in row] for row in factors[0]]
+    for right in factors[1:]:
+        cols = list(zip(*([encoded.get(id(poly)) for poly in row] for row in right)))
+        rows = [[_dot(a_row, b_col) for b_col in cols] for a_row in rows]
+    return tuple(
+        tuple(layout.decode(entry[0]) if entry else _ZERO for entry in row)
+        for row in rows
+    )
 
-    row_mask = (1 << stride) - 1
-    known = decoded.get
 
-    def decode(key: int) -> Monomial:
-        rows = []
-        packed = key >> _FIELD
-        while packed:
-            rows.append(packed & row_mask)
-            packed >>= stride
-        mono = decoded[key] = _packed(tuple(rows), key & _MASK)
-        return mono
-
-    result = []
-    for a_row in a_rows:
-        out_row = []
-        for b_col in b_cols:
-            acc: dict[int, int] = {}
-            get = acc.get
-            for a, b in zip(a_row, b_col):
-                if a is None or b is None:
-                    continue
-                a_terms, a_degree = a
-                b_terms, b_degree = b
-                if a_degree + b_degree > _MAX_DEGREE:
-                    raise _degree_error(a_degree + b_degree)
-                for ka, ca in a_terms:
-                    for kb, cb in b_terms:
-                        key = ka + kb
-                        acc[key] = get(key, 0) + ca * cb
-            poly = Polynomial.__new__(Polynomial)
-            poly._terms = {known(k) or decode(k): c for k, c in acc.items() if c}
-            poly._hash = None
-            out_row.append(poly)
-        result.append(tuple(out_row))
-    return tuple(result)
+def _dot(a_row, b_col):
+    """One packed entry of a product, as (terms, top degree) or None."""
+    acc: dict[int, int] = {}
+    for a, b in zip(a_row, b_col):
+        if a is None or b is None:
+            continue
+        _check_product(a[1] + b[1])
+        _accumulate(acc, a[0], b[0])
+    return (acc, _top(acc)) if acc else None
 
 
 def coordinate_naming(cells: Iterable[Cell]) -> dict[Cell, str]:

@@ -6,6 +6,22 @@ back against the weight matrix and compared entry by entry with the
 expected zero-padded diagonal of leading monomials before anything is
 returned.  A mismatch raises :class:`VerificationFailed` carrying the
 residual; it signals an implementation bug, never bad input.
+
+On the origin square the two reductions return the same transforms,
+entry for entry.  ``det W`` is a product of monomials, so ``W`` is
+invertible over the fraction field, and ``W = U D L`` with ``U`` upper
+and ``L`` lower unitriangular and ``D`` diagonal is unique (LDU
+uniqueness, in reverse order); so ``P = U^-1`` and ``Q = L^-1`` are
+forced.  The self-test compares both whole transforms.  A ``d x e``
+rectangle with ``d < e`` has a zero block on the left, so its ``Q`` is
+not unique.
+
+The inductive replay runs on packed polynomials in one
+:class:`~partition_snf.polynomials.PackedLayout` per reduction, wide
+enough for every cell of the partition: scaling by a peeled cell adds
+one key to each term, and each weight shape is packed once and shifted
+into place.  The transforms are decoded into polynomials once, at the
+end.
 """
 
 from __future__ import annotations
@@ -20,15 +36,21 @@ from .errors import (
     VerificationFailed,
 )
 from .partitions import Cell, Partition, subdiagram_shape
-from .polynomials import Polynomial, polynomial_to_json
+from .polynomials import (
+    PackedLayout,
+    Polynomial,
+    matrix_product,
+    polynomial_to_json,
+)
 from .recurrence import row_coefficients
 from .weights import (
     PolyMatrix,
     leading_monomial,
     rect_weight_matrix,
+    relative_weight,
     square_matrix,
-    weight_at,
 )
+from .weights import weight_at  # noqa: F401  (the benchmark tracer patches it here)
 
 __all__ = [
     "SnfResult",
@@ -65,12 +87,6 @@ class SnfResult:
         }
 
 
-def _identity_grid(n: int) -> list[list[Polynomial]]:
-    one = Polynomial.one()
-    zero = Polynomial.zero()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def _expected_product(
     diagonal: tuple[Polynomial, ...], rows: int, cols: int
 ) -> PolyMatrix:
@@ -93,19 +109,26 @@ def _certify(
     """Check ``P @ W @ Q`` against the expected diagonal form and the
     transforms for unitriangularity; return the product.
 
-    Every failure raises :class:`VerificationFailed` carrying the residual
-    (computed minus expected), structural failures included.
+    The product is one packed chain, compared with the expected form entry
+    by entry.  Every failure raises :class:`VerificationFailed` carrying
+    the residual (computed minus expected), structural failures included.
     """
-    computed = (P @ W) @ Q
-    residual = computed - _expected_product(diagonal, W.rows, W.cols)
+    computed = PolyMatrix(matrix_product(P.entries, W.entries, Q.entries))
+    zero = Polynomial.zero()
+    pad = W.cols - W.rows
     if not P.is_upper_unitriangular():
         problem = "row transform is not upper unitriangular"
     elif not Q.is_lower_unitriangular():
         problem = "column transform is not lower unitriangular"
-    elif not residual.is_zero():
+    elif any(
+        entry != (diagonal[i] if j == pad + i else zero)
+        for i, row in enumerate(computed.entries)
+        for j, entry in enumerate(row)
+    ):
         problem = "product differs from the expected diagonal form"
     else:
         return computed
+    residual = computed - _expected_product(diagonal, W.rows, W.cols)
     raise VerificationFailed(f"{algorithm}: {problem}", residual=residual)
 
 
@@ -153,49 +176,51 @@ def _rectangle_fits(lam: Partition, d: int, e: int) -> bool:
     return d <= len(lengths) and lengths[d - 1] >= e
 
 
+def _identity_grid(n: int, one: dict[int, int]) -> list[list[dict[int, int]]]:
+    return [[one if i == j else {} for j in range(n)] for i in range(n)]
+
+
 def _peel_step(
-    grid: list[list[Polynomial]], a: int, z: Polynomial, updates: list[Polynomial]
+    layout: PackedLayout,
+    grid: list[list[dict[int, int]]],
+    a: int,
+    z: int,
+    updates: list[dict[int, int]],
 ) -> None:
     """Undo one peeled cell on the row transform, or on the transposed
-    column transform: the cell multiplies the first ``a`` diagonal
-    entries, so scale those rows right of column ``a``, then fold in
-    ``updates`` (minus the smaller partition's weights beside the cell)."""
+    column transform: the cell, whose key is ``z``, multiplies the first
+    ``a`` diagonal entries, so scale those rows right of column ``a``,
+    then fold in ``updates`` (minus the smaller partition's weights beside
+    the cell)."""
     for row in grid[:a]:
         for j in range(a, len(row)):
-            if row[j]:
-                row[j] = z * row[j]
+            row[j] = layout.times(row[j], z)
     for row in grid:
-        acc = row[a]
-        for i in range(a):
-            if row[i] and updates[i]:
-                acc = acc + row[i] * updates[i]
-        row[a] = acc
+        row[a] = layout.fold(row[a], zip(row, updates))
 
 
-def _border(grid: list[list[Polynomial]]) -> list[list[Polynomial]]:
+def _border(
+    layout: PackedLayout,
+    grid: list[list[dict[int, int]]],
+    one: dict[int, int],
+    minus_one: dict[int, int],
+) -> list[list[dict[int, int]]]:
     """Grow a transform by one, putting each row's negated sum in the new
     column: that subtracts the all-ones line bordering adds to W."""
     n = len(grid)
-    out = _identity_grid(n + 1)
+    out = _identity_grid(n + 1, one)
     for r, row in enumerate(grid):
-        total = Polynomial.zero()
-        for k, entry in enumerate(row):
-            out[r][k] = entry
-            if entry:
-                total = total + entry
-        out[r][n] = -total
+        out[r][:n] = row
+        out[r][n] = layout.fold({}, ((entry, minus_one) for entry in row))
     return out
 
 
-def _reduce_rectangle(lam: Partition, d: int, e: int):
-    """Build the transforms for the d x e rectangle by peeling one cell at
-    a time off the partition: plan the peeling down to a single row, then
-    replay the plan bottom-up, updating the smaller problem's transforms.
+def _peel_plan(lam: Partition, d: int, e: int):
+    """Plan the peeling of the d x e rectangle down to a single row.
 
-    The column transform is kept transposed, so a cell peeled below the
-    rectangle takes the same step as one peeled beside it, with rows and
-    columns swapped.  Returns (U, VT) as mutable grids; the caller wraps
-    and certifies.
+    Returns ``(plan, base, e)``: the ``(smaller, corner)`` steps in
+    peeling order, with ``corner=None`` for a bordering step, then the
+    partition and the rectangle width the plan ends at.
     """
     plan = []
     while d > 1:
@@ -226,26 +251,63 @@ def _reduce_rectangle(lam: Partition, d: int, e: int):
             smaller = lam.remove_corner(Cell(d, e))
         plan.append((smaller, corner))
         lam = smaller
+    return plan, lam, e
+
+
+def _reduce_rectangle(lam: Partition, d: int, e: int):
+    """Build the transforms for the d x e rectangle by peeling one cell at
+    a time off the partition: plan the peeling down to a single row, then
+    replay the plan bottom-up, updating the smaller problem's transforms.
+
+    The column transform is kept transposed, so a cell peeled below the
+    rectangle takes the same step as one peeled beside it, with rows and
+    columns swapped.  The replay runs on packed polynomials in one
+    layout fixed by ``lam``, whose cells hold every variable it can meet;
+    each weight shape is packed once and moved into place by a shift.
+    Returns (U, VT) as grids of polynomials, decoded once at the end; the
+    caller wraps and certifies.
+    """
+    layout = PackedLayout(lam.parts[0] if lam else 1, len(lam))
+    plan, lam, e = _peel_plan(lam, d, e)
+    one = layout.encode(Polynomial.one())
+    minus_one = layout.encode(-Polynomial.one())
+    # Minus the (1,1)-anchored weight of each shape met, packed once.
+    minus_weights: dict[tuple[int, ...], dict[int, int]] = {}
+
+    def minus_weight(smaller: Partition, row: int, col: int) -> dict[int, int]:
+        # Weights are read in the smaller partition; the cell next to the
+        # peeled one may lie just past its extension, where the weight is 1.
+        shape = subdiagram_shape(smaller, row, col)
+        if not shape:
+            return minus_one
+        terms = minus_weights.get(shape)
+        if terms is None:
+            terms = minus_weights[shape] = layout.encode(-relative_weight(shape))
+        return layout.translate(terms, row - 1, col - 1)
 
     # A single row ends in a border cell with weight 1, so subtracting
     # weight-many copies of the last column clears all the others.
-    U = [[Polynomial.one()]]
-    VT = _identity_grid(e)
+    U = _identity_grid(1, one)
+    VT = _identity_grid(e, one)
     for j in range(e - 1):
-        VT[j][e - 1] = -weight_at(lam, 1, j + 1)
+        VT[j][e - 1] = minus_weight(lam, 1, j + 1)
     for smaller, corner in reversed(plan):
         if corner is None:
-            U, VT = _border(U), _border(VT)
+            U = _border(layout, U, one, minus_one)
+            VT = _border(layout, VT, one, minus_one)
             continue
         a, b = corner
-        z = Polynomial.variable(corner)
-        # Weights are read in the smaller partition; the cell next to the
-        # peeled one may lie just past its extension, where the weight is 1.
+        z = layout.variable(corner)
         if a < len(U):
-            _peel_step(U, a, z, [-weight_at(smaller, i + 1, b + 1) for i in range(a)])
+            updates = [minus_weight(smaller, i + 1, b + 1) for i in range(a)]
+            _peel_step(layout, U, a, z, updates)
         else:
-            _peel_step(VT, b, z, [-weight_at(smaller, a + 1, j + 1) for j in range(b)])
-    return U, VT
+            updates = [minus_weight(smaller, a + 1, j + 1) for j in range(b)]
+            _peel_step(layout, VT, b, z, updates)
+    return (
+        [[layout.decode(terms) for terms in row] for row in U],
+        [[layout.decode(terms) for terms in row] for row in VT],
+    )
 
 
 def snf_inductive(lam: Partition, d: int, e: int) -> SnfResult:

@@ -14,7 +14,9 @@ from partition_snf import (
     Polynomial,
     letter_naming,
     subdiagram_shape,
+    weight_at,
 )
+from partition_snf.snf import _peel_plan
 
 
 def letter_cells(lam: Partition) -> dict[str, Cell]:
@@ -146,3 +148,63 @@ def naive_matrix_product(left, right) -> tuple:
         )
         for row in left
     )
+
+
+# -- polynomial peeling replay -------------------------------------------
+#
+# The replay of the inductive reduction's peel plan on ``Polynomial``
+# grids, as it ran before the packed replay: kept here as an oracle for it.
+
+
+def _ref_identity_grid(n: int) -> list[list[Polynomial]]:
+    one, zero = Polynomial.one(), Polynomial.zero()
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def _ref_peel_step(grid, a: int, z: Polynomial, updates) -> None:
+    for row in grid[:a]:
+        for j in range(a, len(row)):
+            if row[j]:
+                row[j] = z * row[j]
+    for row in grid:
+        acc = row[a]
+        for i in range(a):
+            if row[i] and updates[i]:
+                acc = acc + row[i] * updates[i]
+        row[a] = acc
+
+
+def _ref_border(grid):
+    n = len(grid)
+    out = _ref_identity_grid(n + 1)
+    for r, row in enumerate(grid):
+        total = Polynomial.zero()
+        for k, entry in enumerate(row):
+            out[r][k] = entry
+            if entry:
+                total = total + entry
+        out[r][n] = -total
+    return out
+
+
+def ref_reduce_rectangle(lam: Partition, d: int, e: int):
+    """(U, VT) of the d x e rectangle: the reduction's own peel plan,
+    replayed with ``Polynomial`` arithmetic and ``weight_at``."""
+    plan, lam, e = _peel_plan(lam, d, e)
+    U = [[Polynomial.one()]]
+    VT = _ref_identity_grid(e)
+    for j in range(e - 1):
+        VT[j][e - 1] = -weight_at(lam, 1, j + 1)
+    for smaller, corner in reversed(plan):
+        if corner is None:
+            U, VT = _ref_border(U), _ref_border(VT)
+            continue
+        a, b = corner
+        z = Polynomial.variable(corner)
+        if a < len(U):
+            updates = [-weight_at(smaller, i + 1, b + 1) for i in range(a)]
+            _ref_peel_step(U, a, z, updates)
+        else:
+            updates = [-weight_at(smaller, a + 1, j + 1) for j in range(b)]
+            _ref_peel_step(VT, b, z, updates)
+    return U, VT

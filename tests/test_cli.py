@@ -1,6 +1,10 @@
+import dataclasses
 import json
 
-from partition_snf import Polynomial, polynomial_from_json
+import pytest
+
+import partition_snf.cli as cli_module
+from partition_snf import PolyMatrix, Polynomial, polynomial_from_json, snf_recurrence
 from partition_snf.cli import main
 
 LETTER_GRID_3_2 = {
@@ -90,6 +94,19 @@ class TestSnfCommand:
         assert "diagonal: abcde | e | 1" in out
         assert "agree: true" in out
         assert out.count("verified: true") == 2
+
+    @pytest.mark.parametrize("field", ["P", "Q"])
+    def test_disagreeing_transforms(self, capsys, monkeypatch, field):
+        # Same diagonal, different transform: agree must read false.
+        def tampered(lam):
+            result = snf_recurrence(lam)
+            identity = PolyMatrix.identity(lam.rank + 1)
+            return dataclasses.replace(result, **{field: identity})
+
+        monkeypatch.setattr(cli_module, "snf_recurrence", tampered)
+        code, out, _ = run_cli(capsys, "snf", "3,2", "--naming", "letters")
+        assert code == 2
+        assert "agree: false" in out
 
     def test_empty_partition(self, capsys):
         code, out, _ = run_cli(capsys, "snf", "", "--algorithm", "recurrence")

@@ -22,7 +22,7 @@ from partition_snf import (
     polynomial_to_json,
     render,
 )
-from partition_snf.polynomials import _term_key, matrix_product
+from partition_snf.polynomials import PackedLayout, _term_key, matrix_product
 
 from helpers import (
     naive_matrix_product,
@@ -260,6 +260,22 @@ def operands(draw):
     return left, right
 
 
+@st.composite
+def chain_operands(draw):
+    # Three factors, entries drawn as in operands(): a small pool with
+    # random negation, so sums of products often cancel.
+    dims = [draw(st.integers(1, 3)) for _ in range(4)]
+    pool = draw(st.lists(ENTRY, min_size=1, max_size=4))
+    entry = st.tuples(st.sampled_from(pool), st.booleans()).map(
+        lambda pair: -pair[0] if pair[1] else pair[0]
+    )
+    def matrix(rows, cols):
+        row = st.lists(entry, min_size=cols, max_size=cols)
+        return st.lists(row, min_size=rows, max_size=rows)
+
+    return [draw(matrix(rows, cols)) for rows, cols in zip(dims, dims[1:])]
+
+
 class TestMatrixProduct:
     """The packed matrix-product kernel agrees with summed polynomial
     products."""
@@ -278,6 +294,26 @@ class TestMatrixProduct:
                     assert mono == rebuilt
                     assert hash(mono) == hash(rebuilt)
                     assert mono.degree == rebuilt.degree
+
+    @given(chain_operands())
+    @settings(max_examples=150)
+    def test_chain_matches_naive_products(self, factors):
+        a, b, c = factors
+        got = matrix_product(a, b, c)
+        assert got == naive_matrix_product(naive_matrix_product(a, b), c)
+        for row in got:
+            for entry in row:
+                for mono, _ in entry.items():
+                    rebuilt = Monomial(mono.pairs)
+                    assert mono == rebuilt and hash(mono) == hash(rebuilt)
+
+    def test_chain_degree_guard_on_intermediate(self):
+        # The middle product reaches degree 65535; one more factor of x
+        # must raise, as (A @ B) @ C does.
+        a, b, x = [[x_power(40000)]], [[x_power(25535)]], [[x_power(1)]]
+        assert matrix_product(a, b, [[Polynomial.one()]]) == ((x_power(65535),),)
+        with pytest.raises(TooLarge):
+            matrix_product(a, b, x)
 
     def test_cancellation_to_zero(self):
         x = Polynomial.variable((1, 300)) + Polynomial.variable((20, 1))
@@ -304,6 +340,71 @@ class TestMatrixProduct:
         assert got == ((x_power(25537),),)
         got = matrix_product([[zero, x]], [[x_power(65535)], [x]])
         assert got == ((x_power(2),),)
+
+
+class TestPackedLayout:
+    """Packed polynomials in one layout: translation by a shift and the
+    degree guard."""
+
+    @pytest.mark.parametrize("shift", [(0, 0), (0, 3), (2, 0), (4, 1), (1, 7)])
+    def test_translate_matches_polynomial_translate(self, shift):
+        dr, dc = shift
+        for shape in all_partitions(7):
+            weight = Polynomial.skew_sum(shape.parts) if shape else Polynomial.one()
+            width = (shape.parts[0] if shape else 0) + dc
+            layout = PackedLayout(width, len(shape))
+            moved = layout.translate(layout.encode(weight), dr, dc)
+            # A fresh layout decodes every key from its bits alone.
+            fresh = PackedLayout(width, 0)
+            assert fresh.decode(moved) == weight.translate(dr, dc), (shape, shift)
+
+    def test_translate_long_rows_and_columns(self):
+        for parts in [(300,), (1,) * 40, (12, 12, 3)]:
+            weight = Polynomial.skew_sum(parts)
+            layout = PackedLayout(parts[0] + 5, len(parts))
+            moved = layout.translate(layout.encode(weight), 3, 5)
+            fresh = PackedLayout(parts[0] + 5, 0)
+            assert fresh.decode(moved) == weight.translate(3, 5)
+
+    def test_translate_rejects_negative_shift(self):
+        layout = PackedLayout(2, 1)
+        with pytest.raises(ValueError):
+            layout.translate(layout.encode(x_power(1)), 0, -1)
+
+    def test_fold_degree_guard(self):
+        layout = PackedLayout(1, 1)
+        high = layout.encode(x_power(40000))
+        top = layout.fold({}, [(high, layout.encode(x_power(25535)))])
+        assert layout.decode(top) == x_power(65535)
+        with pytest.raises(TooLarge):
+            layout.fold({}, [(high, layout.encode(x_power(25536)))])
+        # A zero opposite a high degree multiplies nothing.
+        assert layout.fold(high, [({}, layout.encode(x_power(65535)))]) is high
+
+    def test_times_degree_guard(self):
+        layout = PackedLayout(1, 1)
+        x = layout.variable(Cell(1, 1))
+        top = layout.times(layout.encode(x_power(65534)), x)
+        assert layout.decode(top) == x_power(65535)
+        with pytest.raises(TooLarge):
+            layout.times(top, x)
+
+    def test_fold_leaves_its_operands_unchanged(self):
+        layout = PackedLayout(2, 2)
+        x, y = Polynomial.variable((2, 1)) + 1, Polynomial.variable((1, 2)) - 1
+        base, a = layout.encode(x), layout.encode(y)
+        before = (dict(base), dict(a))
+        total = layout.fold(base, [(a, a)])
+        assert (base, a) == before
+        assert layout.decode(total) == x + y * y
+
+    def test_fold_drops_cancelled_terms(self):
+        layout = PackedLayout(3, 2)
+        x = layout.encode(Polynomial.variable((2, 3)))
+        minus_x = layout.encode(-Polynomial.variable((2, 3)))
+        one = layout.encode(Polynomial.one())
+        assert layout.fold(x, [(minus_x, one)]) == {}
+        assert layout.decode({}) == Polynomial.zero()
 
 
 class TestDegreeLimit:

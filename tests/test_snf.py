@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import partition_snf.checks as checks_module
 import partition_snf.snf as snf_module
 from partition_snf import (
     Cell,
@@ -31,7 +32,7 @@ from partition_snf import (
     verify_snf,
 )
 
-from helpers import poly
+from helpers import poly, ref_reduce_rectangle
 
 LAM = Partition((3, 2))
 
@@ -172,7 +173,44 @@ class TestInductiveAlgorithm:
             sys.setrecursionlimit(limit)
 
 
+def wide_border_rectangles(lam: Partition) -> list[tuple[int, int]]:
+    return [(d, e) for d, e in sorted(lam.extended.border) if d <= e]
+
+
+class TestPackedReplay:
+    """The packed replay gives exactly the transforms of the replay on
+    ``Polynomial`` grids."""
+
+    def test_matches_polynomial_replay_up_to_size_9(self):
+        for lam in all_partitions(9):
+            for d, e in wide_border_rectangles(lam):
+                got = snf_module._reduce_rectangle(lam, d, e)
+                assert got == ref_reduce_rectangle(lam, d, e), (lam, d, e)
+
+    @pytest.mark.parametrize(
+        "parts, every",
+        # Every 15th rectangle of the long row, from 1x151 to 2x151: the
+        # wide ones replay on 151x151 column transforms.
+        [((150,), 15), ((1,) * 150, 1), ((40, 1, 1), 1), ((3,) * 12, 1)],
+    )
+    def test_matches_polynomial_replay_on_long_shapes(self, parts, every):
+        lam = Partition(parts)
+        for d, e in wide_border_rectangles(lam)[::every]:
+            got = snf_module._reduce_rectangle(lam, d, e)
+            assert got == ref_reduce_rectangle(lam, d, e), (d, e)
+
+
 class TestCrossAlgorithm:
+    def test_transforms_agree_exhaustively(self):
+        # The origin square's P and Q are unique (LDU uniqueness), so the
+        # two algorithms must agree entry for entry, not only on D.
+        for lam in all_partitions(10):
+            side = lam.rank + 1
+            by_rows = snf_recurrence(lam)
+            by_peeling = snf_inductive(lam, side, side)
+            assert by_rows.P == by_peeling.P, lam
+            assert by_rows.Q == by_peeling.Q, lam
+
     def test_diagonals_agree_exhaustively(self):
         for lam in all_partitions(9):
             side = lam.rank + 1
@@ -279,6 +317,22 @@ class TestCertify:
         report = run_selftest(3)
         assert not report.ok
         assert any(f.startswith("snf-agreement: ") for f in report.failures)
+
+
+class TestAgreement:
+    @pytest.mark.parametrize("field", ["P", "Q"])
+    def test_selftest_compares_whole_transforms(self, monkeypatch, field):
+        # Equal diagonals are not enough: a recurrence transform replaced
+        # by the identity must be reported as disagreement.
+        def tampered(lam):
+            result = snf_recurrence(lam)
+            identity = PolyMatrix.identity(lam.rank + 1)
+            return dataclasses.replace(result, **{field: identity})
+
+        monkeypatch.setattr(checks_module, "snf_recurrence", tampered)
+        report = run_selftest(3)
+        assert any(f.startswith("snf-agreement: ") for f in report.failures)
+        assert not any(f.startswith("diagonal-monomials") for f in report.failures)
 
 
 class TestDeterminant:
