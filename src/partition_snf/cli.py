@@ -142,9 +142,14 @@ def _cmd_weights(args):
     return "\n".join(lines), envelope, 0
 
 
-def _snf_block(result: SnfResult, naming) -> tuple[list[str], dict]:
+def _snf_block(result: SnfResult, naming, fmt: str) -> tuple[list[str], dict | None]:
+    """The text lines or the JSON of one result, whichever ``fmt`` asks
+    for; the other is left empty, since rendering either one costs more
+    than the reduction on long inputs."""
     # Reductions return only certified results; a failure raises
     # VerificationFailed, which main turns into exit code 2.
+    if fmt == "json":
+        return [], result.to_json()
     lines = [
         f"algorithm: {result.algorithm}",
         "verified: true",
@@ -154,7 +159,7 @@ def _snf_block(result: SnfResult, naming) -> tuple[list[str], dict]:
         "Q:",
         *_matrix_lines(result.Q, naming),
     ]
-    return lines, result.to_json()
+    return lines, None
 
 
 def _cmd_snf(args):
@@ -166,7 +171,7 @@ def _cmd_snf(args):
     code = 0
     if args.rect is not None:
         d, e = args.rect
-        block, payload = _snf_block(snf_inductive(lam, d, e), naming)
+        block, payload = _snf_block(snf_inductive(lam, d, e), naming, args.format)
         lines += [f"rectangle: {d}x{e}", *block]
     else:
         algorithms = (
@@ -181,7 +186,7 @@ def _cmd_snf(args):
             else:
                 side = lam.rank + 1
                 result = snf_inductive(lam, side, side)
-            block, block_json = _snf_block(result, naming)
+            block, block_json = _snf_block(result, naming, args.format)
             lines += block
             results.append((result, block_json))
         if len(results) == 2:

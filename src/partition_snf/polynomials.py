@@ -16,15 +16,18 @@ exponents are decoded only where they are read, for rendering, JSON and
 ordering.
 
 The heavy loops run on a second, flatter packing.  A
-:class:`PackedLayout` turns each whole monomial into a single int: the
-total degree in the lowest 16-bit field, then each row at a fixed stride.
-A polynomial becomes a ``{key: coeff}`` dict, a monomial product one
-integer addition, and a translation one shift of the key.
-:func:`matrix_product` multiplies a chain of matrices in one layout as
-wide as the widest row anywhere in the chain, keeping intermediate
-products packed.  The inductive reduction replays its peeling in one
-layout fixed by the partition and decodes its transforms once, at the
-end.  Only keys not seen on the way in are decoded back into monomials.
+:class:`PackedLayout` turns each whole monomial into a single int, built
+from its rows' bytes: the total degree in the lowest 16-bit field, then
+each row at a fixed stride.  A polynomial becomes a ``{key: coeff}``
+dict, a monomial product one integer addition, and a translation one
+shift of the key.  :func:`packed_product` multiplies a chain of packed
+matrices in one layout, keeping intermediate products packed;
+:func:`matrix_product` runs it in a layout as wide as the widest row
+anywhere in the chain.  The reductions pack their weight shapes, replay
+their peeling and certify ``P @ W @ Q`` in one layout fixed by the
+partition, decoding the transforms once, for the result, and the
+product only when a check fails.  Only keys not seen on the way in are
+decoded back into monomials.
 :meth:`Polynomial.skew_sum` builds a weight, the sum of the skew
 monomials over every sub-partition of a shape, by walking the
 sub-partitions iteratively straight into packed rows.
@@ -37,7 +40,7 @@ With row-major letter names this reproduces forms like
 
 from __future__ import annotations
 
-from operator import add, attrgetter, lshift
+from operator import add
 from struct import unpack
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -76,9 +79,6 @@ def _packed(rows: tuple[int, ...], degree: int) -> "Monomial":
     m._degree = degree
     m._hash = hash(rows)
     return m
-
-
-_degree_of = attrgetter("_degree")
 
 
 def _run(length: int) -> int:
@@ -480,6 +480,8 @@ class Polynomial:
         return UniPoly(coeffs)
 
     def translate(self, dr: int, dc: int) -> "Polynomial":
+        if not (dr or dc):
+            return self
         out = Polynomial.__new__(Polynomial)
         out._terms = {m.translate(dr, dc): c for m, c in self._terms.items()}
         out._hash = None
@@ -544,30 +546,49 @@ def _accumulate(acc: dict[int, int], a: dict[int, int], b: dict[int, int]) -> No
 
 class PackedLayout:
     """One int key per monomial, for monomials at most ``width`` columns
-    wide and ``height`` rows tall, and polynomials as ``{key: coeff}``
-    dicts with no zero coefficient (``{}`` is 0).
+    wide, and polynomials as ``{key: coeff}`` dicts with no zero
+    coefficient (``{}`` is 0).
 
     A key holds the total degree in its lowest 16-bit field, then row
     ``r`` of the monomial at bit ``16 + (r - 1) * stride``, where
     ``stride`` is ``width`` fields.  Multiplying two monomials adds their
     keys, and translating one shifts everything above the degree field.
     No field carries while the total degree stays at most 65535, and
-    :meth:`times` and :meth:`fold` raise :class:`TooLarge` before a
-    product could pass it.  Every monomial encoded is remembered, so
-    decoding rebuilds only keys the layout has not seen.
+    :meth:`times`, :meth:`fold` and :func:`packed_product` raise
+    :class:`TooLarge` before a product could pass it.  Every monomial
+    encoded is remembered, so decoding rebuilds only keys the layout has
+    not seen.
     """
 
-    __slots__ = ("stride", "_shifts", "_monomials")
+    __slots__ = ("stride", "_monomials")
 
-    def __init__(self, width: int, height: int):
+    def __init__(self, width: int):
         self.stride = _FIELD * max(1, width)
-        self._shifts = range(_FIELD, _FIELD + self.stride * height, self.stride)
         self._monomials: dict[int, Monomial] = {}
 
+    @classmethod
+    def fitting(cls, polys: Iterable[Polynomial]) -> "PackedLayout":
+        """A layout as wide as the widest row of any term of ``polys``."""
+        widest = max(
+            (row for poly in polys for mono in poly._terms for row in mono._rows),
+            default=0,
+        )
+        return cls(-(-widest.bit_length() // _FIELD))
+
     def encode(self, poly: Polynomial) -> dict[int, int]:
-        shifts = self._shifts
+        # The rows' bytes at a fixed step, read as one int: linear in the
+        # row count, where a sum of shifted rows would be quadratic.
+        step = self.stride // 8
         terms = poly._terms
-        keys = [sum(map(lshift, mono._rows, shifts)) | mono._degree for mono in terms]
+        keys = [
+            int.from_bytes(
+                b"".join([row.to_bytes(step, "little") for row in mono._rows]),
+                "little",
+            )
+            << _FIELD
+            | mono._degree
+            for mono in terms
+        ]
         self._monomials.update(zip(keys, terms))
         return dict(zip(keys, terms.values()))
 
@@ -627,44 +648,28 @@ class PackedLayout:
         return base if acc is None else acc
 
 
-def matrix_product(
-    *factors: Sequence[Sequence[Polynomial]],
-) -> tuple[tuple[Polynomial, ...], ...]:
-    """Rows of the chain product ``factors[0] @ factors[1] @ ...``, each
-    factor given as rows of polynomials; the caller checks that adjacent
-    dimensions agree.
+def packed_product(
+    *factors: Sequence[Sequence[dict[int, int]]],
+) -> list[list[dict[int, int]]]:
+    """Rows of the chain product ``factors[0] @ factors[1] @ ...`` of
+    packed matrices in one layout, each factor given as rows; the caller
+    checks that adjacent dimensions agree and that the layout is as wide
+    as the widest row anywhere in the chain.
 
-    Every monomial of every factor is packed into one
-    :class:`PackedLayout`, as wide as the widest row anywhere in the
-    chain.  A product never widens a row, so the intermediate products
-    stay packed, and only the entries of the last one are decoded.  Before
-    two nonzero entries are multiplied, the sum of their top degrees is
-    checked against the limit.
+    A product never widens a row, so the intermediate products stay
+    packed.  Before two nonzero entries are multiplied, the sum of their
+    top degrees is checked against the limit.
     """
-    distinct = {
-        id(poly): poly
-        for matrix in factors
-        for row in matrix
-        for poly in row
-        if poly._terms
-    }
-    every_row = [mono._rows for poly in distinct.values() for mono in poly._terms]
-    widest = max(map(max, filter(None, every_row)), default=0)
-    height = max(map(len, every_row), default=0)
-    layout = PackedLayout(-(-widest.bit_length() // _FIELD), height)
     # Nonzero entries as (terms, top degree); zero as None.
-    encoded = {
-        ident: (layout.encode(poly), max(map(_degree_of, poly._terms)))
-        for ident, poly in distinct.items()
-    }
-    rows = [[encoded.get(id(poly)) for poly in row] for row in factors[0]]
+    rows = _with_tops(factors[0])
     for right in factors[1:]:
-        cols = list(zip(*([encoded.get(id(poly)) for poly in row] for row in right)))
+        cols = list(zip(*_with_tops(right)))
         rows = [[_dot(a_row, b_col) for b_col in cols] for a_row in rows]
-    return tuple(
-        tuple(layout.decode(entry[0]) if entry else _ZERO for entry in row)
-        for row in rows
-    )
+    return [[entry[0] if entry else {} for entry in row] for row in rows]
+
+
+def _with_tops(matrix):
+    return [[(terms, _top(terms)) if terms else None for terms in row] for row in matrix]
 
 
 def _dot(a_row, b_col):
@@ -676,6 +681,27 @@ def _dot(a_row, b_col):
         _check_product(a[1] + b[1])
         _accumulate(acc, a[0], b[0])
     return (acc, _top(acc)) if acc else None
+
+
+def matrix_product(
+    *factors: Sequence[Sequence[Polynomial]],
+) -> tuple[tuple[Polynomial, ...], ...]:
+    """Rows of the chain product ``factors[0] @ factors[1] @ ...``, each
+    factor given as rows of polynomials; the caller checks that adjacent
+    dimensions agree.
+
+    Every distinct entry is encoded once into one
+    :class:`PackedLayout` fitting the whole chain, the chain is
+    multiplied by :func:`packed_product`, and only the entries of the
+    last product are decoded.
+    """
+    distinct = {id(poly): poly for matrix in factors for row in matrix for poly in row}
+    layout = PackedLayout.fitting(distinct.values())
+    encoded = {ident: layout.encode(poly) for ident, poly in distinct.items()}
+    product = packed_product(
+        *([[encoded[id(poly)] for poly in row] for row in matrix] for matrix in factors)
+    )
+    return tuple(tuple(map(layout.decode, row)) for row in product)
 
 
 def coordinate_naming(cells: Iterable[Cell]) -> dict[Cell, str]:

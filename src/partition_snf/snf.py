@@ -16,12 +16,16 @@ forced.  The self-test compares both whole transforms.  A ``d x e``
 rectangle with ``d < e`` has a zero block on the left, so its ``Q`` is
 not unique.
 
-The inductive replay runs on packed polynomials in one
-:class:`~partition_snf.polynomials.PackedLayout` per reduction, wide
-enough for every cell of the partition: scaling by a peeled cell adds
-one key to each term, and each weight shape is packed once and shifted
-into place.  The transforms are decoded into polynomials once, at the
-end.
+Each reduction works on packed polynomials in one
+:class:`~partition_snf.polynomials.PackedLayout`, wide enough for every
+cell of the partition.  Each weight shape's memo entry is packed once
+per reduction and shifted into place; the inductive replay's updates
+and the certification's ``W`` both read these packed shapes.  In the
+replay, scaling by a peeled cell adds one key to each term.
+Certification multiplies ``P @ W @ Q`` in the same layout, with nothing
+re-encoded, and compares it with the packed expected form; the product
+is decoded only to build the residual of a failing check.  The
+transforms are decoded into polynomials once, for the result.
 """
 
 from __future__ import annotations
@@ -39,18 +43,11 @@ from .partitions import Cell, Partition, subdiagram_shape
 from .polynomials import (
     PackedLayout,
     Polynomial,
-    matrix_product,
+    packed_product,
     polynomial_to_json,
 )
 from .recurrence import row_coefficients
-from .weights import (
-    PolyMatrix,
-    leading_monomial,
-    rect_weight_matrix,
-    relative_weight,
-    square_matrix,
-)
-from .weights import weight_at  # noqa: F401  (the benchmark tracer patches it here)
+from .weights import PolyMatrix, leading_monomial, weight_at
 
 __all__ = [
     "SnfResult",
@@ -99,37 +96,94 @@ def _expected_product(
     return PolyMatrix(tuple(tuple(row) for row in entries))
 
 
+def _decoded(layout: PackedLayout, grid) -> tuple[tuple[Polynomial, ...], ...]:
+    return tuple(tuple(map(layout.decode, row)) for row in grid)
+
+
+def _is_upper_unitriangular(grid, one: dict[int, int]) -> bool:
+    n = len(grid)
+    return all(
+        len(row) == n and row[i] == one and not any(row[:i])
+        for i, row in enumerate(grid)
+    )
+
+
 def _certify(
-    P: PolyMatrix,
-    W: PolyMatrix,
-    Q: PolyMatrix,
+    layout: PackedLayout,
+    P: list[list[dict[int, int]]],
+    W: list[list[dict[int, int]]],
+    QT: list[list[dict[int, int]]],
     diagonal: tuple[Polynomial, ...],
     algorithm: str,
 ) -> PolyMatrix:
     """Check ``P @ W @ Q`` against the expected diagonal form and the
-    transforms for unitriangularity; return the product.
+    transforms for unitriangularity; return the expected form, which the
+    product then equals.
 
-    The product is one packed chain, compared with the expected form entry
-    by entry.  Every failure raises :class:`VerificationFailed` carrying
-    the residual (computed minus expected), structural failures included.
+    The factors are packed grids in ``layout``, which must fit every
+    factor, the diagonal and so the product; ``Q`` is given transposed,
+    its columns as rows.  The product is one packed chain, compared with
+    the packed expected form entry by entry, and decoded only when a
+    check fails.  Every failure raises :class:`VerificationFailed`
+    carrying the residual (computed minus expected), structural failures
+    included.
     """
-    computed = PolyMatrix(matrix_product(P.entries, W.entries, Q.entries))
-    zero = Polynomial.zero()
-    pad = W.cols - W.rows
-    if not P.is_upper_unitriangular():
+    rows, cols = len(W), len(W[0])
+    computed = packed_product(P, W, list(zip(*QT)))
+    expected = _expected_product(diagonal, rows, cols)
+    one = layout.encode(Polynomial.one())
+    pad = cols - rows
+    if not _is_upper_unitriangular(P, one):
         problem = "row transform is not upper unitriangular"
-    elif not Q.is_lower_unitriangular():
+    elif not _is_upper_unitriangular(QT, one):
         problem = "column transform is not lower unitriangular"
     elif any(
-        entry != (diagonal[i] if j == pad + i else zero)
-        for i, row in enumerate(computed.entries)
+        entry != (layout.encode(diagonal[i]) if j == pad + i else {})
+        for i, row in enumerate(computed)
         for j, entry in enumerate(row)
     ):
         problem = "product differs from the expected diagonal form"
     else:
-        return computed
-    residual = computed - _expected_product(diagonal, W.rows, W.cols)
+        return expected
+    residual = PolyMatrix(_decoded(layout, computed)) - expected
     raise VerificationFailed(f"{algorithm}: {problem}", residual=residual)
+
+
+class _PackedWeights:
+    """Weights of positions, and their negations, packed in one layout.
+
+    Each shape's memoized (1,1)-anchored weight is packed once and
+    negated once in packed form; a weight is then moved into place by one
+    shift of each key.  Past the extension the shape is empty and the
+    weight is 1.
+    """
+
+    def __init__(self, layout: PackedLayout):
+        self.layout = layout
+        one = layout.encode(Polynomial.one())
+        # shape -> (weight, minus the weight), both (1,1)-anchored
+        self._anchored = {(): (one, {k: -c for k, c in one.items()})}
+
+    def _placed(self, lam: Partition, row: int, col: int, sign: int) -> dict[int, int]:
+        shape = subdiagram_shape(lam, row, col)
+        pair = self._anchored.get(shape)
+        if pair is None:
+            # The shape's memo entry, read as the weight at its own origin,
+            # where weight_at translates nothing.
+            plus = self.layout.encode(weight_at(Partition(shape), 1, 1))
+            pair = self._anchored[shape] = (plus, {k: -c for k, c in plus.items()})
+        terms = pair[0] if sign > 0 else pair[1]
+        return self.layout.translate(terms, row - 1, col - 1) if shape else terms
+
+    def minus(self, lam: Partition, row: int, col: int) -> dict[int, int]:
+        return self._placed(lam, row, col, -1)
+
+    def grid(self, lam: Partition, d: int, e: int) -> list[list[dict[int, int]]]:
+        """The weights of the d x e rectangle anchored at (1,1)."""
+        return [
+            [self._placed(lam, r, c, 1) for c in range(1, e + 1)]
+            for r in range(1, d + 1)
+        ]
 
 
 def _signed_row_transform(lam: Partition) -> list[list[Polynomial]]:
@@ -145,6 +199,12 @@ def _signed_row_transform(lam: Partition) -> list[list[Polynomial]]:
     return grid
 
 
+def _layout(lam: Partition) -> PackedLayout:
+    """A layout wide enough for every cell of ``lam``: every weight, every
+    transform entry and every product of them lies inside it."""
+    return PackedLayout(lam.parts[0] if lam else 1)
+
+
 def snf_recurrence(lam: Partition) -> SnfResult:
     """Diagonalize the origin weight square by stacked row relations.
 
@@ -157,17 +217,28 @@ def snf_recurrence(lam: Partition) -> SnfResult:
     transposed.
     """
     n = lam.rank + 1
-    W = square_matrix(lam, Cell(1, 1))
-    Pm = PolyMatrix(tuple(map(tuple, _signed_row_transform(lam))))
-    Qm = PolyMatrix(
-        tuple(
-            tuple(p.transpose_variables() for p in column)
-            for column in zip(*_signed_row_transform(lam.conjugate()))
-        )
+    P = tuple(map(tuple, _signed_row_transform(lam)))
+    QT = tuple(
+        tuple(p.transpose_variables() for p in row)
+        for row in _signed_row_transform(lam.conjugate())
     )
+    layout = _layout(lam)
     diagonal = tuple(leading_monomial(lam, Cell(k, k)) for k in range(1, n + 1))
-    D = _certify(Pm, W, Qm, diagonal, "recurrence")
-    return SnfResult(P=Pm, Q=Qm, D=D, diagonal=diagonal, algorithm="recurrence")
+    D = _certify(
+        layout,
+        [[layout.encode(p) for p in row] for row in P],
+        _PackedWeights(layout).grid(lam, n, n),
+        [[layout.encode(p) for p in row] for row in QT],
+        diagonal,
+        "recurrence",
+    )
+    return SnfResult(
+        P=PolyMatrix(P),
+        Q=PolyMatrix(tuple(zip(*QT))),
+        D=D,
+        diagonal=diagonal,
+        algorithm="recurrence",
+    )
 
 
 def _rectangle_fits(lam: Partition, d: int, e: int) -> bool:
@@ -254,36 +325,25 @@ def _peel_plan(lam: Partition, d: int, e: int):
     return plan, lam, e
 
 
-def _reduce_rectangle(lam: Partition, d: int, e: int):
+def _reduce_rectangle(weights: _PackedWeights, lam: Partition, d: int, e: int):
     """Build the transforms for the d x e rectangle by peeling one cell at
     a time off the partition: plan the peeling down to a single row, then
     replay the plan bottom-up, updating the smaller problem's transforms.
 
     The column transform is kept transposed, so a cell peeled below the
     rectangle takes the same step as one peeled beside it, with rows and
-    columns swapped.  The replay runs on packed polynomials in one
-    layout fixed by ``lam``, whose cells hold every variable it can meet;
-    each weight shape is packed once and moved into place by a shift.
-    Returns (U, VT) as grids of polynomials, decoded once at the end; the
-    caller wraps and certifies.
+    columns swapped.  The replay runs on packed polynomials in the
+    layout of ``weights``, which must hold every cell of ``lam``.
+    Returns U and VT as packed grids; the caller certifies them in the
+    same layout and decodes them.
     """
-    layout = PackedLayout(lam.parts[0] if lam else 1, len(lam))
+    layout = weights.layout
     plan, lam, e = _peel_plan(lam, d, e)
     one = layout.encode(Polynomial.one())
     minus_one = layout.encode(-Polynomial.one())
-    # Minus the (1,1)-anchored weight of each shape met, packed once.
-    minus_weights: dict[tuple[int, ...], dict[int, int]] = {}
-
-    def minus_weight(smaller: Partition, row: int, col: int) -> dict[int, int]:
-        # Weights are read in the smaller partition; the cell next to the
-        # peeled one may lie just past its extension, where the weight is 1.
-        shape = subdiagram_shape(smaller, row, col)
-        if not shape:
-            return minus_one
-        terms = minus_weights.get(shape)
-        if terms is None:
-            terms = minus_weights[shape] = layout.encode(-relative_weight(shape))
-        return layout.translate(terms, row - 1, col - 1)
+    # Weights are read in the smaller partition; the cell next to the
+    # peeled one may lie just past its extension, where the weight is 1.
+    minus_weight = weights.minus
 
     # A single row ends in a border cell with weight 1, so subtracting
     # weight-many copies of the last column clears all the others.
@@ -304,10 +364,7 @@ def _reduce_rectangle(lam: Partition, d: int, e: int):
         else:
             updates = [minus_weight(smaller, a + 1, j + 1) for j in range(b)]
             _peel_step(layout, VT, b, z, updates)
-    return (
-        [[layout.decode(terms) for terms in row] for row in U],
-        [[layout.decode(terms) for terms in row] for row in VT],
-    )
+    return U, VT
 
 
 def snf_inductive(lam: Partition, d: int, e: int) -> SnfResult:
@@ -328,15 +385,20 @@ def snf_inductive(lam: Partition, d: int, e: int) -> SnfResult:
         raise InvalidRectangle(
             f"corner ({d},{e}) is not on the border strip of {lam!r}"
         )
-    U, VT = _reduce_rectangle(lam, d, e)
-    Pm = PolyMatrix(tuple(map(tuple, U)))
-    Qm = PolyMatrix(tuple(zip(*VT)))
-    W = rect_weight_matrix(lam, d, e)
+    weights = _PackedWeights(_layout(lam))
+    U, VT = _reduce_rectangle(weights, lam, d, e)
+    layout = weights.layout
     diagonal = tuple(
         leading_monomial(lam, Cell(k, k + e - d)) for k in range(1, d + 1)
     )
-    D = _certify(Pm, W, Qm, diagonal, "inductive")
-    return SnfResult(P=Pm, Q=Qm, D=D, diagonal=diagonal, algorithm="inductive")
+    D = _certify(layout, U, weights.grid(lam, d, e), VT, diagonal, "inductive")
+    return SnfResult(
+        P=PolyMatrix(_decoded(layout, U)),
+        Q=PolyMatrix(tuple(zip(*_decoded(layout, VT)))),
+        D=D,
+        diagonal=diagonal,
+        algorithm="inductive",
+    )
 
 
 def verify_snf(W: PolyMatrix, result: SnfResult):
@@ -356,8 +418,26 @@ def verify_snf(W: PolyMatrix, result: SnfResult):
             f"transforms {P.rows}x{P.cols} / {Q.rows}x{Q.cols} do not fit a "
             f"{W.rows}x{W.cols} matrix"
         )
+    QT = tuple(zip(*Q.entries))
+    layout = PackedLayout.fitting(
+        poly
+        for matrix in (P.entries, W.entries, QT, (result.diagonal,))
+        for row in matrix
+        for poly in row
+    )
+
+    def packed(rows):
+        return [[layout.encode(poly) for poly in row] for row in rows]
+
     try:
-        _certify(P, W, Q, result.diagonal, result.algorithm)
+        _certify(
+            layout,
+            packed(P.entries),
+            packed(W.entries),
+            packed(QT),
+            result.diagonal,
+            result.algorithm,
+        )
     except VerificationFailed as exc:
         return False, exc.residual
     return True, None

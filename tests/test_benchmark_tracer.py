@@ -35,3 +35,17 @@ def test_install_traces_certify_and_uninstall_restores(tracer_module, tmp_path):
     assert len(patched) > len(tracer_module.SPANNED)
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, (owner, attr)
+
+
+def test_reductions_look_weights_up_where_the_tracer_counts(tracer_module):
+    # The tracer's memo metrics divide by the lookups it counts, so a
+    # reduction must look its weights up through a patched weight_at.
+    for reduce in (snf.snf_recurrence, lambda lam: snf.snf_inductive(lam, 2, 2)):
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            reduce(Partition((30,)))
+        finally:
+            tracer.uninstall()
+        counts = tracer.counts
+        assert counts["weights.memo_hits"] + counts["weights.memo_misses"] > 0

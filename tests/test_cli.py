@@ -4,7 +4,13 @@ import json
 import pytest
 
 import partition_snf.cli as cli_module
-from partition_snf import PolyMatrix, Polynomial, polynomial_from_json, snf_recurrence
+from partition_snf import (
+    PolyMatrix,
+    Polynomial,
+    SnfResult,
+    polynomial_from_json,
+    snf_recurrence,
+)
 from partition_snf.cli import main
 
 LETTER_GRID_3_2 = {
@@ -156,6 +162,44 @@ class TestSnfCommand:
         )
         assert code == 1
         assert "border" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("snf", "3,2"), ("snf", "3,2", "--algorithm", "inductive", "--rect", "2", "3")],
+    )
+    def test_json_renders_no_text(self, capsys, monkeypatch, argv):
+        def no_render(*args, **kwargs):
+            raise AssertionError("text rendered under --format json")
+
+        monkeypatch.setattr(cli_module, "render", no_render)
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["verified"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("snf", "3,2"), ("snf", "3,2", "--algorithm", "inductive", "--rect", "2", "3")],
+    )
+    def test_text_builds_no_json(self, capsys, monkeypatch, argv):
+        def no_json(self):
+            raise AssertionError("JSON built under --format text")
+
+        monkeypatch.setattr(SnfResult, "to_json", no_json)
+        code, out, _ = run_cli(capsys, *argv, "--naming", "letters")
+        assert code == 0
+        assert "verified: true" in out
+
+    def test_json_still_checks_agreement(self, capsys, monkeypatch):
+        def tampered(lam):
+            result = snf_recurrence(lam)
+            return dataclasses.replace(result, P=PolyMatrix.identity(lam.rank + 1))
+
+        monkeypatch.setattr(cli_module, "snf_recurrence", tampered)
+        code, out, _ = run_cli(capsys, "snf", "3,2", "--format", "json")
+        assert code == 2
+        envelope = json.loads(out)
+        assert envelope["result"]["agree"] is False
+        assert envelope["verified"] is False
 
     def test_failed_certification_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -1,5 +1,6 @@
 import json
 import random
+from operator import lshift
 
 import pytest
 from hypothesis import example, given, settings
@@ -342,9 +343,43 @@ class TestMatrixProduct:
         assert got == ((x_power(2),),)
 
 
+# Monomials given row by row, each row a list of exponents, either a few
+# rows or hundreds of them.
+ROW_EXPONENTS = st.lists(st.integers(0, 3), max_size=4)
+MONOMIAL_ROWS = st.one_of(st.integers(1, 8), st.integers(200, 260)).flatmap(
+    lambda height: st.lists(ROW_EXPONENTS, min_size=height, max_size=height)
+)
+
+
+def shift_sum_key(layout: PackedLayout, mono: Monomial) -> int:
+    """A monomial's key as the sum of its rows shifted into place: the
+    quadratic formula the byte-built key replaced."""
+    rows = mono._rows
+    shifts = range(16, 16 + layout.stride * len(rows), layout.stride)
+    return sum(map(lshift, rows, shifts)) | mono.degree
+
+
 class TestPackedLayout:
-    """Packed polynomials in one layout: translation by a shift and the
-    degree guard."""
+    """Packed polynomials in one layout: keys, translation by a shift and
+    the degree guard."""
+
+    @given(st.lists(MONOMIAL_ROWS, min_size=1, max_size=3), st.integers(0, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_encode_matches_shift_sum(self, monomials, spare):
+        terms = {
+            Monomial(
+                (Cell(r, c), exp)
+                for r, row in enumerate(rows, start=1)
+                for c, exp in enumerate(row, start=1)
+            ): k + 1
+            for k, rows in enumerate(monomials)
+        }
+        poly = Polynomial(terms)
+        width = max(len(row) for rows in monomials for row in rows) + spare
+        layout = PackedLayout(width)
+        packed = layout.encode(poly)
+        assert packed == {shift_sum_key(layout, m): c for m, c in poly.items()}
+        assert PackedLayout(width).decode(packed) == poly
 
     @pytest.mark.parametrize("shift", [(0, 0), (0, 3), (2, 0), (4, 1), (1, 7)])
     def test_translate_matches_polynomial_translate(self, shift):
@@ -352,27 +387,27 @@ class TestPackedLayout:
         for shape in all_partitions(7):
             weight = Polynomial.skew_sum(shape.parts) if shape else Polynomial.one()
             width = (shape.parts[0] if shape else 0) + dc
-            layout = PackedLayout(width, len(shape))
+            layout = PackedLayout(width)
             moved = layout.translate(layout.encode(weight), dr, dc)
             # A fresh layout decodes every key from its bits alone.
-            fresh = PackedLayout(width, 0)
+            fresh = PackedLayout(width)
             assert fresh.decode(moved) == weight.translate(dr, dc), (shape, shift)
 
     def test_translate_long_rows_and_columns(self):
         for parts in [(300,), (1,) * 40, (12, 12, 3)]:
             weight = Polynomial.skew_sum(parts)
-            layout = PackedLayout(parts[0] + 5, len(parts))
+            layout = PackedLayout(parts[0] + 5)
             moved = layout.translate(layout.encode(weight), 3, 5)
-            fresh = PackedLayout(parts[0] + 5, 0)
+            fresh = PackedLayout(parts[0] + 5)
             assert fresh.decode(moved) == weight.translate(3, 5)
 
     def test_translate_rejects_negative_shift(self):
-        layout = PackedLayout(2, 1)
+        layout = PackedLayout(2)
         with pytest.raises(ValueError):
             layout.translate(layout.encode(x_power(1)), 0, -1)
 
     def test_fold_degree_guard(self):
-        layout = PackedLayout(1, 1)
+        layout = PackedLayout(1)
         high = layout.encode(x_power(40000))
         top = layout.fold({}, [(high, layout.encode(x_power(25535)))])
         assert layout.decode(top) == x_power(65535)
@@ -382,7 +417,7 @@ class TestPackedLayout:
         assert layout.fold(high, [({}, layout.encode(x_power(65535)))]) is high
 
     def test_times_degree_guard(self):
-        layout = PackedLayout(1, 1)
+        layout = PackedLayout(1)
         x = layout.variable(Cell(1, 1))
         top = layout.times(layout.encode(x_power(65534)), x)
         assert layout.decode(top) == x_power(65535)
@@ -390,7 +425,7 @@ class TestPackedLayout:
             layout.times(top, x)
 
     def test_fold_leaves_its_operands_unchanged(self):
-        layout = PackedLayout(2, 2)
+        layout = PackedLayout(2)
         x, y = Polynomial.variable((2, 1)) + 1, Polynomial.variable((1, 2)) - 1
         base, a = layout.encode(x), layout.encode(y)
         before = (dict(base), dict(a))
@@ -399,7 +434,7 @@ class TestPackedLayout:
         assert layout.decode(total) == x + y * y
 
     def test_fold_drops_cancelled_terms(self):
-        layout = PackedLayout(3, 2)
+        layout = PackedLayout(3)
         x = layout.encode(Polynomial.variable((2, 3)))
         minus_x = layout.encode(-Polynomial.variable((2, 3)))
         one = layout.encode(Polynomial.one())

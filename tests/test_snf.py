@@ -32,7 +32,7 @@ from partition_snf import (
     verify_snf,
 )
 
-from helpers import poly, ref_reduce_rectangle
+from helpers import naive_matrix_product, poly, ref_reduce_rectangle
 
 LAM = Partition((3, 2))
 
@@ -177,6 +177,15 @@ def wide_border_rectangles(lam: Partition) -> list[tuple[int, int]]:
     return [(d, e) for d, e in sorted(lam.extended.border) if d <= e]
 
 
+def decoded_replay(lam: Partition, d: int, e: int):
+    """(U, VT) of the packed replay, decoded into polynomial grids."""
+    weights = snf_module._PackedWeights(snf_module._layout(lam))
+    grids = snf_module._reduce_rectangle(weights, lam, d, e)
+    return tuple(
+        [list(row) for row in snf_module._decoded(weights.layout, grid)] for grid in grids
+    )
+
+
 class TestPackedReplay:
     """The packed replay gives exactly the transforms of the replay on
     ``Polynomial`` grids."""
@@ -184,7 +193,7 @@ class TestPackedReplay:
     def test_matches_polynomial_replay_up_to_size_9(self):
         for lam in all_partitions(9):
             for d, e in wide_border_rectangles(lam):
-                got = snf_module._reduce_rectangle(lam, d, e)
+                got = decoded_replay(lam, d, e)
                 assert got == ref_reduce_rectangle(lam, d, e), (lam, d, e)
 
     @pytest.mark.parametrize(
@@ -196,8 +205,34 @@ class TestPackedReplay:
     def test_matches_polynomial_replay_on_long_shapes(self, parts, every):
         lam = Partition(parts)
         for d, e in wide_border_rectangles(lam)[::every]:
-            got = snf_module._reduce_rectangle(lam, d, e)
+            got = decoded_replay(lam, d, e)
             assert got == ref_reduce_rectangle(lam, d, e), (d, e)
+
+
+def decoded_weight_grid(lam: Partition, d: int, e: int):
+    weights = snf_module._PackedWeights(snf_module._layout(lam))
+    return snf_module._decoded(weights.layout, weights.grid(lam, d, e))
+
+
+class TestPackedWeightGrid:
+    """The packed weight grid the reductions certify against is the weight
+    matrix, entry for entry."""
+
+    def test_matches_weight_matrices_up_to_size_9(self):
+        for lam in all_partitions(9):
+            for d, e in wide_border_rectangles(lam):
+                assert decoded_weight_grid(lam, d, e) == rect_weight_matrix(lam, d, e).entries
+            side = lam.rank + 1
+            square = square_matrix(lam, Cell(1, 1)).entries
+            assert decoded_weight_grid(lam, side, side) == square, lam
+
+    @pytest.mark.parametrize("parts, every", [((150,), 15), ((1,) * 150, 1), ((40, 1, 1), 1)])
+    def test_matches_weight_matrices_on_long_shapes(self, parts, every):
+        lam = Partition(parts)
+        for d, e in wide_border_rectangles(lam)[::every]:
+            assert decoded_weight_grid(lam, d, e) == rect_weight_matrix(lam, d, e).entries
+        side = lam.rank + 1
+        assert decoded_weight_grid(lam, side, side) == square_matrix(lam, Cell(1, 1)).entries
 
 
 class TestCrossAlgorithm:
@@ -290,15 +325,26 @@ class TestVerify:
             assert determinant(result.Q) == 1
 
 
+def packed_factors(lam: Partition, P, W, Q):
+    """``lam``'s layout and the packed P, W and Q transposed, as the
+    reductions hand them to ``_certify``."""
+    layout = snf_module._layout(lam)
+
+    def packed(rows):
+        return [[layout.encode(p) for p in row] for row in rows]
+
+    return layout, packed(P.entries), packed(W.entries), packed(zip(*Q.entries))
+
+
 class TestCertify:
     def test_structural_failure_carries_residual(self):
         # The product matches, so only the transform shape is wrong; the
         # residual is still attached, as an all-zero matrix.
-        minus_one = PolyMatrix.from_rows([[-1]])
+        layout = snf_module._layout(Partition())
+        minus_one = [[layout.encode(-Polynomial.one())]]
+        one = [[layout.encode(Polynomial.one())]]
         with pytest.raises(VerificationFailed, match="not upper unitriangular") as info:
-            snf_module._certify(
-                minus_one, PolyMatrix.identity(1), minus_one, (Polynomial.one(),), "test"
-            )
+            snf_module._certify(layout, minus_one, one, minus_one, (Polynomial.one(),), "test")
         assert isinstance(info.value.residual, PolyMatrix)
         assert info.value.residual.is_zero()
 
@@ -307,8 +353,25 @@ class TestCertify:
         good = snf_recurrence(LAM)
         diagonal = (good.diagonal[0], poly(LAM, "d"), good.diagonal[2])
         with pytest.raises(VerificationFailed, match="differs") as info:
-            snf_module._certify(good.P, W, good.Q, diagonal, "test")
+            snf_module._certify(*packed_factors(LAM, good.P, W, good.Q), diagonal, "test")
         assert info.value.residual.entries[1][1] == poly(LAM, "e-d")
+
+    @pytest.mark.parametrize("d, e", [(3, 3), (2, 3)])
+    @pytest.mark.parametrize("factor, i, j", [(0, 0, 1), (1, 1, 0), (2, 0, 1)])
+    def test_tampered_factor_gives_exact_residual(self, d, e, factor, i, j):
+        # One entry of P, W or Q transposed gains a term off the diagonal
+        # of its transform; the residual is the product of the decoded
+        # factors minus the expected form.
+        good = snf_inductive(LAM, d, e)
+        layout, *factors = packed_factors(LAM, good.P, rect_weight_matrix(LAM, d, e), good.Q)
+        tampered = layout.decode(factors[factor][i][j]) + Polynomial.variable((2, 2))
+        factors[factor][i][j] = layout.encode(tampered)
+        with pytest.raises(VerificationFailed, match="differs") as info:
+            snf_module._certify(layout, *factors, good.diagonal, "test")
+        P, W, QT = (snf_module._decoded(layout, grid) for grid in factors)
+        product = naive_matrix_product(naive_matrix_product(P, W), tuple(zip(*QT)))
+        expected = snf_module._expected_product(good.diagonal, d, e)
+        assert info.value.residual == PolyMatrix(product) - expected
 
     def test_selftest_reports_failed_certification(self, monkeypatch):
         monkeypatch.setattr(
