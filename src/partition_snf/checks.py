@@ -27,6 +27,7 @@ CHECK_NAMES = (
     "determinant-product",
     "border-rectangles",
 )
+_DETERMINANT_CHECK_SIDE = 6
 
 
 @dataclass
@@ -44,14 +45,14 @@ class SelfTestReport:
         return not self.failures
 
 
-def run_selftest(max_size: int, det_side_limit: int = 6) -> SelfTestReport:
+def run_selftest(max_size: int) -> SelfTestReport:
     """Replay the core identities over all partitions of size <= max_size.
 
     Checks, per partition: the alternating row relation in every column;
     agreement of the two reduction algorithms' transforms, entry for
     entry, on the origin square (they are unique there); the
     diagonal being the expected leading monomials; the determinant oracle
-    against the diagonal product (small sides only); and a certified
+    against the diagonal product (sides up to 6 only); and a certified
     reduction for every border rectangle that is at least as wide as tall.
     """
     if max_size < 1:
@@ -100,7 +101,7 @@ def run_selftest(max_size: int, det_side_limit: int = 6) -> SelfTestReport:
             f"partition {lam.parts}",
         )
 
-        if rho + 1 <= det_side_limit:
+        if rho + 1 <= _DETERMINANT_CHECK_SIDE:
             W = square_matrix(lam, Cell(1, 1))
             product = Polynomial.one()
             for entry in expected_diag:

@@ -16,18 +16,17 @@ exponents are decoded only where they are read, for rendering, JSON and
 ordering.
 
 The heavy loops run on a second, flatter packing.  A
-:class:`PackedLayout` turns each whole monomial into a single int, built
-from its rows' bytes: the total degree in the lowest 16-bit field, then
-each row at a fixed stride.  A polynomial becomes a ``{key: coeff}``
-dict, a monomial product one integer addition, and a translation one
-shift of the key.  :func:`packed_product` multiplies a chain of packed
-matrices in one layout, keeping intermediate products packed;
-:func:`matrix_product` runs it in a layout as wide as the widest row
-anywhere in the chain.  The reductions pack their weight shapes, replay
-their peeling and certify ``P @ W @ Q`` in one layout fixed by the
-partition, decoding the transforms once, for the result, and the
-product only when a check fails.  Only keys not seen on the way in are
-decoded back into monomials.
+:class:`PackedLayout` is only the key format: it encodes each whole
+monomial as a single int, the total degree in the lowest 16-bit field
+and then each row at a fixed stride, and decodes keys back, handing back
+the monomials it encoded.  A polynomial becomes a ``{key: coeff}`` dict
+and a monomial product one integer addition at any stride, so the key
+arithmetic takes no layout: :func:`times` scales by one monomial,
+:func:`fold` is the one multiply-accumulate, and :func:`packed_product`
+folds each row of a chain against each column.  :func:`pack_matrices`
+encodes polynomial matrices in a layout as wide as their widest row.
+The reductions pack their weight shapes, replay their peeling and
+certify ``P @ W @ Q`` in one layout fixed by the partition.
 :meth:`Polynomial.skew_sum` builds a weight, the sum of the skew
 monomials over every sub-partition of a shape, by walking the
 sub-partitions iteratively straight into packed rows.
@@ -250,7 +249,7 @@ def _term_key(item: tuple[Monomial, int]):
 class Polynomial:
     """Immutable sparse polynomial over the integers."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         clean: dict[Monomial, int] = {}
@@ -262,7 +261,6 @@ class Polynomial:
                 if coeff:
                     clean[mono] = coeff
         self._terms = clean
-        self._hash = None
 
     # -- constructors ----------------------------------------------------
 
@@ -338,10 +336,7 @@ class Polynomial:
                 mu[t] = 0
                 rows[t] = full[t]
             k = r + 1
-        out = cls.__new__(cls)
-        out._terms = terms
-        out._hash = None
-        return out
+        return _polynomial(terms)
 
     @classmethod
     def _promote(cls, value):
@@ -402,18 +397,12 @@ class Polynomial:
                 terms[mono] = c
             else:
                 terms.pop(mono, None)
-        out = Polynomial.__new__(Polynomial)
-        out._terms = terms
-        out._hash = None
-        return out
+        return _polynomial(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial.__new__(Polynomial)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        out._hash = None
-        return out
+        return _polynomial({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = Polynomial._promote(other)
@@ -431,10 +420,7 @@ class Polynomial:
         if isinstance(other, int):
             if other == 0:
                 return _ZERO
-            out = Polynomial.__new__(Polynomial)
-            out._terms = {m: c * other for m, c in self._terms.items()}
-            out._hash = None
-            return out
+            return _polynomial({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self._terms, other._terms
@@ -449,10 +435,7 @@ class Polynomial:
                     terms[m] = c
                 else:
                     terms.pop(m, None)
-        out = Polynomial.__new__(Polynomial)
-        out._terms = terms
-        out._hash = None
-        return out
+        return _polynomial(terms)
 
     __rmul__ = __mul__
 
@@ -482,16 +465,10 @@ class Polynomial:
     def translate(self, dr: int, dc: int) -> "Polynomial":
         if not (dr or dc):
             return self
-        out = Polynomial.__new__(Polynomial)
-        out._terms = {m.translate(dr, dc): c for m, c in self._terms.items()}
-        out._hash = None
-        return out
+        return _polynomial({m.translate(dr, dc): c for m, c in self._terms.items()})
 
     def transpose_variables(self) -> "Polynomial":
-        out = Polynomial.__new__(Polynomial)
-        out._terms = {m.transpose(): c for m, c in self._terms.items()}
-        out._hash = None
-        return out
+        return _polynomial({m.transpose(): c for m, c in self._terms.items()})
 
     # -- comparisons -----------------------------------------------------------
 
@@ -503,12 +480,17 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
         return f"Polynomial({render(self)})"
+
+
+def _polynomial(terms: dict[Monomial, int]) -> Polynomial:
+    """A polynomial on ``terms``, which hold no zero coefficient."""
+    poly = Polynomial.__new__(Polynomial)
+    poly._terms = terms
+    return poly
 
 
 _ZERO = Polynomial()
@@ -530,34 +512,51 @@ def _check_product(top: int) -> None:
         raise _degree_error(top)
 
 
-def _accumulate(acc: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
-    """Add the product of two packed polynomials into ``acc``: a term
-    product is one key addition.  Terms that cancel are removed."""
-    get = acc.get
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = ka + kb
-            c = get(key, 0) + ca * cb
-            if c:
-                acc[key] = c
-            else:
-                del acc[key]
+def times(terms: dict[int, int], key: int) -> dict[int, int]:
+    """Packed ``terms`` multiplied by the monomial with key ``key``."""
+    _check_product(_top(terms) + (key & _MASK))
+    return {k + key: c for k, c in terms.items()}
+
+
+def fold(base: dict[int, int], products) -> dict[int, int]:
+    """``base`` plus the sum of ``a * b`` over the ``(a, b)`` pairs of
+    packed polynomials in ``products``: the one multiply-accumulate of the
+    packed path.  A term product is one key addition, and terms that
+    cancel are removed.  ``base`` is never changed; it is returned itself
+    when every pair has a zero side."""
+    acc = None
+    for a, b in products:
+        if a and b:
+            _check_product(_top(a) + _top(b))
+            if acc is None:
+                acc = dict(base)
+                get = acc.get
+            for ka, ca in a.items():
+                for kb, cb in b.items():
+                    key = ka + kb
+                    c = get(key, 0) + ca * cb
+                    if c:
+                        acc[key] = c
+                    else:
+                        del acc[key]
+    return base if acc is None else acc
 
 
 class PackedLayout:
-    """One int key per monomial, for monomials at most ``width`` columns
-    wide, and polynomials as ``{key: coeff}`` dicts with no zero
-    coefficient (``{}`` is 0).
+    """The key format of the packed path: one int key per monomial, for
+    monomials at most ``width`` columns wide, and polynomials as
+    ``{key: coeff}`` dicts with no zero coefficient (``{}`` is 0).
 
     A key holds the total degree in its lowest 16-bit field, then row
     ``r`` of the monomial at bit ``16 + (r - 1) * stride``, where
-    ``stride`` is ``width`` fields.  Multiplying two monomials adds their
-    keys, and translating one shifts everything above the degree field.
-    No field carries while the total degree stays at most 65535, and
-    :meth:`times`, :meth:`fold` and :func:`packed_product` raise
+    ``stride`` is ``width`` fields.  Only encoding, decoding, translation
+    and variable keys depend on the stride.  Multiplying two monomials
+    adds their keys at any stride, so :func:`times`, :func:`fold` and
+    :func:`packed_product` take no layout.  No field carries while the
+    total degree stays at most 65535, and those functions raise
     :class:`TooLarge` before a product could pass it.  Every monomial
-    encoded is remembered, so decoding rebuilds only keys the layout has
-    not seen.
+    encoded is remembered, so decoding hands back the monomials encoded
+    and rebuilds only keys the layout has not seen.
     """
 
     __slots__ = ("stride", "_monomials")
@@ -565,15 +564,6 @@ class PackedLayout:
     def __init__(self, width: int):
         self.stride = _FIELD * max(1, width)
         self._monomials: dict[int, Monomial] = {}
-
-    @classmethod
-    def fitting(cls, polys: Iterable[Polynomial]) -> "PackedLayout":
-        """A layout as wide as the widest row of any term of ``polys``."""
-        widest = max(
-            (row for poly in polys for mono in poly._terms for row in mono._rows),
-            default=0,
-        )
-        return cls(-(-widest.bit_length() // _FIELD))
 
     def encode(self, poly: Polynomial) -> dict[int, int]:
         # The rows' bytes at a fixed step, read as one int: linear in the
@@ -593,17 +583,14 @@ class PackedLayout:
         return dict(zip(keys, terms.values()))
 
     def variable(self, cell: Cell) -> int:
-        """The key of the variable on ``cell``, for :meth:`times`."""
+        """The key of the variable on ``cell``, for :func:`times`."""
         return 1 | 1 << (_FIELD + (cell[0] - 1) * self.stride + (cell[1] - 1) * _FIELD)
 
     def decode(self, terms: dict[int, int]) -> Polynomial:
         if not terms:
             return _ZERO
         known = self._monomials.get
-        poly = Polynomial.__new__(Polynomial)
-        poly._terms = {known(k) or self._monomial(k): c for k, c in terms.items()}
-        poly._hash = None
-        return poly
+        return _polynomial({known(k) or self._monomial(k): c for k, c in terms.items()})
 
     def _monomial(self, key: int) -> Monomial:
         # Cut the rows out of the key's bytes: linear in its width.
@@ -630,23 +617,6 @@ class PackedLayout:
             out[(key ^ degree) << shift | degree] = coeff
         return out
 
-    def times(self, terms: dict[int, int], key: int) -> dict[int, int]:
-        """``terms`` multiplied by the monomial with key ``key``."""
-        _check_product(_top(terms) + (key & _MASK))
-        return {k + key: c for k, c in terms.items()}
-
-    def fold(self, base: dict[int, int], products) -> dict[int, int]:
-        """``base`` plus the sum of ``a * b`` over the ``(a, b)`` pairs of
-        ``products``; ``base`` itself when every pair has a zero side."""
-        acc = None
-        for a, b in products:
-            if a and b:
-                _check_product(_top(a) + _top(b))
-                if acc is None:
-                    acc = dict(base)
-                _accumulate(acc, a, b)
-        return base if acc is None else acc
-
 
 def packed_product(
     *factors: Sequence[Sequence[dict[int, int]]],
@@ -657,30 +627,31 @@ def packed_product(
     as the widest row anywhere in the chain.
 
     A product never widens a row, so the intermediate products stay
-    packed.  Before two nonzero entries are multiplied, the sum of their
-    top degrees is checked against the limit.
+    packed.  Each entry is one :func:`fold` of a row against a column.
     """
-    # Nonzero entries as (terms, top degree); zero as None.
-    rows = _with_tops(factors[0])
+    rows = factors[0]
     for right in factors[1:]:
-        cols = list(zip(*_with_tops(right)))
-        rows = [[_dot(a_row, b_col) for b_col in cols] for a_row in rows]
-    return [[entry[0] if entry else {} for entry in row] for row in rows]
+        cols = list(zip(*right))
+        rows = [[fold({}, zip(row, col)) for col in cols] for row in rows]
+    return rows
 
 
-def _with_tops(matrix):
-    return [[(terms, _top(terms)) if terms else None for terms in row] for row in matrix]
-
-
-def _dot(a_row, b_col):
-    """One packed entry of a product, as (terms, top degree) or None."""
-    acc: dict[int, int] = {}
-    for a, b in zip(a_row, b_col):
-        if a is None or b is None:
-            continue
-        _check_product(a[1] + b[1])
-        _accumulate(acc, a[0], b[0])
-    return (acc, _top(acc)) if acc else None
+def pack_matrices(
+    *matrices: Sequence[Sequence[Polynomial]],
+) -> tuple[PackedLayout, list[list[list[dict[int, int]]]]]:
+    """A layout as wide as the widest row of any term of ``matrices``, each
+    given as rows of polynomials, and the matrices packed in it; every
+    distinct entry is encoded once."""
+    distinct = {id(poly): poly for matrix in matrices for row in matrix for poly in row}
+    widest = max(
+        (r for poly in distinct.values() for mono in poly._terms for r in mono._rows),
+        default=0,
+    )
+    layout = PackedLayout(-(-widest.bit_length() // _FIELD))
+    encoded = {ident: layout.encode(poly) for ident, poly in distinct.items()}
+    return layout, [
+        [[encoded[id(poly)] for poly in row] for row in matrix] for matrix in matrices
+    ]
 
 
 def matrix_product(
@@ -690,18 +661,12 @@ def matrix_product(
     factor given as rows of polynomials; the caller checks that adjacent
     dimensions agree.
 
-    Every distinct entry is encoded once into one
-    :class:`PackedLayout` fitting the whole chain, the chain is
-    multiplied by :func:`packed_product`, and only the entries of the
-    last product are decoded.
+    The factors are packed by :func:`pack_matrices`, multiplied by
+    :func:`packed_product`, and only the entries of the last product are
+    decoded.
     """
-    distinct = {id(poly): poly for matrix in factors for row in matrix for poly in row}
-    layout = PackedLayout.fitting(distinct.values())
-    encoded = {ident: layout.encode(poly) for ident, poly in distinct.items()}
-    product = packed_product(
-        *([[encoded[id(poly)] for poly in row] for row in matrix] for matrix in factors)
-    )
-    return tuple(tuple(map(layout.decode, row)) for row in product)
+    layout, packed = pack_matrices(*factors)
+    return tuple(tuple(map(layout.decode, row)) for row in packed_product(*packed))
 
 
 def coordinate_naming(cells: Iterable[Cell]) -> dict[Cell, str]:

@@ -21,11 +21,13 @@ Each reduction works on packed polynomials in one
 cell of the partition.  Each weight shape's memo entry is packed once
 per reduction and shifted into place; the inductive replay's updates
 and the certification's ``W`` both read these packed shapes.  In the
-replay, scaling by a peeled cell adds one key to each term.
-Certification multiplies ``P @ W @ Q`` in the same layout, with nothing
-re-encoded, and compares it with the packed expected form; the product
-is decoded only to build the residual of a failing check.  The
-transforms are decoded into polynomials once, for the result.
+replay, scaling by a peeled cell adds one key to each term, and the
+layout is only the key format: the key arithmetic is the layout-free
+``times`` and ``fold`` of the polynomials module.  Both reductions end
+in one tail, :func:`_certified`, which multiplies ``P @ W @ Q`` in the
+same layout, with nothing re-encoded, compares it with the packed
+expected form, and decodes the transforms once, for the result; the
+product is decoded only to build the residual of a failing check.
 """
 
 from __future__ import annotations
@@ -43,8 +45,11 @@ from .partitions import Cell, Partition, subdiagram_shape
 from .polynomials import (
     PackedLayout,
     Polynomial,
+    fold,
+    pack_matrices,
     packed_product,
     polynomial_to_json,
+    times,
 )
 from .recurrence import row_coefficients
 from .weights import PolyMatrix, leading_monomial, weight_at
@@ -149,6 +154,22 @@ def _certify(
     raise VerificationFailed(f"{algorithm}: {problem}", residual=residual)
 
 
+def _certified(weights: _PackedWeights, lam, d, e, P, QT, algorithm) -> SnfResult:
+    """The tail of both reductions of ``lam``'s d x e rectangle: certify
+    the packed transforms ``P`` and ``QT`` (``Q`` transposed) against the
+    packed weights in the layout of ``weights``, then decode them."""
+    layout = weights.layout
+    diagonal = tuple(leading_monomial(lam, Cell(k, k + e - d)) for k in range(1, d + 1))
+    D = _certify(layout, P, weights.grid(lam, d, e), QT, diagonal, algorithm)
+    return SnfResult(
+        P=PolyMatrix(_decoded(layout, P)),
+        Q=PolyMatrix(tuple(zip(*_decoded(layout, QT)))),
+        D=D,
+        diagonal=diagonal,
+        algorithm=algorithm,
+    )
+
+
 class _PackedWeights:
     """Weights of positions, and their negations, packed in one layout.
 
@@ -217,28 +238,14 @@ def snf_recurrence(lam: Partition) -> SnfResult:
     transposed.
     """
     n = lam.rank + 1
-    P = tuple(map(tuple, _signed_row_transform(lam)))
-    QT = tuple(
-        tuple(p.transpose_variables() for p in row)
+    weights = _PackedWeights(_layout(lam))
+    encode = weights.layout.encode
+    P = [[encode(p) for p in row] for row in _signed_row_transform(lam)]
+    QT = [
+        [encode(p.transpose_variables()) for p in row]
         for row in _signed_row_transform(lam.conjugate())
-    )
-    layout = _layout(lam)
-    diagonal = tuple(leading_monomial(lam, Cell(k, k)) for k in range(1, n + 1))
-    D = _certify(
-        layout,
-        [[layout.encode(p) for p in row] for row in P],
-        _PackedWeights(layout).grid(lam, n, n),
-        [[layout.encode(p) for p in row] for row in QT],
-        diagonal,
-        "recurrence",
-    )
-    return SnfResult(
-        P=PolyMatrix(P),
-        Q=PolyMatrix(tuple(zip(*QT))),
-        D=D,
-        diagonal=diagonal,
-        algorithm="recurrence",
-    )
+    ]
+    return _certified(weights, lam, n, n, P, QT, "recurrence")
 
 
 def _rectangle_fits(lam: Partition, d: int, e: int) -> bool:
@@ -252,7 +259,6 @@ def _identity_grid(n: int, one: dict[int, int]) -> list[list[dict[int, int]]]:
 
 
 def _peel_step(
-    layout: PackedLayout,
     grid: list[list[dict[int, int]]],
     a: int,
     z: int,
@@ -265,13 +271,12 @@ def _peel_step(
     the cell)."""
     for row in grid[:a]:
         for j in range(a, len(row)):
-            row[j] = layout.times(row[j], z)
+            row[j] = times(row[j], z)
     for row in grid:
-        row[a] = layout.fold(row[a], zip(row, updates))
+        row[a] = fold(row[a], zip(row, updates))
 
 
 def _border(
-    layout: PackedLayout,
     grid: list[list[dict[int, int]]],
     one: dict[int, int],
     minus_one: dict[int, int],
@@ -282,7 +287,7 @@ def _border(
     out = _identity_grid(n + 1, one)
     for r, row in enumerate(grid):
         out[r][:n] = row
-        out[r][n] = layout.fold({}, ((entry, minus_one) for entry in row))
+        out[r][n] = fold({}, ((entry, minus_one) for entry in row))
     return out
 
 
@@ -353,17 +358,17 @@ def _reduce_rectangle(weights: _PackedWeights, lam: Partition, d: int, e: int):
         VT[j][e - 1] = minus_weight(lam, 1, j + 1)
     for smaller, corner in reversed(plan):
         if corner is None:
-            U = _border(layout, U, one, minus_one)
-            VT = _border(layout, VT, one, minus_one)
+            U = _border(U, one, minus_one)
+            VT = _border(VT, one, minus_one)
             continue
         a, b = corner
         z = layout.variable(corner)
         if a < len(U):
             updates = [minus_weight(smaller, i + 1, b + 1) for i in range(a)]
-            _peel_step(layout, U, a, z, updates)
+            _peel_step(U, a, z, updates)
         else:
             updates = [minus_weight(smaller, a + 1, j + 1) for j in range(b)]
-            _peel_step(layout, VT, b, z, updates)
+            _peel_step(VT, b, z, updates)
     return U, VT
 
 
@@ -387,18 +392,7 @@ def snf_inductive(lam: Partition, d: int, e: int) -> SnfResult:
         )
     weights = _PackedWeights(_layout(lam))
     U, VT = _reduce_rectangle(weights, lam, d, e)
-    layout = weights.layout
-    diagonal = tuple(
-        leading_monomial(lam, Cell(k, k + e - d)) for k in range(1, d + 1)
-    )
-    D = _certify(layout, U, weights.grid(lam, d, e), VT, diagonal, "inductive")
-    return SnfResult(
-        P=PolyMatrix(_decoded(layout, U)),
-        Q=PolyMatrix(tuple(zip(*_decoded(layout, VT)))),
-        D=D,
-        diagonal=diagonal,
-        algorithm="inductive",
-    )
+    return _certified(weights, lam, d, e, U, VT, "inductive")
 
 
 def verify_snf(W: PolyMatrix, result: SnfResult):
@@ -418,26 +412,12 @@ def verify_snf(W: PolyMatrix, result: SnfResult):
             f"transforms {P.rows}x{P.cols} / {Q.rows}x{Q.cols} do not fit a "
             f"{W.rows}x{W.cols} matrix"
         )
-    QT = tuple(zip(*Q.entries))
-    layout = PackedLayout.fitting(
-        poly
-        for matrix in (P.entries, W.entries, QT, (result.diagonal,))
-        for row in matrix
-        for poly in row
+    # The diagonal is packed only so that the layout is sized over it too.
+    layout, packed = pack_matrices(
+        P.entries, W.entries, tuple(zip(*Q.entries)), (result.diagonal,)
     )
-
-    def packed(rows):
-        return [[layout.encode(poly) for poly in row] for row in rows]
-
     try:
-        _certify(
-            layout,
-            packed(P.entries),
-            packed(W.entries),
-            packed(QT),
-            result.diagonal,
-            result.algorithm,
-        )
+        _certify(layout, *packed[:3], result.diagonal, result.algorithm)
     except VerificationFailed as exc:
         return False, exc.residual
     return True, None

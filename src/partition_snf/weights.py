@@ -49,7 +49,7 @@ def clear_weight_cache() -> None:
     _SHAPE_CACHE.clear()
 
 
-def relative_weight(shape: tuple[int, ...]) -> Polynomial:
+def _relative_weight(shape: tuple[int, ...]) -> Polynomial:
     """Weight of a nonempty shape anchored at (1,1), memoized by shape."""
     hit = _SHAPE_CACHE.get(shape)
     if hit is not None:
@@ -70,7 +70,7 @@ def weight_at(lam: Partition, row: int, col: int) -> Polynomial:
     shape = subdiagram_shape(lam, row, col)
     if not shape:
         return Polynomial.one()
-    return relative_weight(shape).translate(row - 1, col - 1)
+    return _relative_weight(shape).translate(row - 1, col - 1)
 
 
 def weight_polynomial(lam: Partition, cell) -> Polynomial:

@@ -142,7 +142,7 @@ def test_criterion_6_term_count_anchor():
 
 def test_criterion_7_property_suite():
     with budget("criterion 7: exhaustive identity suite to size 12", 600.0):
-        report = run_selftest(12, det_side_limit=6)
+        report = run_selftest(12)
         assert report.ok, report.failures[:10]
         assert report.counts["row-relations"] > 0
         assert report.counts["border-rectangles"] > 0

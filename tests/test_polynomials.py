@@ -23,7 +23,7 @@ from partition_snf import (
     polynomial_to_json,
     render,
 )
-from partition_snf.polynomials import PackedLayout, _term_key, matrix_product
+from partition_snf.polynomials import PackedLayout, _term_key, fold, matrix_product, times
 
 from helpers import (
     naive_matrix_product,
@@ -409,27 +409,27 @@ class TestPackedLayout:
     def test_fold_degree_guard(self):
         layout = PackedLayout(1)
         high = layout.encode(x_power(40000))
-        top = layout.fold({}, [(high, layout.encode(x_power(25535)))])
+        top = fold({}, [(high, layout.encode(x_power(25535)))])
         assert layout.decode(top) == x_power(65535)
         with pytest.raises(TooLarge):
-            layout.fold({}, [(high, layout.encode(x_power(25536)))])
+            fold({}, [(high, layout.encode(x_power(25536)))])
         # A zero opposite a high degree multiplies nothing.
-        assert layout.fold(high, [({}, layout.encode(x_power(65535)))]) is high
+        assert fold(high, [({}, layout.encode(x_power(65535)))]) is high
 
     def test_times_degree_guard(self):
         layout = PackedLayout(1)
         x = layout.variable(Cell(1, 1))
-        top = layout.times(layout.encode(x_power(65534)), x)
+        top = times(layout.encode(x_power(65534)), x)
         assert layout.decode(top) == x_power(65535)
         with pytest.raises(TooLarge):
-            layout.times(top, x)
+            times(top, x)
 
     def test_fold_leaves_its_operands_unchanged(self):
         layout = PackedLayout(2)
         x, y = Polynomial.variable((2, 1)) + 1, Polynomial.variable((1, 2)) - 1
         base, a = layout.encode(x), layout.encode(y)
         before = (dict(base), dict(a))
-        total = layout.fold(base, [(a, a)])
+        total = fold(base, [(a, a)])
         assert (base, a) == before
         assert layout.decode(total) == x + y * y
 
@@ -438,7 +438,7 @@ class TestPackedLayout:
         x = layout.encode(Polynomial.variable((2, 3)))
         minus_x = layout.encode(-Polynomial.variable((2, 3)))
         one = layout.encode(Polynomial.one())
-        assert layout.fold(x, [(minus_x, one)]) == {}
+        assert fold(x, [(minus_x, one)]) == {}
         assert layout.decode({}) == Polynomial.zero()
 
 
@@ -535,6 +535,28 @@ class TestRingAxioms:
         for _ in range(200):
             p = random_poly(rng)
             assert len(p + (-p)) == 0
+
+
+class TestPolynomialHash:
+    """Equal polynomials hash equal, however they were built."""
+
+    def test_equal_routes_hash_equal(self):
+        rng = random.Random(20261018)
+        layout = PackedLayout(3)
+        for _ in range(200):
+            p, q = random_poly(rng), random_poly(rng)
+            routes = [
+                p,
+                p + q - q,
+                layout.decode(layout.encode(p)),
+                # A fresh layout rebuilds every monomial from its key.
+                PackedLayout(3).decode(layout.encode(p)),
+                polynomial_from_json(polynomial_to_json(p)),
+            ]
+            assert all(route == p for route in routes)
+            assert {hash(route) for route in routes} == {hash(p)}
+            assert len(set(routes)) == 1
+            assert len({p, p + 1}) == 2
 
 
 class TestSubstitution:

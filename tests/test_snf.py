@@ -312,6 +312,17 @@ class TestVerify:
         assert isinstance(residual, PolyMatrix)
         assert not residual.is_zero()
 
+    def test_layout_is_sized_over_the_diagonal(self):
+        # x[1,9] is wider than every entry of P, W and Q, so a layout sized
+        # over those alone could not encode it.
+        W = square_matrix(LAM, Cell(1, 1))
+        good = snf_recurrence(LAM)
+        wide = Polynomial.variable((1, 9))
+        bad = dataclasses.replace(good, diagonal=(good.diagonal[0], wide, good.diagonal[2]))
+        ok, residual = verify_snf(W, bad)
+        assert not ok
+        assert residual.entries[1][1] == Polynomial.variable((2, 2)) - wide
+
     def test_dimension_mismatch(self):
         W = square_matrix(LAM, Cell(1, 1))
         result = snf_recurrence(Partition((1,)))
