@@ -56,11 +56,8 @@ from .qcatalan import (
     staircase_snf_diagonal,
 )
 from .recurrence import (
-    RowCoefficients,
     alternating_row_sum,
-    choice_grid,
     choice_poly,
-    fixed_cells,
     row_coefficient,
     row_coefficients,
 )

@@ -231,9 +231,9 @@ def _cmd_recurrence(args):
             columns = [int(args.j)]
         except ValueError:
             raise _UsageError(f"--j must be an integer or 'all', got {args.j!r}")
-    family = row_coefficients(lam)
+    coefficients = row_coefficients(lam)
     lines = [f"partition: {lam}"]
-    for i, coeff in enumerate(family.coefficients):
+    for i, coeff in enumerate(coefficients):
         lines.append(f"coefficient[{i}] = {render(coeff, naming)}")
     origin_monomial = leading_monomial(lam, Cell(1, 1))
     checks = []
@@ -265,7 +265,7 @@ def _cmd_recurrence(args):
             "format": args.format,
         },
         "result": {
-            "coefficients": [polynomial_to_json(c) for c in family.coefficients],
+            "coefficients": [polynomial_to_json(c) for c in coefficients],
             "checks": checks,
         },
         "verified": code == 0,
@@ -367,8 +367,12 @@ def main(argv=None) -> int:
     if not output.endswith("\n"):
         output += "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(output)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(output)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(output)
     return code

@@ -185,29 +185,6 @@ class Partition:
             raise CellOutOfRange(f"{cell} is outside the extended diagram of {self!r}")
         return Partition(subdiagram_shape(self, cell.row, cell.col))
 
-    # -- enumeration ------------------------------------------------------
-
-    def subpartitions(self) -> Iterator["Partition"]:
-        """Every partition fitting inside this one, each exactly once.
-
-        Deterministic order: lexicographic on the part tuples, so the empty
-        partition comes first and ``self`` last.
-        """
-        n = len(self.parts)
-
-        def grow(row: int, cap: int) -> Iterator[tuple[int, ...]]:
-            yield ()
-            if row > n:
-                return
-            for v in range(1, min(cap, self.parts[row - 1]) + 1):
-                for rest in grow(row + 1, v):
-                    yield (v,) + rest
-
-        cap0 = self.parts[0] if self.parts else 0
-        shapes = sorted(grow(1, cap0))
-        for shape in shapes:
-            yield Partition(shape)
-
     def removable_corners(self) -> list[Cell]:
         """Cells whose removal leaves a partition, top row first."""
         if not self.parts:

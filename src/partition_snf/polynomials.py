@@ -72,11 +72,16 @@ def _degree_error(degree: int) -> TooLarge:
 _new = object.__new__
 
 
+# Monomials hash as ``(degree, rows)``.  Python hashes ints modulo
+# 2**61 - 1, and 2**(16 * 61) is 1 modulo it, so a row's hash alone maps
+# column c + 61 onto column c, and runs of one row that end at the same
+# column and differ in length by 61 cells hash alike.  Their degrees
+# differ, which tells them apart.
 def _packed(rows: tuple[int, ...], degree: int) -> "Monomial":
     m = _new(Monomial)
     m._rows = rows
     m._degree = degree
-    m._hash = hash(rows)
+    m._hash = hash((degree, rows))
     return m
 
 
@@ -111,7 +116,7 @@ class Monomial:
             rows[cell.row - 1] += exp << (_FIELD * (cell.col - 1))
         self._rows = tuple(rows)
         self._degree = degree
-        self._hash = hash(self._rows)
+        self._hash = hash((degree, self._rows))
 
     @classmethod
     def variable(cls, cell) -> "Monomial":
@@ -197,7 +202,7 @@ class Monomial:
         m = _new(Monomial)
         m._rows = rows
         m._degree = degree
-        m._hash = hash(rows)
+        m._hash = hash((degree, rows))
         return m
 
     def translate(self, dr: int, dc: int) -> "Monomial":

@@ -1,12 +1,20 @@
 """Row coefficients and the alternating relation among weight rows.
 
 Row ``i + 1`` of the origin weight square enters an alternating sum with a
-coefficient built from two pieces tied to diagonal index ``i``:
+coefficient tied to diagonal index ``i``.  The paper builds it from two
+pieces:
 
 * a choice polynomial, summing over sub-arrays of a small cell grid that
   are justified into its upper-right corner with weakly decreasing row
-  lengths, and
-* a fixed monomial over the cells lying to the right of that grid.
+  lengths; grid row ``a`` holds cells (a, a+1) .. (a, lam_i - i + a), and
+* a fixed monomial over the cells lying to the right of that grid, all
+  (a, b) with lam_i - i + a < b <= lam_a.
+
+The fixed cells continue every chosen run of grid row ``a`` to the end of
+diagram row ``a``, so each term of their product is one skew monomial
+``lam_1..lam_i / starts``.  One enumerator of justified sub-arrays,
+:func:`_justified_sum`, thus builds both the choice polynomial and the
+coefficient, over different outer rows, with no product.
 
 The alternating sum of coefficient-times-weight collapses to the full
 product of variables in column 1 and to zero in every later column of the
@@ -15,40 +23,48 @@ square.  That collapse is what drives the first normal-form reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import IndexOutOfRange
-from .partitions import Cell, Partition
+from .partitions import Partition
 from .polynomials import Monomial, Polynomial
 from .weights import weight_at
 
 __all__ = [
-    "choice_grid",
     "choice_poly",
-    "fixed_cells",
     "row_coefficient",
-    "RowCoefficients",
     "row_coefficients",
     "alternating_row_sum",
 ]
 
 
-def choice_grid(lam: Partition, i: int) -> tuple[tuple[Cell, ...], ...]:
-    """The cell grid for index ``i``: row ``a`` holds
-    (a, a+1) .. (a, lam_i - i + a), so there are ``i`` rows of
-    ``lam_i - i`` cells; empty when ``lam_i == i``."""
-    if not 1 <= i <= lam.rank:
-        raise IndexOutOfRange(f"grid index {i} outside 1..{lam.rank}")
-    width = lam.parts[i - 1] - i
-    return tuple(
-        tuple(Cell(a, a + k) for k in range(1, width + 1)) for a in range(1, i + 1)
-    )
+def _justified_sum(outer: Sequence[int], i: int, width: int) -> Polynomial:
+    """Sum of ``Monomial.skew(outer, starts)`` over the sub-arrays
+    ``width >= c_1 >= ... >= c_i >= 0``, where row ``a`` starts after
+    column ``a + width - c_a``.
+
+    The full sub-array, every ``c_a == width``, is built first: it is the
+    term of top degree, so a degree past the limit raises ``TooLarge``
+    before anything else is enumerated.
+    """
+    terms: dict[Monomial, int] = {}
+
+    def descend(a: int, cap: int, starts: tuple[int, ...]) -> None:
+        if a > i:
+            terms[Monomial.skew(outer, starts)] = 1
+            return
+        for c in range(cap, -1, -1):
+            descend(a + 1, c, starts + (a + width - c,))
+
+    descend(1, width, ())
+    return Polynomial(terms)
 
 
 def choice_poly(lam: Partition, i: int) -> Polynomial:
-    """Sum over upper-right-justified sub-arrays of the grid.
+    """Sum over upper-right-justified sub-arrays of the grid for index
+    ``i``, which has ``i`` rows of ``lam_i - i`` cells.
 
-    A sub-array takes the last ``c_a`` cells of row ``a`` with
+    A sub-array takes the last ``c_a`` cells of grid row ``a`` with
     ``c_1 >= c_2 >= ... >= c_i >= 0``; each contributes the product of its
     cells.  The number of terms is binomial(lam_i, i).
     """
@@ -57,67 +73,23 @@ def choice_poly(lam: Partition, i: int) -> Polynomial:
     if not 1 <= i <= lam.rank:
         raise IndexOutOfRange(f"grid index {i} outside 1..{lam.rank}")
     width = lam.parts[i - 1] - i
-    # Grid row a ends at column a + width; its last c cells are the skew
-    # row between columns a + width - c and a + width.
-    ends = tuple(a + width for a in range(1, i + 1))
-    terms: dict[Monomial, int] = {}
-
-    def descend(row_idx: int, cap: int, starts: tuple[int, ...]) -> None:
-        if row_idx == i:
-            terms[Monomial.skew(ends, starts)] = 1
-            return
-        for take in range(cap + 1):
-            descend(row_idx + 1, take, starts + (ends[row_idx] - take,))
-
-    descend(0, width, ())
-    return Polynomial(terms)
-
-
-def fixed_cells(lam: Partition, i: int) -> frozenset[Cell]:
-    """Cells of the diagram in rows 1..i strictly right of the grid:
-    all (a, b) with lam_i - i + a < b <= lam_a.  Empty for i in {0, 1}."""
-    if not 0 <= i <= lam.rank:
-        raise IndexOutOfRange(f"index {i} outside 0..{lam.rank}")
-    if i == 0:
-        return frozenset()
-    return frozenset(_fixed_monomial(lam, i).cells())
-
-
-def _fixed_monomial(lam: Partition, i: int) -> Monomial:
-    """Product of the variables on :func:`fixed_cells` for ``1 <= i``."""
-    threshold = lam.parts[i - 1] - i
-    return Monomial.skew(lam.parts[:i], [threshold + a for a in range(1, i + 1)])
+    # Grid row a ends at column a + width.
+    return _justified_sum(tuple(a + width for a in range(1, i + 1)), i, width)
 
 
 def row_coefficient(lam: Partition, i: int) -> Polynomial:
-    """Choice polynomial times the fixed-cell monomial; 1 at index 0."""
+    """Choice polynomial times the fixed-cell monomial, built as the
+    justified sum with outer rows ``lam_1..lam_i``; 1 at index 0."""
     if not 0 <= i <= lam.rank:
         raise IndexOutOfRange(f"index {i} outside 0..{lam.rank}")
     if i == 0:
         return Polynomial.one()
-    fixed = Polynomial.from_monomial(_fixed_monomial(lam, i))
-    return choice_poly(lam, i) * fixed
+    return _justified_sum(lam.parts[:i], i, lam.parts[i - 1] - i)
 
 
-@dataclass(frozen=True)
-class RowCoefficients:
-    """The full family of row coefficients of a partition, indices 0..rank."""
-
-    partition: Partition
-    coefficients: tuple[Polynomial, ...]
-
-    @property
-    def fixed_sets(self) -> tuple[frozenset[Cell], ...]:
-        """The fixed-cell set of every index, derived when read."""
-        lam = self.partition
-        return tuple(fixed_cells(lam, i) for i in range(lam.rank + 1))
-
-
-def row_coefficients(lam: Partition) -> RowCoefficients:
-    return RowCoefficients(
-        partition=lam,
-        coefficients=tuple(row_coefficient(lam, i) for i in range(lam.rank + 1)),
-    )
+def row_coefficients(lam: Partition) -> tuple[Polynomial, ...]:
+    """The row coefficients of every index 0..rank."""
+    return tuple(row_coefficient(lam, i) for i in range(lam.rank + 1))
 
 
 def alternating_row_sum(lam: Partition, j: int) -> Polynomial:

@@ -43,6 +43,7 @@ from .errors import (
 )
 from .partitions import Cell, Partition, subdiagram_shape
 from .polynomials import (
+    Monomial,
     PackedLayout,
     Polynomial,
     fold,
@@ -214,7 +215,7 @@ def _signed_row_transform(lam: Partition) -> list[list[Polynomial]]:
     grid = [[Polynomial.zero()] * n for _ in range(n)]
     for k in range(n):
         shape = Partition(subdiagram_shape(lam, k + 1, k + 1))
-        for i, coeff in enumerate(row_coefficients(shape).coefficients):
+        for i, coeff in enumerate(row_coefficients(shape)):
             signed = coeff if i % 2 == 0 else -coeff
             grid[k][k + i] = signed.translate(k, k)
     return grid
@@ -222,7 +223,12 @@ def _signed_row_transform(lam: Partition) -> list[list[Polynomial]]:
 
 def _layout(lam: Partition) -> PackedLayout:
     """A layout wide enough for every cell of ``lam``: every weight, every
-    transform entry and every product of them lies inside it."""
+    transform entry and every product of them lies inside it.
+
+    The leading monomial of ``W(1,1)``, of degree ``|lam|``, is built
+    first, so a partition past the degree limit raises ``TooLarge``
+    before any reduction work."""
+    Monomial.skew(lam.parts)
     return PackedLayout(lam.parts[0] if lam else 1)
 
 

@@ -5,6 +5,8 @@ with the same row-major letter assignment the CLI uses, so fixtures read
 exactly like the grids they pin down.
 """
 
+from typing import Iterator
+
 from hypothesis import strategies as st
 
 from partition_snf import (
@@ -51,6 +53,27 @@ def poly(lam: Partition, text: str) -> Polynomial:
     return Polynomial(terms)
 
 
+def subpartitions(lam: Partition) -> Iterator[Partition]:
+    """Every partition fitting inside ``lam``, each exactly once.
+
+    Deterministic order: lexicographic on the part tuples, so the empty
+    partition comes first and ``lam`` last.  A recursive oracle for the
+    iterative walk of ``Polynomial.skew_sum``.
+    """
+    n = len(lam.parts)
+
+    def grow(row: int, cap: int) -> Iterator[tuple[int, ...]]:
+        yield ()
+        if row > n:
+            return
+        for v in range(1, min(cap, lam.parts[row - 1]) + 1):
+            for rest in grow(row + 1, v):
+                yield (v,) + rest
+
+    for shape in sorted(grow(1, lam.parts[0] if lam.parts else 0)):
+        yield Partition(shape)
+
+
 def direct_weight(lam: Partition, cell) -> Polynomial:
     """Uncached reference weight: enumerate the subpartitions of the
     sub-diagram at ``cell`` and build absolute monomials directly, with no
@@ -58,7 +81,7 @@ def direct_weight(lam: Partition, cell) -> Polynomial:
     row, col = cell
     shape = subdiagram_shape(lam, row, col)
     terms: dict[Monomial, int] = {}
-    for mu in Partition(shape).subpartitions():
+    for mu in subpartitions(Partition(shape)):
         cells = []
         for r, length in enumerate(shape, start=1):
             for c in range(mu.part(r) + 1, length + 1):

@@ -32,7 +32,7 @@ from partition_snf import (
 )
 from partition_snf.cli import main
 
-from helpers import poly
+from helpers import poly, subpartitions
 
 
 @contextmanager
@@ -165,4 +165,4 @@ def test_criterion_8_q_catalan():
 def test_criterion_9_subpartition_count_oracles():
     with budget("criterion 9: enumeration vs boundary-walk counts to size 14", 120.0):
         for lam in all_partitions(14):
-            assert sum(1 for _ in lam.subpartitions()) == boundary_walk_count(lam)
+            assert sum(1 for _ in subpartitions(lam)) == boundary_walk_count(lam)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -241,6 +242,27 @@ class TestRecurrenceCommand:
         assert all(c["ok"] for c in checks)
 
 
+class TestDegreeLimit:
+    """``W(1,1)`` holds the degree-``|lam|`` leading monomial, so every
+    reduction of a partition past the limit is refused before it starts."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("snf", "70000"),
+            ("snf", "70000", "--algorithm", "inductive"),
+            ("recurrence", "70000"),
+        ],
+    )
+    def test_refused_up_front(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 5.0
+        assert code == 1
+        assert out == ""
+        assert "exceeds the limit" in err
+
+
 class TestQCatalanCommand:
     def test_table(self, capsys):
         code, out, _ = run_cli(capsys, "qcatalan", "3")
@@ -283,6 +305,16 @@ class TestOutput:
         assert out == ""
         envelope = json.loads(target.read_text(encoding="utf-8"))
         assert envelope["command"] == "weights"
+
+    def test_out_write_error_exits_1(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "grid.json"
+        code, out, err = run_cli(
+            capsys, "weights", "3,2", "--format", "json", "--out", str(target)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not target.exists()
 
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "bogus")

@@ -15,7 +15,7 @@ from partition_snf import (
     partitions_of,
 )
 
-from helpers import partitions_strategy
+from helpers import partitions_strategy, subpartitions
 
 
 class TestParse:
@@ -184,7 +184,7 @@ class TestConjugate:
 
 class TestSubpartitions:
     def test_3_2_full_set(self):
-        got = [p.parts for p in Partition((3, 2)).subpartitions()]
+        got = [p.parts for p in subpartitions(Partition((3, 2)))]
         assert got == [
             (),
             (1,),
@@ -198,23 +198,23 @@ class TestSubpartitions:
         ]
 
     def test_empty(self):
-        assert list(Partition().subpartitions()) == [Partition()]
+        assert list(subpartitions(Partition())) == [Partition()]
 
     def test_count_5_4_1(self):
-        assert sum(1 for _ in Partition((5, 4, 1)).subpartitions()) == 34
+        assert sum(1 for _ in subpartitions(Partition((5, 4, 1)))) == 34
 
     @given(partitions_strategy(max_part=5, max_len=4))
     @settings(max_examples=60)
     def test_walk_count_agrees(self, lam):
-        assert sum(1 for _ in lam.subpartitions()) == boundary_walk_count(lam)
+        assert sum(1 for _ in subpartitions(lam)) == boundary_walk_count(lam)
 
     def test_walk_count_exhaustive(self):
         for lam in all_partitions(10):
-            assert sum(1 for _ in lam.subpartitions()) == boundary_walk_count(lam)
+            assert sum(1 for _ in subpartitions(lam)) == boundary_walk_count(lam)
 
     def test_all_contained(self):
         lam = Partition((4, 2, 1))
-        for mu in lam.subpartitions():
+        for mu in subpartitions(lam):
             assert all(mu.part(r) <= lam.part(r) for r in range(1, len(mu) + 1))
 
 

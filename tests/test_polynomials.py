@@ -37,6 +37,7 @@ from helpers import (
     ref_translate,
     ref_transpose,
     skew_cells,
+    subpartitions,
 )
 
 LAM = Partition((3, 2))
@@ -82,6 +83,12 @@ class TestMonomial:
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
             Monomial([(Cell(1, 1), -1)])
+
+    def test_suffix_runs_hash_apart(self):
+        # A row's int hash maps column c + 61 onto column c; the degree in
+        # the hash keeps the suffix runs of one long row apart.
+        runs = [Monomial.skew((263,), (s,)) for s in range(264)]
+        assert len({hash(m) for m in runs}) == 264
 
 
 # Rows up to 20 and columns up to 300 make rows span many 16-bit fields;
@@ -178,14 +185,14 @@ class TestPackedAgainstPairReference:
 class TestSkew:
     def test_matches_cells_for_small_shapes(self):
         for shape in all_partitions(8):
-            for mu in shape.subpartitions():
+            for mu in subpartitions(shape):
                 assert Monomial.skew(shape.parts, mu.parts) == Monomial.from_cells(
                     skew_cells(shape, mu)
                 )
 
     def test_matches_cells_for_long_row(self):
         row = Partition((300,))
-        for mu in row.subpartitions():
+        for mu in subpartitions(row):
             skew = Monomial.skew(row.parts, mu.parts)
             assert skew == Monomial.from_cells(skew_cells(row, mu))
             assert skew.degree == 300 - mu.size
@@ -204,7 +211,7 @@ class TestSkewSum:
     @staticmethod
     def oracle(shape: Partition) -> Polynomial:
         return Polynomial(
-            {Monomial.skew(shape.parts, mu.parts): 1 for mu in shape.subpartitions()}
+            {Monomial.skew(shape.parts, mu.parts): 1 for mu in subpartitions(shape)}
         )
 
     def test_every_shape_up_to_size_10(self):

@@ -10,9 +10,7 @@ from partition_snf import (
     Polynomial,
     all_partitions,
     alternating_row_sum,
-    choice_grid,
     choice_poly,
-    fixed_cells,
     leading_monomial,
     row_coefficient,
     row_coefficients,
@@ -25,26 +23,49 @@ LAM = Partition((3, 2))
 BIG = Partition((5, 4, 1))
 
 
+def cells_poly(*cells) -> Polynomial:
+    return Polynomial.from_monomial(Monomial.from_cells(cells))
+
+
+def grid_cells(lam: Partition, i: int) -> set[Cell]:
+    """The cells of the grid for index ``i``: those of the top-degree term
+    of the choice polynomial, the sub-array that takes every grid cell."""
+    top = max((mono for mono, _ in choice_poly(lam, i).items()), key=lambda m: m.degree)
+    return set(top.cells())
+
+
+def fixed_monomial(lam: Partition, i: int) -> Polynomial:
+    """The product over the fixed cells for index ``i``, written from the
+    paper's inequality: all (a, b) with lam_i - i + a < b <= lam_a."""
+    return cells_poly(
+        *(
+            Cell(a, b)
+            for a in range(1, i + 1)
+            for b in range(lam.part(i) - i + a + 1, lam.part(a) + 1)
+        )
+    )
+
+
 class TestChoiceGrid:
     def test_two_row_grid(self):
         # Any partition with second part 4 produces the same grid.
-        grid = choice_grid(Partition((4, 4)), 2)
-        assert grid == (
-            (Cell(1, 2), Cell(1, 3)),
-            (Cell(2, 3), Cell(2, 4)),
-        )
+        assert grid_cells(Partition((4, 4)), 2) == {
+            Cell(1, 2), Cell(1, 3),
+            Cell(2, 3), Cell(2, 4),
+        }
 
     def test_no_columns_on_square_diagonal(self):
-        assert choice_grid(LAM, 2) == ((), ())
+        # An empty grid has only the empty sub-array.
+        assert choice_poly(LAM, 2) == 1
 
     def test_single_row(self):
-        assert choice_grid(LAM, 1) == ((Cell(1, 2), Cell(1, 3)),)
+        assert grid_cells(LAM, 1) == {Cell(1, 2), Cell(1, 3)}
 
     def test_index_validation(self):
         with pytest.raises(IndexOutOfRange):
-            choice_grid(LAM, 0)
+            choice_poly(LAM, -1)
         with pytest.raises(IndexOutOfRange):
-            choice_grid(LAM, 3)
+            choice_poly(LAM, 3)
 
 
 class TestChoicePoly:
@@ -77,27 +98,46 @@ class TestChoicePoly:
 
 
 class TestFixedCells:
+    """The coefficient is the choice polynomial times the fixed cells."""
+
     def test_3_2(self):
-        assert fixed_cells(LAM, 2) == frozenset({Cell(1, 2), Cell(1, 3)})
+        fixed = cells_poly(Cell(1, 2), Cell(1, 3))
+        assert fixed_monomial(LAM, 2) == fixed
+        assert row_coefficient(LAM, 2) == choice_poly(LAM, 2) * fixed
 
     def test_index_one_always_empty(self):
         for lam in all_partitions(8):
             if lam.rank >= 1:
-                assert fixed_cells(lam, 1) == frozenset()
+                assert fixed_monomial(lam, 1) == 1
+                assert row_coefficient(lam, 1) == choice_poly(lam, 1)
 
     def test_5_4_1(self):
         # The grid for index 2 already covers (2,4); only the tail of row 1
         # lies strictly to its right.
-        assert fixed_cells(BIG, 2) == frozenset({Cell(1, 4), Cell(1, 5)})
+        fixed = cells_poly(Cell(1, 4), Cell(1, 5))
+        assert fixed_monomial(BIG, 2) == fixed
+        assert row_coefficient(BIG, 2) == choice_poly(BIG, 2) * fixed
 
     def test_square_partition_takes_strict_upper_triangle(self):
         for lam in (Partition((2, 2)), Partition((3, 3, 3))):
             rho = lam.rank
             assert choice_poly(lam, rho) == 1
-            expected = frozenset(
-                Cell(a, b) for a in range(1, rho + 1) for b in range(a + 1, lam.part(a) + 1)
+            expected = cells_poly(
+                *(
+                    Cell(a, b)
+                    for a in range(1, rho + 1)
+                    for b in range(a + 1, lam.part(a) + 1)
+                )
             )
-            assert fixed_cells(lam, rho) == expected
+            assert fixed_monomial(lam, rho) == expected
+            assert row_coefficient(lam, rho) == expected
+
+    def test_choice_times_fixed_exhaustive(self):
+        for lam in all_partitions(10):
+            for i in range(lam.rank + 1):
+                assert row_coefficient(lam, i) == (
+                    choice_poly(lam, i) * fixed_monomial(lam, i)
+                ), (lam, i)
 
 
 class TestRowCoefficient:
@@ -114,18 +154,17 @@ class TestRowCoefficient:
 
     def test_family_bundle(self):
         fam = row_coefficients(BIG)
-        assert fam.partition == BIG
-        assert len(fam.coefficients) == BIG.rank + 1
-        assert fam.coefficients[0] == 1
-        assert fam.fixed_sets[0] == frozenset()
+        assert isinstance(fam, tuple)
+        assert len(fam) == BIG.rank + 1
+        assert fam[0] == 1
         for i in range(BIG.rank + 1):
-            assert fam.coefficients[i] == row_coefficient(BIG, i)
+            assert fam[i] == row_coefficient(BIG, i)
 
     def test_index_validation(self):
         with pytest.raises(IndexOutOfRange):
             row_coefficient(LAM, 3)
         with pytest.raises(IndexOutOfRange):
-            fixed_cells(LAM, -1)
+            row_coefficient(LAM, -1)
 
 
 class TestAlternatingRowSum:
