@@ -125,7 +125,7 @@ def _cmd_weights(args):
             cells_payload.append(
                 {
                     "cell": [r, c],
-                    "border": cell in ext.border,
+                    "border": ext.on_border(cell),
                     "text": text,
                     "polynomial": polynomial_to_json(poly),
                 }

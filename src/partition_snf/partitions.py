@@ -6,6 +6,10 @@ diagram adjoins one contiguous strip of cells that hugs the outside of the
 diagram from the end of the first row around to the end of the first
 column.  Weight polynomials are identically 1 on that strip, which is what
 makes it the natural index set for the matrices built downstream.
+
+The extended diagram is held as its row lengths alone: membership in the
+extension and in the strip are arithmetic on them and on the partition's
+parts, and the strip's cell set is built only when ``border`` is read.
 """
 
 from __future__ import annotations
@@ -46,21 +50,32 @@ class Cell(NamedTuple):
 
 @dataclass(frozen=True)
 class ExtendedDiagram:
-    """A diagram together with its adjoined border strip.
+    """A diagram together with its adjoined border strip, held as the row
+    lengths of the extension.
 
-    ``cells`` is the full cell set, ``border`` the strip alone.  Row ``r``
-    of the extension is contiguous, running from column 1 to
-    ``row_lengths[r-1]``.
+    Row ``r`` of the extension is contiguous, running from column 1 to
+    ``row_lengths[r-1]``; its cells past ``base.part(r)`` lie on the strip.
     """
 
     base: "Partition"
-    cells: frozenset[Cell]
-    border: frozenset[Cell]
     row_lengths: tuple[int, ...]
 
     def __contains__(self, cell) -> bool:
         r, c = cell
         return 1 <= r <= len(self.row_lengths) and 1 <= c <= self.row_lengths[r - 1]
+
+    def on_border(self, cell) -> bool:
+        """Whether ``cell`` lies on the border strip."""
+        return cell in self and cell[1] > self.base.part(cell[0])
+
+    @property
+    def border(self) -> frozenset[Cell]:
+        """The cells of the border strip, built on each read."""
+        return frozenset(
+            Cell(r, c)
+            for r, length in enumerate(self.row_lengths, start=1)
+            for c in range(self.base.part(r) + 1, length + 1)
+        )
 
 
 @dataclass(frozen=True)
@@ -142,8 +157,8 @@ class Partition:
         return Partition(tuple(cols))
 
     @cached_property
-    def extended_row_lengths(self) -> tuple[int, ...]:
-        """Row lengths of the extended diagram, without building its cells.
+    def extended(self) -> ExtendedDiagram:
+        """The diagram with its border strip adjoined.
 
         Row 1 gains the single cell past the end of the first row; every
         further row ``r`` extends to one past the length of row ``r - 1``,
@@ -151,28 +166,7 @@ class Partition:
         column 1.  The empty partition extends to the single cell (1, 1).
         """
         first = self.parts[0] if self.parts else 0
-        return tuple(p + 1 for p in (first,) + self.parts)
-
-    @cached_property
-    def extended(self) -> ExtendedDiagram:
-        """The diagram with its border strip adjoined; see
-        :attr:`extended_row_lengths` for the shape of the strip."""
-        lengths = self.extended_row_lengths
-        cells = set()
-        border = set()
-        for r, length in enumerate(lengths, start=1):
-            own = self.part(r)
-            for c in range(1, length + 1):
-                cell = Cell(r, c)
-                cells.add(cell)
-                if c > own:
-                    border.add(cell)
-        return ExtendedDiagram(
-            base=self,
-            cells=frozenset(cells),
-            border=frozenset(border),
-            row_lengths=lengths,
-        )
+        return ExtendedDiagram(self, tuple(p + 1 for p in (first,) + self.parts))
 
     def subdiagram(self, cell) -> "Partition":
         """Partition formed by the cells weakly southeast of ``cell``.
@@ -198,11 +192,12 @@ class Partition:
 
     def remove_corner(self, cell) -> "Partition":
         cell = Cell(*cell)
-        if cell not in self.removable_corners():
+        r, c = cell
+        if not (cell in self and c == self.parts[r - 1] > self.part(r + 1)):
             raise ValueError(f"{cell} is not a removable corner of {self!r}")
         parts = list(self.parts)
-        parts[cell.row - 1] -= 1
-        if parts[cell.row - 1] == 0:
+        parts[r - 1] -= 1
+        if parts[r - 1] == 0:
             parts.pop()
         return Partition(tuple(parts))
 

@@ -140,9 +140,9 @@ class Monomial:
                     f"row {r + 1} of {tuple(inner)} exceeds {tuple(outer)}"
                 )
             degree += length - start
+            if degree > _MAX_DEGREE:
+                raise _degree_error(degree)
             rows.append(_run(length - start) << (_FIELD * start))
-        if degree > _MAX_DEGREE:
-            raise _degree_error(degree)
         while rows and not rows[-1]:
             rows.pop()
         return _packed(tuple(rows), degree)

@@ -76,9 +76,14 @@ class SnfResult:
 
     P: PolyMatrix
     Q: PolyMatrix
-    D: PolyMatrix
     diagonal: tuple[Polynomial, ...]
     algorithm: str
+
+    @property
+    def D(self) -> PolyMatrix:
+        """The diagonal form, built from ``diagonal`` and the sides of the
+        transforms."""
+        return _expected_product(self.diagonal, self.P.rows, self.Q.rows)
 
     def to_json(self) -> dict:
         return {
@@ -121,10 +126,9 @@ def _certify(
     QT: list[list[dict[int, int]]],
     diagonal: tuple[Polynomial, ...],
     algorithm: str,
-) -> PolyMatrix:
+) -> None:
     """Check ``P @ W @ Q`` against the expected diagonal form and the
-    transforms for unitriangularity; return the expected form, which the
-    product then equals.
+    transforms for unitriangularity.
 
     The factors are packed grids in ``layout``, which must fit every
     factor, the diagonal and so the product; ``Q`` is given transposed,
@@ -136,7 +140,6 @@ def _certify(
     """
     rows, cols = len(W), len(W[0])
     computed = packed_product(P, W, list(zip(*QT)))
-    expected = _expected_product(diagonal, rows, cols)
     one = layout.encode(Polynomial.one())
     pad = cols - rows
     if not _is_upper_unitriangular(P, one):
@@ -150,7 +153,8 @@ def _certify(
     ):
         problem = "product differs from the expected diagonal form"
     else:
-        return expected
+        return
+    expected = _expected_product(diagonal, rows, cols)
     residual = PolyMatrix(_decoded(layout, computed)) - expected
     raise VerificationFailed(f"{algorithm}: {problem}", residual=residual)
 
@@ -161,11 +165,10 @@ def _certified(weights: _PackedWeights, lam, d, e, P, QT, algorithm) -> SnfResul
     packed weights in the layout of ``weights``, then decode them."""
     layout = weights.layout
     diagonal = tuple(leading_monomial(lam, Cell(k, k + e - d)) for k in range(1, d + 1))
-    D = _certify(layout, P, weights.grid(lam, d, e), QT, diagonal, algorithm)
+    _certify(layout, P, weights.grid(lam, d, e), QT, diagonal, algorithm)
     return SnfResult(
         P=PolyMatrix(_decoded(layout, P)),
         Q=PolyMatrix(tuple(zip(*_decoded(layout, QT)))),
-        D=D,
         diagonal=diagonal,
         algorithm=algorithm,
     )
@@ -254,12 +257,6 @@ def snf_recurrence(lam: Partition) -> SnfResult:
     return _certified(weights, lam, n, n, P, QT, "recurrence")
 
 
-def _rectangle_fits(lam: Partition, d: int, e: int) -> bool:
-    # Extended row lengths are weakly decreasing, so the corner row decides.
-    lengths = lam.extended_row_lengths
-    return d <= len(lengths) and lengths[d - 1] >= e
-
-
 def _identity_grid(n: int, one: dict[int, int]) -> list[list[dict[int, int]]]:
     return [[one if i == j else {} for j in range(n)] for i in range(n)]
 
@@ -306,9 +303,9 @@ def _peel_plan(lam: Partition, d: int, e: int):
     """
     plan = []
     while d > 1:
-        for corner in sorted(lam.removable_corners(), key=lambda c: c.row, reverse=True):
+        for corner in reversed(lam.removable_corners()):
             smaller = lam.remove_corner(corner)
-            if _rectangle_fits(smaller, d, e):
+            if (d, e) in smaller.extended:
                 # The cell must lie right of the rectangle in one of its
                 # rows, or below it in one of its columns.
                 if (corner.row < d) == (corner.col < e):
@@ -392,7 +389,7 @@ def snf_inductive(lam: Partition, d: int, e: int) -> SnfResult:
         raise InvalidRectangle(
             f"{d}x{e} is taller than wide; conjugate the partition and use {e}x{d}"
         )
-    if Cell(d, e) not in lam.extended.border:
+    if not lam.extended.on_border((d, e)):
         raise InvalidRectangle(
             f"corner ({d},{e}) is not on the border strip of {lam!r}"
         )

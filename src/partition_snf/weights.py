@@ -231,7 +231,7 @@ def square_matrix(lam: Partition, cell) -> PolyMatrix:
         raise CellOutOfRange(f"{cell} is outside the extended diagram of {lam!r}")
     side = Partition(subdiagram_shape(lam, cell.row, cell.col)).rank + 1
     corner = Cell(cell.row + side - 1, cell.col + side - 1)
-    if corner not in ext.border:
+    if not ext.on_border(corner):
         raise InternalGeometryError(
             f"square corner {corner} for anchor {cell} of {lam!r} is not on the border"
         )
@@ -253,7 +253,7 @@ def rect_weight_matrix(lam: Partition, d: int, e: int) -> PolyMatrix:
     """
     if d < 1 or e < 1:
         raise CornerNotOnBorder(f"rectangle sides must be positive, got {d}x{e}")
-    if Cell(d, e) not in lam.extended.border:
+    if not lam.extended.on_border((d, e)):
         raise CornerNotOnBorder(
             f"corner ({d},{e}) is not on the border strip of {lam!r}"
         )

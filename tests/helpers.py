@@ -156,6 +156,15 @@ def ref_term_key(a: tuple):
     return (-ref_degree(a), ref_expanded(a))
 
 
+def extended_cells(ext) -> frozenset[Cell]:
+    """Every cell of an extended diagram, listed from its row lengths."""
+    return frozenset(
+        Cell(r, c)
+        for r, length in enumerate(ext.row_lengths, start=1)
+        for c in range(1, length + 1)
+    )
+
+
 def skew_cells(outer: Partition, inner: Partition) -> list[Cell]:
     """Cells of ``outer`` that are not cells of ``inner``, row-major."""
     return [cell for cell in outer.cells() if cell not in inner]

@@ -1,9 +1,15 @@
 import dataclasses
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import partition_snf
 import partition_snf.cli as cli_module
 from partition_snf import (
     PolyMatrix,
@@ -242,9 +248,13 @@ class TestRecurrenceCommand:
         assert all(c["ok"] for c in checks)
 
 
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 class TestDegreeLimit:
     """``W(1,1)`` holds the degree-``|lam|`` leading monomial, so every
-    reduction of a partition past the limit is refused before it starts."""
+    command on a partition past the limit is refused before it starts."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -252,6 +262,9 @@ class TestDegreeLimit:
             ("snf", "70000"),
             ("snf", "70000", "--algorithm", "inductive"),
             ("recurrence", "70000"),
+            ("weights", "70000"),
+            ("snf", "99999999999999999999"),
+            ("recurrence", "99999999999999999999"),
         ],
     )
     def test_refused_up_front(self, capsys, argv):
@@ -261,6 +274,31 @@ class TestDegreeLimit:
         assert code == 1
         assert out == ""
         assert "exceeds the limit" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("weights", "100000000"),
+            ("weights", "99999999999999999999"),
+            ("snf", "3000000000"),
+        ],
+    )
+    def test_refused_within_a_memory_cap(self, argv):
+        # Building the extension's cells, or one row of a leading monomial,
+        # before the degree check would exhaust memory on these; a child
+        # process under a 1 GiB address-space cap fails instead.
+        src = str(Path(partition_snf.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "partition_snf", *argv],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            preexec_fn=_limit_memory,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert "exceeds the limit" in done.stderr
 
 
 class TestQCatalanCommand:

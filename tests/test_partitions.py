@@ -15,7 +15,7 @@ from partition_snf import (
     partitions_of,
 )
 
-from helpers import partitions_strategy, subpartitions
+from helpers import extended_cells, partitions_strategy, subpartitions
 
 
 class TestParse:
@@ -71,7 +71,7 @@ class TestExtendedDiagram:
 
     def test_empty_partition_extends_to_single_cell(self):
         ext = Partition().extended
-        assert ext.cells == frozenset({Cell(1, 1)})
+        assert extended_cells(ext) == frozenset({Cell(1, 1)})
         assert ext.border == frozenset({Cell(1, 1)})
 
     def test_rows_5_4_1(self):
@@ -128,7 +128,7 @@ class TestExtendedDiagram:
         # the extension and its far corner lands on the border strip.
         for lam in all_partitions(8):
             ext = lam.extended
-            for cell in sorted(ext.cells):
+            for cell in sorted(extended_cells(ext)):
                 side = lam.subdiagram(cell).rank + 1
                 for du in range(side):
                     for dv in range(side):
@@ -158,9 +158,10 @@ class TestSubdiagram:
     def test_empty_iff_border(self):
         for lam in all_partitions(7):
             ext = lam.extended
-            for cell in ext.cells:
+            for cell in extended_cells(ext):
                 empty = not lam.subdiagram(cell)
                 assert empty == (cell in ext.border)
+                assert empty == ext.on_border(cell)
 
 
 class TestConjugate:
@@ -239,6 +240,10 @@ class TestCorners:
     def test_remove_non_corner_rejected(self):
         with pytest.raises(ValueError):
             Partition((3, 2)).remove_corner(Cell(1, 2))
+        # The end of a row that the row below matches, and cells outside.
+        for parts, cell in (((2, 2), Cell(1, 2)), ((3, 2), Cell(1, 4)), ((3, 2), Cell(3, 1))):
+            with pytest.raises(ValueError):
+                Partition(parts).remove_corner(cell)
 
     @given(partitions_strategy())
     def test_removal_shrinks_by_one(self, lam):

@@ -203,6 +203,12 @@ class TestSkew:
         with pytest.raises(ValueError):
             Monomial.skew((2, 1), (3,))
 
+    def test_degree_limit_checked_before_a_row_is_built(self):
+        # A row this long could not be built at all: the limit must be
+        # checked before its run of exponents is.
+        with pytest.raises(TooLarge):
+            Monomial.skew((10**20,))
+
 
 class TestSkewSum:
     """``Polynomial.skew_sum`` equals the sum of skew monomials over the
