@@ -363,6 +363,10 @@ def main(argv=None) -> int:
     except PartitionSnfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # One fixed line: formatting the exception could need memory too.
+        print("error: out of memory", file=sys.stderr)
+        return 1
     output = text if args.format == "text" else json.dumps(envelope, indent=2)
     if not output.endswith("\n"):
         output += "\n"

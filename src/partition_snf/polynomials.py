@@ -34,7 +34,8 @@ sub-partitions iteratively straight into packed rows.
 The canonical term order used for rendering and serialization is total
 degree descending, ties broken by the expanded cell sequence ascending.
 With row-major letter names this reproduces forms like
-``abcde+bcde+bce+cde+ce+de+c+e+1`` verbatim.
+``abcde+bcde+bce+cde+ce+de+c+e+1`` verbatim.  :func:`render` names each
+cell as it first meets it.
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ _MAX_DEGREE = _MASK
 
 def _degree_error(degree: int) -> TooLarge:
     return TooLarge(f"monomial degree {degree} exceeds the limit {_MAX_DEGREE}")
+
+
+def _shift_error(dr: int, dc: int) -> ValueError:
+    return ValueError(f"translation by ({dr}, {dc}) must be nonnegative")
 
 
 _new = object.__new__
@@ -168,9 +173,6 @@ class Monomial:
     def is_one(self) -> bool:
         return not self._rows
 
-    def cells(self) -> tuple[Cell, ...]:
-        return tuple(c for c, _ in self.pairs)
-
     def exponent(self, cell) -> int:
         r, c = cell
         if not (1 <= r <= len(self._rows) and c >= 1):
@@ -197,36 +199,18 @@ class Monomial:
             raise _degree_error(degree)
         if len(a) < len(b):
             a, b = b, a
-        rows = tuple(map(add, a, b)) + a[len(b):]
-        # _packed inlined: this is the innermost loop of every product.
-        m = _new(Monomial)
-        m._rows = rows
-        m._degree = degree
-        m._hash = hash((degree, rows))
-        return m
+        return _packed(tuple(map(add, a, b)) + a[len(b):], degree)
 
     def translate(self, dr: int, dc: int) -> "Monomial":
+        """Every cell moved down ``dr`` rows and right ``dc`` columns, both >= 0."""
+        if dr < 0 or dc < 0:
+            raise _shift_error(dr, dc)
         rows = self._rows
         if not rows:
             return self
-        if (dr < 0 and any(rows[:-dr])) or (
-            dc < 0 and any(x & ((1 << (-_FIELD * dc)) - 1) for x in rows)
-        ):
-            moved = next(
-                Cell(c.row + dr, c.col + dc)
-                for c, _ in self.pairs
-                if c.row + dr < 1 or c.col + dc < 1
-            )
-            raise ValueError(f"translation moved {moved} out of range")
-        if dr < 0:
-            rows = rows[-dr:]
-        elif dr:
-            rows = (0,) * dr + rows
-        if dc > 0:
+        if dc:
             rows = tuple(x << (_FIELD * dc) for x in rows)
-        elif dc:
-            rows = tuple(x >> (-_FIELD * dc) for x in rows)
-        return _packed(rows, self._degree)
+        return _packed((0,) * dr + rows, self._degree)
 
     def transpose(self) -> "Monomial":
         return Monomial((Cell(c.col, c.row), e) for c, e in self.pairs)
@@ -241,7 +225,7 @@ class Monomial:
         if not self._rows:
             return "Monomial(1)"
         body = "*".join(
-            f"x[{c.row},{c.col}]" + (f"^{e}" if e > 1 else "") for c, e in self.pairs
+            _coordinate_name(c) + (f"^{e}" if e > 1 else "") for c, e in self.pairs
         )
         return f"Monomial({body})"
 
@@ -364,12 +348,6 @@ class Polynomial:
     def coefficient(self, mono: Monomial) -> int:
         return self._terms.get(mono, 0)
 
-    def variables(self) -> frozenset[Cell]:
-        cells = set()
-        for mono in self._terms:
-            cells.update(mono.cells())
-        return frozenset(cells)
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
@@ -468,6 +446,8 @@ class Polynomial:
         return UniPoly(coeffs)
 
     def translate(self, dr: int, dc: int) -> "Polynomial":
+        if dr < 0 or dc < 0:
+            raise _shift_error(dr, dc)
         if not (dr or dc):
             return self
         return _polynomial({m.translate(dr, dc): c for m, c in self._terms.items()})
@@ -547,6 +527,13 @@ def fold(base: dict[int, int], products) -> dict[int, int]:
     return base if acc is None else acc
 
 
+# The packed 1 and -1 of every layout: the empty monomial's key is 0 at
+# any stride.  Sharing them is safe, as no packed operation changes its
+# inputs: fold copies its base, and times and translate build new dicts.
+PACKED_ONE = {0: 1}
+PACKED_MINUS_ONE = {0: -1}
+
+
 class PackedLayout:
     """The key format of the packed path: one int key per monomial, for
     monomials at most ``width`` columns wide, and polynomials as
@@ -614,7 +601,7 @@ class PackedLayout:
         at least 0, by one shift of each key; the moved rows must still
         fit the layout's width."""
         if dr < 0 or dc < 0:
-            raise ValueError(f"packed translation by ({dr}, {dc}) must be nonnegative")
+            raise _shift_error(dr, dc)
         shift = dr * self.stride + dc * _FIELD
         out = {}
         for key, coeff in terms.items():
@@ -674,9 +661,13 @@ def matrix_product(
     return tuple(tuple(map(layout.decode, row)) for row in packed_product(*packed))
 
 
+def _coordinate_name(cell) -> str:
+    return f"x[{cell[0]},{cell[1]}]"
+
+
 def coordinate_naming(cells: Iterable[Cell]) -> dict[Cell, str]:
     """Explicit ``x[r,c]`` names for the given cells."""
-    return {Cell(*c): f"x[{c[0]},{c[1]}]" for c in cells}
+    return {Cell(*c): _coordinate_name(c) for c in cells}
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -704,30 +695,26 @@ def render(poly: Polynomial, naming: Mapping[Cell, str] | None = None) -> str:
 
     Terms appear in degree-descending order with cell-lex tie-break; a
     coefficient of +-1 is rendered as a bare sign, exponents above 1 as
-    ``name^e``.  ``naming`` must be injective over the variables present.
+    ``name^e``.  Each cell is named, by ``naming`` or as ``x[r,c]``, when a
+    term first meets it; ``naming`` must be injective over those cells.
     """
     if poly.is_zero:
         return "0"
-    present = sorted(poly.variables())
-    if naming is None:
-        naming = coordinate_naming(present)
-    names = {cell: naming[cell] for cell in present}
-    if len(set(names.values())) != len(names):
-        raise NameCollision(f"naming is not injective over {present}")
+    name_of = _coordinate_name if naming is None else naming.__getitem__
+    names: dict[Cell, str] = {}
     pieces = []
     for mono, coeff in poly.sorted_terms():
-        if mono.is_one:
-            pieces.append(str(coeff))
-            continue
         body = "".join(
-            names[cell] + (f"^{exp}" if exp > 1 else "") for cell, exp in mono.pairs
+            (names.get(cell) or names.setdefault(cell, name_of(cell)))
+            + (f"^{exp}" if exp > 1 else "")
+            for cell, exp in mono.pairs
         )
-        if coeff == 1:
-            pieces.append(body)
-        elif coeff == -1:
-            pieces.append("-" + body)
+        if body and coeff in (1, -1):
+            pieces.append(body if coeff == 1 else "-" + body)
         else:
             pieces.append(f"{coeff}{body}")
+    if len(set(names.values())) != len(names):
+        raise NameCollision(f"naming is not injective over {sorted(names)}")
     return "+".join(pieces).replace("+-", "-")
 
 

@@ -43,6 +43,8 @@ from .errors import (
 )
 from .partitions import Cell, Partition, subdiagram_shape
 from .polynomials import (
+    PACKED_MINUS_ONE,
+    PACKED_ONE,
     Monomial,
     PackedLayout,
     Polynomial,
@@ -111,10 +113,10 @@ def _decoded(layout: PackedLayout, grid) -> tuple[tuple[Polynomial, ...], ...]:
     return tuple(tuple(map(layout.decode, row)) for row in grid)
 
 
-def _is_upper_unitriangular(grid, one: dict[int, int]) -> bool:
+def _is_upper_unitriangular(grid) -> bool:
     n = len(grid)
     return all(
-        len(row) == n and row[i] == one and not any(row[:i])
+        len(row) == n and row[i] == PACKED_ONE and not any(row[:i])
         for i, row in enumerate(grid)
     )
 
@@ -140,11 +142,10 @@ def _certify(
     """
     rows, cols = len(W), len(W[0])
     computed = packed_product(P, W, list(zip(*QT)))
-    one = layout.encode(Polynomial.one())
     pad = cols - rows
-    if not _is_upper_unitriangular(P, one):
+    if not _is_upper_unitriangular(P):
         problem = "row transform is not upper unitriangular"
-    elif not _is_upper_unitriangular(QT, one):
+    elif not _is_upper_unitriangular(QT):
         problem = "column transform is not lower unitriangular"
     elif any(
         entry != (layout.encode(diagonal[i]) if j == pad + i else {})
@@ -185,9 +186,8 @@ class _PackedWeights:
 
     def __init__(self, layout: PackedLayout):
         self.layout = layout
-        one = layout.encode(Polynomial.one())
         # shape -> (weight, minus the weight), both (1,1)-anchored
-        self._anchored = {(): (one, {k: -c for k, c in one.items()})}
+        self._anchored = {(): (PACKED_ONE, PACKED_MINUS_ONE)}
 
     def _placed(self, lam: Partition, row: int, col: int, sign: int) -> dict[int, int]:
         shape = subdiagram_shape(lam, row, col)
@@ -257,8 +257,8 @@ def snf_recurrence(lam: Partition) -> SnfResult:
     return _certified(weights, lam, n, n, P, QT, "recurrence")
 
 
-def _identity_grid(n: int, one: dict[int, int]) -> list[list[dict[int, int]]]:
-    return [[one if i == j else {} for j in range(n)] for i in range(n)]
+def _identity_grid(n: int) -> list[list[dict[int, int]]]:
+    return [[PACKED_ONE if i == j else {} for j in range(n)] for i in range(n)]
 
 
 def _peel_step(
@@ -279,18 +279,14 @@ def _peel_step(
         row[a] = fold(row[a], zip(row, updates))
 
 
-def _border(
-    grid: list[list[dict[int, int]]],
-    one: dict[int, int],
-    minus_one: dict[int, int],
-) -> list[list[dict[int, int]]]:
+def _border(grid: list[list[dict[int, int]]]) -> list[list[dict[int, int]]]:
     """Grow a transform by one, putting each row's negated sum in the new
     column: that subtracts the all-ones line bordering adds to W."""
     n = len(grid)
-    out = _identity_grid(n + 1, one)
+    out = _identity_grid(n + 1)
     for r, row in enumerate(grid):
         out[r][:n] = row
-        out[r][n] = fold({}, ((entry, minus_one) for entry in row))
+        out[r][n] = fold({}, ((entry, PACKED_MINUS_ONE) for entry in row))
     return out
 
 
@@ -347,22 +343,20 @@ def _reduce_rectangle(weights: _PackedWeights, lam: Partition, d: int, e: int):
     """
     layout = weights.layout
     plan, lam, e = _peel_plan(lam, d, e)
-    one = layout.encode(Polynomial.one())
-    minus_one = layout.encode(-Polynomial.one())
     # Weights are read in the smaller partition; the cell next to the
     # peeled one may lie just past its extension, where the weight is 1.
     minus_weight = weights.minus
 
     # A single row ends in a border cell with weight 1, so subtracting
     # weight-many copies of the last column clears all the others.
-    U = _identity_grid(1, one)
-    VT = _identity_grid(e, one)
+    U = _identity_grid(1)
+    VT = _identity_grid(e)
     for j in range(e - 1):
         VT[j][e - 1] = minus_weight(lam, 1, j + 1)
     for smaller, corner in reversed(plan):
         if corner is None:
-            U = _border(U, one, minus_one)
-            VT = _border(VT, one, minus_one)
+            U = _border(U)
+            VT = _border(VT)
             continue
         a, b = corner
         z = layout.variable(corner)

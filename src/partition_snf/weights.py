@@ -181,21 +181,6 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero for row in self.entries for e in row)
 
-    def is_upper_unitriangular(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        one = Polynomial.one()
-        for i in range(self.rows):
-            if self.entries[i][i] != one:
-                return False
-            for j in range(i):
-                if self.entries[i][j]:
-                    return False
-        return True
-
-    def is_lower_unitriangular(self) -> bool:
-        return self.transpose().is_upper_unitriangular()
-
     def to_json(self) -> dict:
         return {
             "rows": self.rows,
@@ -217,6 +202,17 @@ class PolyMatrix:
         return m
 
 
+def _weight_grid(lam: Partition, origin: Cell, d: int, e: int) -> PolyMatrix:
+    """The d x e weights from ``origin``; the caller checks they are extended cells."""
+    return PolyMatrix(
+        tuple(
+            tuple(weight_at(lam, origin.row + u, origin.col + v) for v in range(e))
+            for u in range(d)
+        ),
+        origin=origin,
+    )
+
+
 def square_matrix(lam: Partition, cell) -> PolyMatrix:
     """The unique weight square anchored at ``cell``.
 
@@ -235,14 +231,7 @@ def square_matrix(lam: Partition, cell) -> PolyMatrix:
         raise InternalGeometryError(
             f"square corner {corner} for anchor {cell} of {lam!r} is not on the border"
         )
-    entries = tuple(
-        tuple(
-            weight_polynomial(lam, Cell(cell.row + u, cell.col + v))
-            for v in range(side)
-        )
-        for u in range(side)
-    )
-    return PolyMatrix(entries, origin=cell)
+    return _weight_grid(lam, cell, side, side)
 
 
 def rect_weight_matrix(lam: Partition, d: int, e: int) -> PolyMatrix:
@@ -257,8 +246,4 @@ def rect_weight_matrix(lam: Partition, d: int, e: int) -> PolyMatrix:
         raise CornerNotOnBorder(
             f"corner ({d},{e}) is not on the border strip of {lam!r}"
         )
-    entries = tuple(
-        tuple(weight_polynomial(lam, Cell(r, c)) for c in range(1, e + 1))
-        for r in range(1, d + 1)
-    )
-    return PolyMatrix(entries)
+    return _weight_grid(lam, Cell(1, 1), d, e)

@@ -13,6 +13,7 @@ from partition_snf import (
     Cell,
     Monomial,
     Partition,
+    PolyMatrix,
     Polynomial,
     letter_naming,
     subdiagram_shape,
@@ -168,6 +169,45 @@ def extended_cells(ext) -> frozenset[Cell]:
 def skew_cells(outer: Partition, inner: Partition) -> list[Cell]:
     """Cells of ``outer`` that are not cells of ``inner``, row-major."""
     return [cell for cell in outer.cells() if cell not in inner]
+
+
+def is_upper_unitriangular(m: PolyMatrix) -> bool:
+    """Square, ones on the diagonal and zeros below it: the reference
+    for the packed check that certification runs."""
+    return m.rows == m.cols and all(
+        row[i] == Polynomial.one() and not any(row[:i])
+        for i, row in enumerate(m.entries)
+    )
+
+
+def is_lower_unitriangular(m: PolyMatrix) -> bool:
+    return is_upper_unitriangular(m.transpose())
+
+
+def ref_render(p: Polynomial, naming=None) -> str:
+    """Reference text form: terms in ``ref_term_key`` order, each cell
+    named by ``naming`` or as ``x[r,c]``, exponents above 1 as ``^e``, and
+    a coefficient of +-1 written as a bare sign."""
+    if not p:
+        return "0"
+
+    def name(cell) -> str:
+        return f"x[{cell[0]},{cell[1]}]" if naming is None else naming[cell]
+
+    out = ""
+    for pairs, coeff in sorted(
+        ((mono.pairs, coeff) for mono, coeff in p.items()),
+        key=lambda term: ref_term_key(term[0]),
+    ):
+        body = "".join(name(cell) + (f"^{e}" if e > 1 else "") for cell, e in pairs)
+        if not body:
+            piece = str(coeff)
+        elif coeff in (1, -1):
+            piece = ("-" if coeff < 0 else "") + body
+        else:
+            piece = f"{coeff}{body}"
+        out += piece if not out or piece.startswith("-") else "+" + piece
+    return out
 
 
 def naive_matrix_product(left, right) -> tuple:

@@ -248,8 +248,18 @@ class TestRecurrenceCommand:
         assert all(c["ok"] for c in checks)
 
 
-def _limit_memory() -> None:
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def _capped_cli(argv, cap: int) -> subprocess.CompletedProcess:
+    """The CLI in a child process under an address-space cap of ``cap``
+    bytes, with a 20 s timeout."""
+    src = str(Path(partition_snf.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "partition_snf", *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 class TestDegreeLimit:
@@ -287,18 +297,19 @@ class TestDegreeLimit:
         # Building the extension's cells, or one row of a leading monomial,
         # before the degree check would exhaust memory on these; a child
         # process under a 1 GiB address-space cap fails instead.
-        src = str(Path(partition_snf.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-m", "partition_snf", *argv],
-            capture_output=True,
-            text=True,
-            timeout=20,
-            preexec_fn=_limit_memory,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        done = _capped_cli(argv, 1 << 30)
         assert done.returncode == 1
         assert done.stdout == ""
         assert "exceeds the limit" in done.stderr
+
+    def test_out_of_memory_is_one_line(self):
+        # The origin weight of six rows of 40 has C(46, 6) terms, far past
+        # a 256 MiB cap: the CLI reports it in one line, not a traceback.
+        done = _capped_cli(("weights", "40,40,40,40,40,40"), 256 << 20)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines() == ["error: out of memory"]
 
 
 class TestQCatalanCommand:

@@ -3,7 +3,7 @@ import random
 from operator import lshift
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from partition_snf import (
@@ -33,6 +33,7 @@ from helpers import (
     ref_exponent,
     ref_monomial,
     ref_mul,
+    ref_render,
     ref_term_key,
     ref_translate,
     ref_transpose,
@@ -112,22 +113,29 @@ class TestPackedAgainstPairReference:
         assert prod == Monomial(expected)
         assert hash(prod) == hash(Monomial(expected))
 
-    @given(PAIRS, st.integers(-20, 20), st.integers(-300, 300))
+    @given(PAIRS, st.integers(0, 20), st.integers(0, 300))
     @settings(max_examples=300)
     def test_translate(self, a, dr, dc):
         ref = ref_monomial(a)
         m = Monomial(a)
-        try:
-            expected = ref_translate(ref, dr, dc)
-        except ValueError:
-            with pytest.raises(ValueError):
-                m.translate(dr, dc)
-            return
+        expected = ref_translate(ref, dr, dc)
         moved = m.translate(dr, dc)
         assert moved.pairs == expected
         assert moved.degree == m.degree
         assert moved == Monomial(expected)
         assert hash(moved) == hash(Monomial(expected))
+
+    @given(PAIRS, st.integers(-20, 20), st.integers(-300, 300))
+    def test_any_negative_shift_raises(self, a, dr, dc):
+        # Translation moves cells right and down only, even when every
+        # cell would stay in range, and even for 1 and 0.
+        assume(dr < 0 or dc < 0)
+        with pytest.raises(ValueError):
+            Monomial(a).translate(dr, dc)
+        with pytest.raises(ValueError):
+            Polynomial.from_monomial(Monomial(a), 3).translate(dr, dc)
+        with pytest.raises(ValueError):
+            Polynomial.zero().translate(dr, dc)
 
     @given(PAIRS)
     def test_negative_shift_out_of_range_raises(self, a):
@@ -149,7 +157,6 @@ class TestPackedAgainstPairReference:
         ref = ref_monomial(a)
         m = Monomial(a)
         assert m.pairs == ref
-        assert m.cells() == tuple(cell for cell, _ in ref)
         assert m.degree == ref_degree(ref)
         assert m.expanded() == ref_expanded(ref)
         assert m.transpose().pairs == ref_transpose(ref)
@@ -599,6 +606,15 @@ class TestSubstitution:
             assert (a * b).evaluate_at_ones() == a.evaluate_at_ones() * b.evaluate_at_ones()
 
 
+# A 4 x 6 grid, so that letter naming stays injective; exponents up to 5
+# and coefficients well past +-1.
+RENDER_GRID = [Cell(r, c) for r in range(1, 5) for c in range(1, 7)]
+RENDER_PAIRS = st.lists(
+    st.tuples(st.sampled_from(RENDER_GRID), st.integers(1, 5)), max_size=5
+)
+RENDER_TERMS = st.lists(st.tuples(RENDER_PAIRS, st.integers(-40, 40)), max_size=6)
+
+
 class TestRender:
     def test_grid_strings(self):
         naming = letter_naming(LAM.cells())
@@ -626,6 +642,29 @@ class TestRender:
         p = poly(LAM, "de")
         with pytest.raises(NameCollision):
             render(p, {Cell(2, 1): "z", Cell(2, 2): "z"})
+
+    @given(RENDER_TERMS)
+    @settings(max_examples=200)
+    def test_matches_reference(self, terms):
+        p = Polynomial.zero()
+        for pairs, coeff in terms:
+            p = p + Polynomial.from_monomial(Monomial(pairs), coeff)
+        assert render(p) == ref_render(p)
+        # Injective letters, in an order unrelated to the term order.
+        naming = letter_naming(reversed(RENDER_GRID))
+        assert render(p, naming) == ref_render(p, naming)
+
+    def test_collision_only_among_present_cells(self):
+        p = poly(LAM, "de+e")
+        naming = letter_naming(LAM.cells())
+        # Cells (1,1) and (1,2) are absent from p: a clash there is allowed.
+        assert render(p, {**naming, Cell(1, 1): "q", Cell(1, 2): "q"}) == "de+e"
+        with pytest.raises(NameCollision):
+            render(p, {**naming, Cell(1, 1): "e", Cell(2, 1): "e"})
+
+    def test_naming_missing_present_cell(self):
+        with pytest.raises(KeyError):
+            render(poly(LAM, "de+e"), {Cell(2, 1): "d"})
 
     def test_letter_naming_exhaustion(self):
         cells = [Cell(1, c) for c in range(1, 28)]

@@ -31,7 +31,7 @@ def grid_cells(lam: Partition, i: int) -> set[Cell]:
     """The cells of the grid for index ``i``: those of the top-degree term
     of the choice polynomial, the sub-array that takes every grid cell."""
     top = max((mono for mono, _ in choice_poly(lam, i).items()), key=lambda m: m.degree)
-    return set(top.cells())
+    return {cell for cell, _ in top.pairs}
 
 
 def fixed_monomial(lam: Partition, i: int) -> Polynomial:
@@ -204,10 +204,10 @@ class TestStructuralInvariants:
                 for i in range(lam.rank + 1):
                     coeff = row_coefficient(lam, i)
                     for mono in dict(coeff.items()):
-                        assert all(cell.row <= i for cell in mono.cells())
+                        assert all(cell.row <= i for cell, _ in mono.pairs)
                     weight = weight_at(lam, i + 1, j)
                     for mono in dict(weight.items()):
-                        assert all(cell.row >= i + 1 for cell in mono.cells())
+                        assert all(cell.row >= i + 1 for cell, _ in mono.pairs)
                     product = coeff * weight
                     for mono, c in product.items():
                         assert c == 1

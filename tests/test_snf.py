@@ -31,8 +31,15 @@ from partition_snf import (
     staircase_matrix,
     verify_snf,
 )
+from partition_snf.polynomials import PACKED_MINUS_ONE, PACKED_ONE, PackedLayout
 
-from helpers import naive_matrix_product, poly, ref_reduce_rectangle
+from helpers import (
+    is_lower_unitriangular,
+    is_upper_unitriangular,
+    naive_matrix_product,
+    poly,
+    ref_reduce_rectangle,
+)
 
 LAM = Partition((3, 2))
 
@@ -41,12 +48,29 @@ def mono(*cells):
     return Polynomial.from_monomial(Monomial.from_cells(cells))
 
 
+class TestPackedConstants:
+    def test_equal_the_encoded_constants(self):
+        for width in (1, 7, 300):
+            layout = PackedLayout(width)
+            assert layout.encode(Polynomial.one()) == PACKED_ONE
+            assert layout.encode(-Polynomial.one()) == PACKED_MINUS_ONE
+
+    def test_unchanged_by_reductions(self):
+        # The reductions share the two dicts across their grids.
+        for lam in (LAM, Partition((2, 2)), Partition((263,))):
+            n = lam.rank + 1
+            snf_recurrence(lam)
+            snf_inductive(lam, n, n)
+            assert PACKED_ONE == {0: 1}
+            assert PACKED_MINUS_ONE == {0: -1}
+
+
 class TestRecurrenceAlgorithm:
     def test_3_2(self):
         result = snf_recurrence(LAM)
         assert result.diagonal == (poly(LAM, "abcde"), poly(LAM, "e"), Polynomial.one())
-        assert result.P.is_upper_unitriangular()
-        assert result.Q.is_lower_unitriangular()
+        assert is_upper_unitriangular(result.P)
+        assert is_lower_unitriangular(result.Q)
         assert result.algorithm == "recurrence"
         ok, residual = verify_snf(square_matrix(LAM, Cell(1, 1)), result)
         assert ok and residual is None
@@ -106,7 +130,7 @@ class TestInductiveAlgorithm:
     def test_single_row_rectangle(self):
         result = snf_inductive(LAM, 1, 4)
         assert result.diagonal == (Polynomial.one(),)
-        assert result.Q.is_lower_unitriangular()
+        assert is_lower_unitriangular(result.Q)
 
     def test_tall_rejected(self):
         with pytest.raises(InvalidRectangle):

@@ -194,16 +194,6 @@ class TestPolyMatrix:
         assert (T.rows, T.cols) == (3, 2)
         assert T.entries[2][0] == W.entries[0][2]
 
-    def test_unitriangular_predicates(self):
-        I = PolyMatrix.identity(3)
-        assert I.is_upper_unitriangular() and I.is_lower_unitriangular()
-        x = Polynomial.variable(Cell(1, 1))
-        upper = PolyMatrix.from_rows([[1, x], [0, 1]])
-        assert upper.is_upper_unitriangular()
-        assert not upper.is_lower_unitriangular()
-        scaled = PolyMatrix.from_rows([[x, 0], [0, 1]])
-        assert not scaled.is_upper_unitriangular()
-
     def test_json_round_trip(self):
         W = square_matrix(LAM, Cell(2, 2))
         again = PolyMatrix.from_json(W.to_json())
