@@ -40,7 +40,6 @@ from .polynomials import (
     Monomial,
     Polynomial,
     UniPoly,
-    coordinate_naming,
     letter_naming,
     polynomial_from_json,
     polynomial_to_json,
@@ -61,7 +60,14 @@ from .recurrence import (
     row_coefficient,
     row_coefficients,
 )
-from .snf import SnfResult, determinant, snf_inductive, snf_recurrence, verify_snf
+from .snf import (
+    SnfResult,
+    determinant,
+    snf_both,
+    snf_inductive,
+    snf_recurrence,
+    verify_snf,
+)
 from .weights import (
     PolyMatrix,
     clear_weight_cache,

@@ -33,7 +33,7 @@ from .qcatalan import (
     staircase_snf_diagonal,
 )
 from .recurrence import alternating_row_sum, row_coefficients
-from .snf import SnfResult, snf_inductive, snf_recurrence
+from .snf import SnfResult, snf_both, snf_inductive, snf_recurrence
 from .snf import verify_snf  # noqa: F401  (the benchmark tracer patches it here)
 from .weights import leading_monomial, weight_polynomial
 
@@ -174,18 +174,15 @@ def _cmd_snf(args):
         block, payload = _snf_block(snf_inductive(lam, d, e), naming, args.format)
         lines += [f"rectangle: {d}x{e}", *block]
     else:
-        algorithms = (
-            ("recurrence", "inductive")
-            if args.algorithm == "both"
-            else (args.algorithm,)
-        )
+        if args.algorithm == "both":
+            reduced = snf_both(lam)
+        elif args.algorithm == "recurrence":
+            reduced = (snf_recurrence(lam),)
+        else:
+            side = lam.rank + 1
+            reduced = (snf_inductive(lam, side, side),)
         results = []
-        for name in algorithms:
-            if name == "recurrence":
-                result = snf_recurrence(lam)
-            else:
-                side = lam.rank + 1
-                result = snf_inductive(lam, side, side)
+        for result in reduced:
             block, block_json = _snf_block(result, naming, args.format)
             lines += block
             results.append((result, block_json))

@@ -52,7 +52,6 @@ __all__ = [
     "Polynomial",
     "UniPoly",
     "render",
-    "coordinate_naming",
     "letter_naming",
     "matrix_product",
     "polynomial_to_json",
@@ -663,11 +662,6 @@ def matrix_product(
 
 def _coordinate_name(cell) -> str:
     return f"x[{cell[0]},{cell[1]}]"
-
-
-def coordinate_naming(cells: Iterable[Cell]) -> dict[Cell, str]:
-    """Explicit ``x[r,c]`` names for the given cells."""
-    return {Cell(*c): _coordinate_name(c) for c in cells}
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"

@@ -16,6 +16,11 @@ forced.  The self-test compares both whole transforms.  A ``d x e``
 rectangle with ``d < e`` has a zero block on the left, so its ``Q`` is
 not unique.
 
+:func:`snf_both` runs both reductions of the origin square on one set of
+packed weights.  Equal packed transforms are certified once, and the two
+results share them; transforms that differ are certified pair by pair,
+so a wrong one fails under its own name.
+
 Each reduction works on packed polynomials in one
 :class:`~partition_snf.polynomials.PackedLayout`, wide enough for every
 cell of the partition.  Each weight shape's memo entry is packed once
@@ -32,7 +37,7 @@ product is decoded only to build the residual of a failing check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     DimensionMismatch,
@@ -61,6 +66,7 @@ __all__ = [
     "SnfResult",
     "snf_recurrence",
     "snf_inductive",
+    "snf_both",
     "verify_snf",
     "determinant",
 ]
@@ -235,6 +241,19 @@ def _layout(lam: Partition) -> PackedLayout:
     return PackedLayout(lam.parts[0] if lam else 1)
 
 
+def _stacked_transforms(layout: PackedLayout, lam: Partition):
+    """The recurrence's transforms of ``lam``'s origin square, packed in
+    ``layout``: P, and Q transposed, which is the row transform of the
+    conjugate partition with variables transposed."""
+    encode = layout.encode
+    P = [[encode(p) for p in row] for row in _signed_row_transform(lam)]
+    QT = [
+        [encode(p.transpose_variables()) for p in row]
+        for row in _signed_row_transform(lam.conjugate())
+    ]
+    return P, QT
+
+
 def snf_recurrence(lam: Partition) -> SnfResult:
     """Diagonalize the origin weight square by stacked row relations.
 
@@ -248,12 +267,7 @@ def snf_recurrence(lam: Partition) -> SnfResult:
     """
     n = lam.rank + 1
     weights = _PackedWeights(_layout(lam))
-    encode = weights.layout.encode
-    P = [[encode(p) for p in row] for row in _signed_row_transform(lam)]
-    QT = [
-        [encode(p.transpose_variables()) for p in row]
-        for row in _signed_row_transform(lam.conjugate())
-    ]
+    P, QT = _stacked_transforms(weights.layout, lam)
     return _certified(weights, lam, n, n, P, QT, "recurrence")
 
 
@@ -390,6 +404,29 @@ def snf_inductive(lam: Partition, d: int, e: int) -> SnfResult:
     weights = _PackedWeights(_layout(lam))
     U, VT = _reduce_rectangle(weights, lam, d, e)
     return _certified(weights, lam, d, e, U, VT, "inductive")
+
+
+def snf_both(lam: Partition) -> tuple[SnfResult, SnfResult]:
+    """Reduce the origin square by both algorithms: the results of
+    :func:`snf_recurrence` and of :func:`snf_inductive` on the square.
+
+    Both reductions run in one layout and one set of packed weights.
+    Their transforms are unique, so they agree unless one of them is
+    wrong; when the packed grids are equal they are certified once, as
+    the recurrence's, and the two results share ``P``, ``Q`` and the
+    diagonal.  Otherwise each pair is certified on its own, recurrence
+    first, and a wrong pair raises :class:`VerificationFailed` under its
+    own name; two certified pairs that still differ are returned as they
+    are, for the caller to compare.
+    """
+    n = lam.rank + 1
+    weights = _PackedWeights(_layout(lam))
+    P, QT = _stacked_transforms(weights.layout, lam)
+    U, VT = _reduce_rectangle(weights, lam, n, n)
+    by_rows = _certified(weights, lam, n, n, P, QT, "recurrence")
+    if U == P and VT == QT:
+        return by_rows, replace(by_rows, algorithm="inductive")
+    return by_rows, _certified(weights, lam, n, n, U, VT, "inductive")
 
 
 def verify_snf(W: PolyMatrix, result: SnfResult):

@@ -9,6 +9,7 @@ from typing import Iterator
 
 from hypothesis import strategies as st
 
+import partition_snf.snf as snf_module
 from partition_snf import (
     Cell,
     Monomial,
@@ -280,3 +281,26 @@ def ref_reduce_rectangle(lam: Partition, d: int, e: int):
             updates = [-weight_at(smaller, a + 1, j + 1) for j in range(b)]
             _ref_peel_step(VT, b, z, updates)
     return U, VT
+
+
+def tamper_inductive(monkeypatch, field: str) -> None:
+    """Make every inductive reduction return the identity in place of its
+    row transform (``field="P"``) or of its column transform (``"Q"``),
+    before certification sees it."""
+    reduce = snf_module._reduce_rectangle
+
+    def tampered(weights, lam, d, e):
+        U, VT = reduce(weights, lam, d, e)
+        if field == "P":
+            U = snf_module._identity_grid(len(U))
+        else:
+            VT = snf_module._identity_grid(len(VT))
+        return U, VT
+
+    monkeypatch.setattr(snf_module, "_reduce_rectangle", tampered)
+
+
+def accept_every_certification(monkeypatch) -> None:
+    """Let every certification pass, so tampered transforms reach the
+    callers' agreement checks."""
+    monkeypatch.setattr(snf_module, "_certify", lambda *args: None)

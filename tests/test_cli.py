@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import resource
@@ -12,13 +11,13 @@ import pytest
 import partition_snf
 import partition_snf.cli as cli_module
 from partition_snf import (
-    PolyMatrix,
     Polynomial,
     SnfResult,
     polynomial_from_json,
-    snf_recurrence,
 )
 from partition_snf.cli import main
+
+from helpers import accept_every_certification, tamper_inductive
 
 LETTER_GRID_3_2 = {
     (1, 1): "abcde+bcde+bce+cde+ce+de+c+e+1",
@@ -110,13 +109,14 @@ class TestSnfCommand:
 
     @pytest.mark.parametrize("field", ["P", "Q"])
     def test_disagreeing_transforms(self, capsys, monkeypatch, field):
-        # Same diagonal, different transform: agree must read false.
-        def tampered(lam):
-            result = snf_recurrence(lam)
-            identity = PolyMatrix.identity(lam.rank + 1)
-            return dataclasses.replace(result, **{field: identity})
-
-        monkeypatch.setattr(cli_module, "snf_recurrence", tampered)
+        # Same diagonal, different transform: the wrong pair fails its own
+        # certification, and once past certification agree must read false.
+        tamper_inductive(monkeypatch, field)
+        code, out, err = run_cli(capsys, "snf", "3,2", "--naming", "letters")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("verification failed: inductive: ")
+        accept_every_certification(monkeypatch)
         code, out, _ = run_cli(capsys, "snf", "3,2", "--naming", "letters")
         assert code == 2
         assert "agree: false" in out
@@ -197,11 +197,12 @@ class TestSnfCommand:
         assert "verified: true" in out
 
     def test_json_still_checks_agreement(self, capsys, monkeypatch):
-        def tampered(lam):
-            result = snf_recurrence(lam)
-            return dataclasses.replace(result, P=PolyMatrix.identity(lam.rank + 1))
-
-        monkeypatch.setattr(cli_module, "snf_recurrence", tampered)
+        tamper_inductive(monkeypatch, "P")
+        code, out, err = run_cli(capsys, "snf", "3,2", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("verification failed: inductive: ")
+        accept_every_certification(monkeypatch)
         code, out, _ = run_cli(capsys, "snf", "3,2", "--format", "json")
         assert code == 2
         envelope = json.loads(out)
@@ -209,13 +210,15 @@ class TestSnfCommand:
         assert envelope["verified"] is False
 
     def test_failed_certification_exits_2(self, capsys, monkeypatch):
+        # Both algorithms share one certification, reported as the
+        # recurrence's, which is the one that runs first.
         monkeypatch.setattr(
             "partition_snf.snf.leading_monomial", lambda lam, cell: Polynomial.zero()
         )
         code, out, err = run_cli(capsys, "snf", "3,2")
         assert code == 2
         assert out == ""
-        assert err.startswith("verification failed: ")
+        assert err.startswith("verification failed: recurrence: ")
 
 
 class TestRecurrenceCommand:

@@ -17,7 +17,6 @@ from partition_snf import (
     TooLarge,
     UniPoly,
     all_partitions,
-    coordinate_naming,
     letter_naming,
     polynomial_from_json,
     polynomial_to_json,
@@ -678,7 +677,7 @@ class TestRender:
         assert naming[Cell(3, 1)] == "j"
 
     def test_coordinate_naming(self):
-        assert coordinate_naming([Cell(1, 2)]) == {Cell(1, 2): "x[1,2]"}
+        assert render(Polynomial.variable(Cell(1, 2))) == "x[1,2]"
 
 
 class TestJson:

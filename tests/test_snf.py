@@ -7,7 +7,6 @@ import sys
 
 import pytest
 
-import partition_snf.checks as checks_module
 import partition_snf.snf as snf_module
 from partition_snf import (
     Cell,
@@ -18,6 +17,7 @@ from partition_snf import (
     Partition,
     PolyMatrix,
     Polynomial,
+    SnfResult,
     TooLarge,
     VerificationFailed,
     all_partitions,
@@ -25,6 +25,7 @@ from partition_snf import (
     leading_monomial,
     rect_weight_matrix,
     run_selftest,
+    snf_both,
     snf_inductive,
     snf_recurrence,
     square_matrix,
@@ -34,11 +35,13 @@ from partition_snf import (
 from partition_snf.polynomials import PACKED_MINUS_ONE, PACKED_ONE, PackedLayout
 
 from helpers import (
+    accept_every_certification,
     is_lower_unitriangular,
     is_upper_unitriangular,
     naive_matrix_product,
     poly,
     ref_reduce_rectangle,
+    tamper_inductive,
 )
 
 LAM = Partition((3, 2))
@@ -420,17 +423,67 @@ class TestCertify:
 class TestAgreement:
     @pytest.mark.parametrize("field", ["P", "Q"])
     def test_selftest_compares_whole_transforms(self, monkeypatch, field):
-        # Equal diagonals are not enough: a recurrence transform replaced
-        # by the identity must be reported as disagreement.
-        def tampered(lam):
-            result = snf_recurrence(lam)
-            identity = PolyMatrix.identity(lam.rank + 1)
-            return dataclasses.replace(result, **{field: identity})
-
-        monkeypatch.setattr(checks_module, "snf_recurrence", tampered)
+        # Equal diagonals are not enough: an inductive transform replaced
+        # by the identity fails its own certification, and once past
+        # certification it must be reported as disagreement.
+        tamper_inductive(monkeypatch, field)
+        report = run_selftest(3)
+        assert any(
+            f.startswith("snf-agreement: ") and ": inductive: " in f
+            for f in report.failures
+        )
+        assert not any(f.startswith("diagonal-monomials") for f in report.failures)
+        accept_every_certification(monkeypatch)
         report = run_selftest(3)
         assert any(f.startswith("snf-agreement: ") for f in report.failures)
         assert not any(f.startswith("diagonal-monomials") for f in report.failures)
+
+
+class TestBoth:
+    def test_equals_the_separate_reductions(self):
+        for lam in all_partitions(9):
+            side = lam.rank + 1
+            separate = (snf_recurrence(lam), snf_inductive(lam, side, side))
+            for got, want in zip(snf_both(lam), separate):
+                for field in dataclasses.fields(SnfResult):
+                    assert getattr(got, field.name) == getattr(want, field.name), lam
+                assert json.dumps(got.to_json()) == json.dumps(want.to_json()), lam
+
+    def test_agreeing_transforms_are_certified_once(self, monkeypatch):
+        certify, packed_weights = snf_module._certify, snf_module._PackedWeights
+        calls = []
+
+        def spy(*args):
+            calls.append(args[-1])
+            certify(*args)
+
+        class CountedWeights(packed_weights):
+            def __init__(self, layout):
+                calls.append("weights")
+                super().__init__(layout)
+
+        monkeypatch.setattr(snf_module, "_certify", spy)
+        monkeypatch.setattr(snf_module, "_PackedWeights", CountedWeights)
+        for lam in (Partition(), LAM, Partition((4, 3, 1)), Partition((263,))):
+            calls.clear()
+            by_rows, by_peeling = snf_both(lam)
+            assert calls == ["weights", "recurrence"], lam
+            assert (by_rows.algorithm, by_peeling.algorithm) == ("recurrence", "inductive")
+            assert by_peeling.P is by_rows.P and by_peeling.Q is by_rows.Q
+
+    def test_differing_transforms_are_certified_apart(self, monkeypatch):
+        certify = snf_module._certify
+        calls = []
+
+        def spy(*args):
+            calls.append(args[-1])
+            certify(*args)
+
+        monkeypatch.setattr(snf_module, "_certify", spy)
+        tamper_inductive(monkeypatch, "P")
+        with pytest.raises(VerificationFailed, match="^inductive: "):
+            snf_both(LAM)
+        assert calls == ["recurrence", "inductive"]
 
 
 class TestDeterminant:
