@@ -85,11 +85,7 @@ def run_selftest(max_size: int) -> SelfTestReport:
             record("snf-agreement", False, f"partition {lam.parts}: {exc}")
             continue
         record(
-            "snf-agreement",
-            by_rows.diagonal == by_peeling.diagonal
-            and by_rows.P == by_peeling.P
-            and by_rows.Q == by_peeling.Q,
-            f"partition {lam.parts}",
+            "snf-agreement", by_rows.agrees_with(by_peeling), f"partition {lam.parts}"
         )
 
         expected_diag = tuple(

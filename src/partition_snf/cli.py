@@ -7,8 +7,10 @@ rectangle), ``recurrence`` (row coefficients and residuals), ``qcatalan``
 (the exhaustive property suites).
 
 Exit codes: 0 success, 1 usage or input errors, 2 verification failures.
-Output is deterministic; ``--format json`` wraps results in an envelope
-echoing the parsed input.
+Output is deterministic.  ``main`` parses the partition once and, under
+``--format json``, wraps each command's result in the one envelope:
+``command``, ``input`` (the parsed arguments, in declaration order),
+``result`` and, for every command but ``weights``, ``verified``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .qcatalan import (
 from .recurrence import alternating_row_sum, row_coefficients
 from .snf import SnfResult, snf_both, snf_inductive, snf_recurrence
 from .snf import verify_snf  # noqa: F401  (the benchmark tracer patches it here)
-from .weights import leading_monomial, weight_polynomial
+from .weights import clear_weight_cache, leading_monomial, weight_polynomial
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -111,7 +113,7 @@ def _matrix_lines(matrix, naming) -> list[str]:
 
 
 def _cmd_weights(args):
-    lam = parse_partition(args.partition)
+    lam = args.partition
     naming = _naming_for(lam, args.naming)
     ext = lam.extended
     lines = [f"partition: {lam}"]
@@ -130,16 +132,7 @@ def _cmd_weights(args):
                     "polynomial": polynomial_to_json(poly),
                 }
             )
-    envelope = {
-        "command": "weights",
-        "input": {
-            "partition": list(lam.parts),
-            "naming": args.naming,
-            "format": args.format,
-        },
-        "result": {"row_lengths": list(ext.row_lengths), "cells": cells_payload},
-    }
-    return "\n".join(lines), envelope, 0
+    return lines, {"row_lengths": list(ext.row_lengths), "cells": cells_payload}, 0
 
 
 def _snf_block(result: SnfResult, naming, fmt: str) -> tuple[list[str], dict | None]:
@@ -163,63 +156,35 @@ def _snf_block(result: SnfResult, naming, fmt: str) -> tuple[list[str], dict | N
 
 
 def _cmd_snf(args):
-    lam = parse_partition(args.partition)
+    lam = args.partition
     naming = _naming_for(lam, args.naming)
     if args.rect is not None and args.algorithm != "inductive":
         raise _UsageError("--rect requires --algorithm inductive")
     lines = [f"partition: {lam}"]
-    code = 0
-    if args.rect is not None:
+    if args.algorithm == "both":
+        by_rows, by_peeling = snf_both(lam)
+        rows_lines, rows_json = _snf_block(by_rows, naming, args.format)
+        peeling_lines, peeling_json = _snf_block(by_peeling, naming, args.format)
+        agree = by_rows.agrees_with(by_peeling)
+        lines += rows_lines + peeling_lines
+        lines.append(f"agree: {'true' if agree else 'false'}")
+        result = {"recurrence": rows_json, "inductive": peeling_json, "agree": agree}
+        return lines, result, 0 if agree else 2
+    if args.algorithm == "recurrence":
+        reduced = snf_recurrence(lam)
+    elif args.rect is not None:
         d, e = args.rect
-        block, payload = _snf_block(snf_inductive(lam, d, e), naming, args.format)
-        lines += [f"rectangle: {d}x{e}", *block]
+        lines.append(f"rectangle: {d}x{e}")
+        reduced = snf_inductive(lam, d, e)
     else:
-        if args.algorithm == "both":
-            reduced = snf_both(lam)
-        elif args.algorithm == "recurrence":
-            reduced = (snf_recurrence(lam),)
-        else:
-            side = lam.rank + 1
-            reduced = (snf_inductive(lam, side, side),)
-        results = []
-        for result in reduced:
-            block, block_json = _snf_block(result, naming, args.format)
-            lines += block
-            results.append((result, block_json))
-        if len(results) == 2:
-            by_rows, by_peeling = results[0][0], results[1][0]
-            agree = (
-                by_rows.diagonal == by_peeling.diagonal
-                and by_rows.P == by_peeling.P
-                and by_rows.Q == by_peeling.Q
-            )
-            lines.append(f"agree: {'true' if agree else 'false'}")
-            payload = {
-                "recurrence": results[0][1],
-                "inductive": results[1][1],
-                "agree": agree,
-            }
-            if not agree:
-                code = 2
-        else:
-            payload = results[0][1]
-    envelope = {
-        "command": "snf",
-        "input": {
-            "partition": list(lam.parts),
-            "algorithm": args.algorithm,
-            "rect": list(args.rect) if args.rect is not None else None,
-            "naming": args.naming,
-            "format": args.format,
-        },
-        "result": payload,
-        "verified": code == 0,
-    }
-    return "\n".join(lines), envelope, code
+        side = lam.rank + 1
+        reduced = snf_inductive(lam, side, side)
+    block, result = _snf_block(reduced, naming, args.format)
+    return lines + block, result, 0
 
 
 def _cmd_recurrence(args):
-    lam = parse_partition(args.partition)
+    lam = args.partition
     naming = _naming_for(lam, args.naming)
     if args.j == "all":
         columns = list(range(1, lam.rank + 2))
@@ -253,21 +218,11 @@ def _cmd_recurrence(args):
                 "ok": ok,
             }
         )
-    envelope = {
-        "command": "recurrence",
-        "input": {
-            "partition": list(lam.parts),
-            "j": args.j,
-            "naming": args.naming,
-            "format": args.format,
-        },
-        "result": {
-            "coefficients": [polynomial_to_json(c) for c in coefficients],
-            "checks": checks,
-        },
-        "verified": code == 0,
+    result = {
+        "coefficients": [polynomial_to_json(c) for c in coefficients],
+        "checks": checks,
     }
-    return "\n".join(lines), envelope, code
+    return lines, result, code
 
 
 def _cmd_qcatalan(args):
@@ -302,13 +257,7 @@ def _cmd_qcatalan(args):
                 "ok": ok,
             }
         )
-    envelope = {
-        "command": "qcatalan",
-        "input": {"n_max": args.n_max, "format": args.format},
-        "result": {"rows": rows},
-        "verified": code == 0,
-    }
-    return "\n".join(lines), envelope, code
+    return lines, {"rows": rows}, code
 
 
 def _cmd_selftest(args):
@@ -324,13 +273,8 @@ def _cmd_selftest(args):
         f"result: {'PASS' if report.ok else 'FAIL'} ({report.total} checks, "
         f"{len(report.failures)} failures)"
     )
-    envelope = {
-        "command": "selftest",
-        "input": {"max_size": args.max_size, "format": args.format},
-        "result": {"counts": report.counts, "failures": report.failures},
-        "verified": report.ok,
-    }
-    return "\n".join(lines), envelope, 0 if report.ok else 2
+    result = {"counts": report.counts, "failures": report.failures}
+    return lines, result, 0 if report.ok else 2
 
 
 _DISPATCH = {
@@ -343,14 +287,15 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        text, envelope, code = _DISPATCH[args.command](args)
+        args = build_parser().parse_args(argv)
+        # The echo of the parsed input, in the order the arguments are
+        # declared; the partition is echoed as its list of parts.
+        echo = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+        if "partition" in echo:
+            args.partition = parse_partition(args.partition)
+            echo["partition"] = list(args.partition)
+        lines, result, code = _DISPATCH[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -361,10 +306,18 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
-        # One fixed line: formatting the exception could need memory too.
+        # Free the weight memo, then print one fixed line: reporting the
+        # error needs memory too, and formatting the exception more.
+        clear_weight_cache()
         print("error: out of memory", file=sys.stderr)
         return 1
-    output = text if args.format == "text" else json.dumps(envelope, indent=2)
+    if args.format == "text":
+        output = "\n".join(lines)
+    else:
+        envelope = {"command": args.command, "input": echo, "result": result}
+        if args.command != "weights":  # a weight grid has nothing to verify
+            envelope["verified"] = code == 0
+        output = json.dumps(envelope, indent=2)
     if not output.endswith("\n"):
         output += "\n"
     if args.out:

@@ -212,7 +212,12 @@ class Monomial:
         return _packed((0,) * dr + rows, self._degree)
 
     def transpose(self) -> "Monomial":
-        return Monomial((Cell(c.col, c.row), e) for c, e in self.pairs)
+        """Cell (r, c) moved to (c, r); the degree is unchanged."""
+        pairs = self.pairs
+        rows = [0] * max((c for (_, c), _ in pairs), default=0)
+        for (r, c), exp in pairs:
+            rows[c - 1] += exp << (_FIELD * (r - 1))
+        return _packed(tuple(rows), self._degree)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self._rows == other._rows

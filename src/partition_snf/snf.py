@@ -93,6 +93,14 @@ class SnfResult:
         transforms."""
         return _expected_product(self.diagonal, self.P.rows, self.Q.rows)
 
+    def agrees_with(self, other: "SnfResult") -> bool:
+        """Whether ``other`` has the same diagonal and, entry for entry,
+        the same ``P`` and ``Q``: the verdict the CLI and the self-test
+        give on the two reductions of one origin square."""
+        return (
+            self.diagonal == other.diagonal and self.P == other.P and self.Q == other.Q
+        )
+
     def to_json(self) -> dict:
         return {
             "diagonal": [polynomial_to_json(p) for p in self.diagonal],

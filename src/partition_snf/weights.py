@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
-    CellOutOfRange,
     CornerNotOnBorder,
     DimensionMismatch,
     InternalGeometryError,
@@ -76,8 +75,7 @@ def weight_at(lam: Partition, row: int, col: int) -> Polynomial:
 def weight_polynomial(lam: Partition, cell) -> Polynomial:
     """Weight of a cell of the extended diagram; 1 on the border strip."""
     cell = Cell(*cell)
-    if cell not in lam.extended:
-        raise CellOutOfRange(f"{cell} is outside the extended diagram of {lam!r}")
+    lam.subdiagram(cell)  # raises CellOutOfRange outside the extended diagram
     return weight_at(lam, cell.row, cell.col)
 
 
@@ -85,9 +83,7 @@ def leading_monomial(lam: Partition, cell) -> Polynomial:
     """Product of all variables southeast of ``cell``; the unique top-degree
     term of the cell's weight.  Equals 1 on the border strip."""
     cell = Cell(*cell)
-    if cell not in lam.extended:
-        raise CellOutOfRange(f"{cell} is outside the extended diagram of {lam!r}")
-    shape = subdiagram_shape(lam, cell.row, cell.col)
+    shape = lam.subdiagram(cell).parts
     return Polynomial.from_monomial(
         Monomial.skew(shape).translate(cell.row - 1, cell.col - 1)
     )
@@ -222,12 +218,9 @@ def square_matrix(lam: Partition, cell) -> PolyMatrix:
     :class:`InternalGeometryError` rather than bad input.
     """
     cell = Cell(*cell)
-    ext = lam.extended
-    if cell not in ext:
-        raise CellOutOfRange(f"{cell} is outside the extended diagram of {lam!r}")
-    side = Partition(subdiagram_shape(lam, cell.row, cell.col)).rank + 1
+    side = lam.subdiagram(cell).rank + 1
     corner = Cell(cell.row + side - 1, cell.col + side - 1)
-    if not ext.on_border(corner):
+    if not lam.extended.on_border(corner):
         raise InternalGeometryError(
             f"square corner {corner} for anchor {cell} of {lam!r} is not on the border"
         )

@@ -305,10 +305,15 @@ class TestDegreeLimit:
         assert done.stdout == ""
         assert "exceeds the limit" in done.stderr
 
-    def test_out_of_memory_is_one_line(self):
-        # The origin weight of six rows of 40 has C(46, 6) terms, far past
-        # a 256 MiB cap: the CLI reports it in one line, not a traceback.
-        done = _capped_cli(("weights", "40,40,40,40,40,40"), 256 << 20)
+    @pytest.mark.parametrize(
+        "argv", [("weights", "40,40,40,40,40,40"), ("qcatalan", "30")]
+    )
+    def test_out_of_memory_is_one_line(self, argv):
+        # The origin weight of six rows of 40 has C(46, 6) terms, and the
+        # staircase weights of qcatalan 30 fill the weight memo: both run
+        # far past a 256 MiB cap, and the CLI reports it in one line, not
+        # a traceback.
+        done = _capped_cli(argv, 256 << 20)
         assert done.returncode == 1
         assert done.stdout == ""
         assert "Traceback" not in done.stderr
@@ -345,6 +350,59 @@ class TestSelftestCommand:
     def test_bad_size(self, capsys):
         code, _, err = run_cli(capsys, "selftest", "0")
         assert code == 1
+
+
+ENVELOPES = [
+    (("weights", "3,2"), {"partition": [3, 2], "naming": "coords"}),
+    (
+        ("snf", "3,2"),
+        {"partition": [3, 2], "algorithm": "both", "rect": None, "naming": "coords"},
+    ),
+    (
+        ("snf", "3,2", "--algorithm", "recurrence"),
+        {
+            "partition": [3, 2],
+            "algorithm": "recurrence",
+            "rect": None,
+            "naming": "coords",
+        },
+    ),
+    (
+        ("snf", "3,2", "--algorithm", "inductive", "--rect", "2", "3"),
+        {
+            "partition": [3, 2],
+            "algorithm": "inductive",
+            "rect": [2, 3],
+            "naming": "coords",
+        },
+    ),
+    (
+        ("recurrence", "5,4,1"),
+        {"partition": [5, 4, 1], "j": "all", "naming": "coords"},
+    ),
+    (
+        ("recurrence", "5,4,1", "--j", "2"),
+        {"partition": [5, 4, 1], "j": "2", "naming": "coords"},
+    ),
+    (("qcatalan", "3"), {"n_max": 3}),
+    (("selftest", "2"), {"max_size": 2}),
+]
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("argv, echo", ENVELOPES)
+    def test_keys_and_input_echo(self, capsys, argv, echo):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        envelope = json.loads(out)
+        keys = ["command", "input", "result"]
+        if argv[0] != "weights":
+            keys.append("verified")
+            assert envelope["verified"] is True
+        assert list(envelope) == keys
+        assert envelope["command"] == argv[0]
+        assert envelope["input"] == {**echo, "format": "json"}
+        assert list(envelope["input"]) == [*echo, "format"]
 
 
 class TestOutput:

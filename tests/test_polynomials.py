@@ -159,6 +159,9 @@ class TestPackedAgainstPairReference:
         assert m.degree == ref_degree(ref)
         assert m.expanded() == ref_expanded(ref)
         assert m.transpose().pairs == ref_transpose(ref)
+        assert m.transpose() == Monomial(ref_transpose(ref))
+        assert hash(m.transpose()) == hash(Monomial(ref_transpose(ref)))
+        assert m.transpose().degree == m.degree
         assert m.transpose().transpose() == m
 
     @given(PAIRS, CELLS)
