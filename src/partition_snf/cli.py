@@ -124,14 +124,17 @@ def _cmd_weights(args):
             poly = weight_polynomial(lam, cell)
             text = render(poly, naming)
             lines.append(f"({r},{c}) {text}")
-            cells_payload.append(
-                {
-                    "cell": [r, c],
-                    "border": ext.on_border(cell),
-                    "text": text,
-                    "polynomial": polynomial_to_json(poly),
-                }
-            )
+            # Only --format json prints the payload, as in _snf_block: on
+            # large grids its terms cost more than the text.
+            if args.format == "json":
+                cells_payload.append(
+                    {
+                        "cell": [r, c],
+                        "border": ext.on_border(cell),
+                        "text": text,
+                        "polynomial": polynomial_to_json(poly),
+                    }
+                )
     return lines, {"row_lengths": list(ext.row_lengths), "cells": cells_payload}, 0
 
 

@@ -11,9 +11,9 @@ int, and trailing zero rows are dropped.  Multiplication then adds the row
 ints pairwise, and a translation prepends zero rows and shifts each row by
 whole fields.  No exponent exceeds the total degree, so capping the degree
 at 65535 keeps every field from carrying into the next; a larger degree
-raises :class:`TooLarge`.  The layout is private to this module: cells and
-exponents are decoded only where they are read, for rendering, JSON and
-ordering.
+raises :class:`TooLarge`.  The layout is private to this module: one
+reader, ``_fields``, decodes a row's fields for ordering, output and
+transposition, and cells are built only where they are handed out.
 
 The heavy loops run on a second, flatter packing.  A
 :class:`PackedLayout` is only the key format: it encodes each whole
@@ -31,11 +31,11 @@ certify ``P @ W @ Q`` in one layout fixed by the partition.
 monomials over every sub-partition of a shape, by walking the
 sub-partitions iteratively straight into packed rows.
 
-The canonical term order used for rendering and serialization is total
-degree descending, ties broken by the expanded cell sequence ascending.
+The canonical term order used for rendering and serialization is graded
+lex: degree descending, then the row-major exponent vector, larger first.
 With row-major letter names this reproduces forms like
-``abcde+bcde+bce+cde+ce+de+c+e+1`` verbatim.  :func:`render` names each
-cell as it first meets it.
+``abcde+bcde+bce+cde+ce+de+c+e+1`` verbatim.  Output prints the fields
+decoded for the sort, so each monomial is decoded once per output.
 """
 
 from __future__ import annotations
@@ -92,6 +92,20 @@ def _packed(rows: tuple[int, ...], degree: int) -> "Monomial":
 def _run(length: int) -> int:
     """Packed row with exponent 1 in the first ``length`` fields."""
     return ((1 << (_FIELD * length)) - 1) // _MASK
+
+
+def _fields(row: int) -> tuple[int, ...]:
+    """A row's exponents up to its last nonzero one, read from its bytes."""
+    width = (row.bit_length() + _FIELD - 1) // _FIELD
+    return unpack(f"<{width}H", row.to_bytes(2 * width, "little"))
+
+
+def _nonzero(rows: Iterable[tuple[int, ...]]) -> Iterator[list[int]]:
+    """``[row, col, exponent]`` of each nonzero field of decoded ``rows``."""
+    for r, fields in enumerate(rows, start=1):
+        for c, exp in enumerate(fields, start=1):
+            if exp:
+                yield [r, c, exp]
 
 
 class Monomial:
@@ -154,15 +168,9 @@ class Monomial:
     @property
     def pairs(self) -> tuple[tuple[Cell, int], ...]:
         """``(cell, exponent)`` pairs in row-major cell order."""
-        out = []
-        for r, x in enumerate(self._rows, start=1):
-            # Read the row's bytes as 16-bit fields: linear in its width.
-            width = (x.bit_length() + _FIELD - 1) // _FIELD
-            fields = unpack(f"<{width}H", x.to_bytes(2 * width, "little"))
-            for c, exp in enumerate(fields, start=1):
-                if exp:
-                    out.append((Cell(r, c), exp))
-        return tuple(out)
+        return tuple(
+            (Cell(r, c), exp) for r, c, exp in _nonzero(map(_fields, self._rows))
+        )
 
     @property
     def degree(self) -> int:
@@ -174,16 +182,8 @@ class Monomial:
 
     def exponent(self, cell) -> int:
         r, c = cell
-        if not (1 <= r <= len(self._rows) and c >= 1):
-            return 0
-        return (self._rows[r - 1] >> (_FIELD * (c - 1))) & _MASK
-
-    def expanded(self) -> tuple[Cell, ...]:
-        """Cells repeated by exponent; the tie-break key within a degree."""
-        out = []
-        for cell, exp in self.pairs:
-            out.extend([cell] * exp)
-        return tuple(out)
+        fields = _fields(self._rows[r - 1]) if 1 <= r <= len(self._rows) else ()
+        return fields[c - 1] if 1 <= c <= len(fields) else 0
 
     def __mul__(self, other) -> "Monomial":
         if not isinstance(other, Monomial):
@@ -213,9 +213,9 @@ class Monomial:
 
     def transpose(self) -> "Monomial":
         """Cell (r, c) moved to (c, r); the degree is unchanged."""
-        pairs = self.pairs
-        rows = [0] * max((c for (_, c), _ in pairs), default=0)
-        for (r, c), exp in pairs:
+        decoded = list(map(_fields, self._rows))
+        rows = [0] * max(map(len, decoded), default=0)
+        for r, c, exp in _nonzero(decoded):
             rows[c - 1] += exp << (_FIELD * (r - 1))
         return _packed(tuple(rows), self._degree)
 
@@ -234,9 +234,15 @@ class Monomial:
         return f"Monomial({body})"
 
 
-def _term_key(item: tuple[Monomial, int]):
-    mono, _ = item
-    return (-mono.degree, mono.expanded())
+def _term_key(mono: Monomial):
+    """``(degree, field tuple per row)``, graded lex when sorted descending:
+    rows and monomials end in nonzero fields, so tuples compare like vectors."""
+    return (mono._degree, tuple(map(_fields, mono._rows)))
+
+
+def _sorted_terms(poly: "Polynomial") -> list:
+    """``(key, coeff)`` for each term of ``poly``, in canonical order."""
+    return sorted([(_term_key(m), c) for m, c in poly._terms.items()], reverse=True)
 
 
 class Polynomial:
@@ -342,12 +348,8 @@ class Polynomial:
     # -- inspection -------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Monomial, int]]:
-        """Terms in no particular order; see :meth:`sorted_terms`."""
+        """Terms in no particular order."""
         return iter(self._terms.items())
-
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        """Terms in canonical order (degree descending, then cell-lex)."""
-        return sorted(self._terms.items(), key=_term_key)
 
     def coefficient(self, mono: Monomial) -> int:
         return self._terms.get(mono, 0)
@@ -692,21 +694,21 @@ def letter_naming(cells: Iterable[Cell]) -> dict[Cell, str]:
 def render(poly: Polynomial, naming: Mapping[Cell, str] | None = None) -> str:
     """Canonical text form of a polynomial.
 
-    Terms appear in degree-descending order with cell-lex tie-break; a
-    coefficient of +-1 is rendered as a bare sign, exponents above 1 as
-    ``name^e``.  Each cell is named, by ``naming`` or as ``x[r,c]``, when a
-    term first meets it; ``naming`` must be injective over those cells.
+    Terms appear in graded lex order; a coefficient of +-1 is rendered as
+    a bare sign, exponents above 1 as ``name^e``.  Each cell is named, by
+    ``naming`` or as ``x[r,c]``, when a term first meets it; ``naming``
+    must be injective over those cells.
     """
     if poly.is_zero:
         return "0"
     name_of = _coordinate_name if naming is None else naming.__getitem__
     names: dict[Cell, str] = {}
     pieces = []
-    for mono, coeff in poly.sorted_terms():
+    for (_, rows), coeff in _sorted_terms(poly):
         body = "".join(
-            (names.get(cell) or names.setdefault(cell, name_of(cell)))
+            (names.get((r, c)) or names.setdefault(Cell(r, c), name_of(Cell(r, c))))
             + (f"^{exp}" if exp > 1 else "")
-            for cell, exp in mono.pairs
+            for r, c, exp in _nonzero(rows)
         )
         if body and coeff in (1, -1):
             pieces.append(body if coeff == 1 else "-" + body)
@@ -720,11 +722,8 @@ def render(poly: Polynomial, naming: Mapping[Cell, str] | None = None) -> str:
 def polynomial_to_json(poly: Polynomial) -> list:
     """Canonically ordered term list; coefficients as decimal strings."""
     return [
-        {
-            "coeff": str(coeff),
-            "monomial": [[cell.row, cell.col, exp] for cell, exp in mono.pairs],
-        }
-        for mono, coeff in poly.sorted_terms()
+        {"coeff": str(coeff), "monomial": list(_nonzero(rows))}
+        for (_, rows), coeff in _sorted_terms(poly)
     ]
 
 

@@ -93,6 +93,15 @@ class TestWeightsCommand:
         assert code == 1
         assert "26" in err
 
+    def test_text_builds_no_json(self, capsys, monkeypatch):
+        def no_json(poly):
+            raise AssertionError("JSON built under --format text")
+
+        monkeypatch.setattr(cli_module, "polynomial_to_json", no_json)
+        code, out, _ = run_cli(capsys, "weights", "3,2", "--naming", "letters")
+        assert code == 0
+        assert parse_weight_lines(out) == LETTER_GRID_3_2
+
     def test_bad_partition_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "weights", "2,3")
         assert code == 1

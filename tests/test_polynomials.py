@@ -28,7 +28,6 @@ from helpers import (
     naive_matrix_product,
     poly,
     ref_degree,
-    ref_expanded,
     ref_exponent,
     ref_monomial,
     ref_mul,
@@ -108,7 +107,6 @@ class TestPackedAgainstPairReference:
         expected = ref_mul(ra, rb)
         assert prod.pairs == expected
         assert prod.degree == ref_degree(expected)
-        assert prod.expanded() == ref_expanded(expected)
         assert prod == Monomial(expected)
         assert hash(prod) == hash(Monomial(expected))
 
@@ -152,12 +150,16 @@ class TestPackedAgainstPairReference:
     # A row of 4000 columns, with gaps, next to a short second row: decoding
     # must stay linear in the row's width.
     @example([((1, c), c % 5) for c in range(1, 4001)] + [((2, 3), 7)])
+    # A 1200-row column next to one wide row: transposing it builds one
+    # row 1200 fields wide and many short ones.
+    @example(
+        [((r, 1), 1) for r in range(1, 1201)] + [((9, c), c % 4) for c in range(2, 501)]
+    )
     def test_transpose_degree_pairs_expanded(self, a):
         ref = ref_monomial(a)
         m = Monomial(a)
         assert m.pairs == ref
         assert m.degree == ref_degree(ref)
-        assert m.expanded() == ref_expanded(ref)
         assert m.transpose().pairs == ref_transpose(ref)
         assert m.transpose() == Monomial(ref_transpose(ref))
         assert hash(m.transpose()) == hash(Monomial(ref_transpose(ref)))
@@ -186,9 +188,51 @@ class TestPackedAgainstPairReference:
     @given(st.lists(PAIRS, max_size=8))
     def test_term_key_order(self, many):
         monos = [Monomial(a) for a in many]
-        got = [m.pairs for m in sorted(monos, key=lambda m: _term_key((m, 1)))]
+        got = [m.pairs for m in sorted(monos, key=_term_key, reverse=True)]
         want = sorted((ref_monomial(a) for a in many), key=ref_term_key)
         assert got == want
+
+    @given(st.lists(PAIRS, max_size=8))
+    # Monomials whose fields read alike when their rows are run together:
+    # x[1,1]x[2,2] against x[1,1]x[1,3], and x[1,1]x[2,1] against x[1,1]x[1,2].
+    @example([[((1, 1), 1), ((2, 2), 1)], [((1, 1), 1), ((1, 3), 1)]])
+    @example([[((1, 1), 1), ((2, 1), 1)], [((1, 1), 1), ((1, 2), 1)]])
+    def test_term_key_is_graded_lex(self, many):
+        # Graded lex on dense exponent vectors over the whole 20 x 300
+        # grid, row-major: degree first, then the larger vector first.
+        def dense(a):
+            vector = [0] * (20 * 300)
+            for (r, c), e in ref_monomial(a):
+                vector[(r - 1) * 300 + c - 1] = e
+            return (sum(vector), vector)
+
+        monos = [Monomial(a) for a in many]
+        got = [m.pairs for m in sorted(monos, key=_term_key, reverse=True)]
+        assert got == [ref_monomial(a) for a in sorted(many, key=dense, reverse=True)]
+
+
+# Up to 6 rows of up to 400 columns: wide, multi-row monomials.
+WIDE = st.lists(
+    st.tuples(st.tuples(st.integers(1, 6), st.integers(1, 400)), st.integers(1, 40)),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestJsonAgainstPairReference:
+    @given(st.lists(st.tuples(WIDE, st.integers(-5, 5)), max_size=8))
+    def test_terms_in_reference_order(self, terms):
+        p = Polynomial.zero()
+        for a, coeff in terms:
+            p = p + Polynomial.from_monomial(Monomial(a), coeff)
+        ordered = sorted(p.items(), key=lambda term: ref_term_key(term[0].pairs))
+        assert polynomial_to_json(p) == [
+            {
+                "coeff": str(coeff),
+                "monomial": [[cell.row, cell.col, e] for cell, e in mono.pairs],
+            }
+            for mono, coeff in ordered
+        ]
 
 
 class TestSkew:

@@ -102,7 +102,7 @@ class TestLeadingMonomial:
             for cell in lam.cells():
                 p = weight_polynomial(lam, cell)
                 lead = leading_monomial(lam, cell)
-                ((mono, coeff),) = lead.sorted_terms()
+                ((mono, coeff),) = lead.items()
                 assert coeff == 1
                 assert p.coefficient(mono) == 1
                 top = [m for m, _ in p.items() if m.degree == p.degree]
