@@ -39,17 +39,17 @@ from .partitions import (
 from .polynomials import (
     Monomial,
     Polynomial,
-    UniPoly,
     letter_naming,
     polynomial_from_json,
     polynomial_to_json,
     render,
 )
 from .qcatalan import (
-    catalan_numbers,
     expected_snf_exponents,
     q_catalan,
     q_catalan_table,
+    q_coefficients,
+    render_q,
     staircase,
     staircase_matrix,
     staircase_snf_diagonal,

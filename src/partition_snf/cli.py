@@ -23,8 +23,8 @@ from .checks import CHECK_NAMES, run_selftest
 from .errors import PartitionSnfError, VerificationFailed
 from .partitions import Cell, Partition, parse_partition
 from .polynomials import (
+    Monomial,
     Polynomial,
-    UniPoly,
     letter_naming,
     polynomial_to_json,
     render,
@@ -32,6 +32,8 @@ from .polynomials import (
 from .qcatalan import (
     expected_snf_exponents,
     q_catalan_table,
+    q_coefficients,
+    render_q,
     staircase_snf_diagonal,
 )
 from .recurrence import alternating_row_sum, row_coefficients
@@ -236,26 +238,28 @@ def _cmd_qcatalan(args):
     code = 0
     table = q_catalan_table(args.n_max)
     for n, poly in enumerate(table):
+        rendered = render_q(poly)
         if n == 0:
-            lines.append(f"n=0 {poly.render()}")
-            rows.append({"n": 0, "poly": list(poly.coeffs), "rendered": poly.render()})
+            lines.append(f"n=0 {rendered}")
+            rows.append({"n": 0, "poly": q_coefficients(poly), "rendered": rendered})
             continue
         exponents = expected_snf_exponents(n)
         actual = staircase_snf_diagonal(n)
         ok = len(actual) == len(exponents) and all(
-            entry == UniPoly.monomial(k) for entry, k in zip(actual, exponents)
+            entry == Polynomial.from_monomial(Monomial({Cell(1, 1): k}))
+            for entry, k in zip(actual, exponents)
         )
         if not ok:
             code = 2
         exp_text = ",".join(str(k) for k in exponents)
         lines.append(
-            f"n={n} {poly.render()} exponents={exp_text} {'ok' if ok else 'FAIL'}"
+            f"n={n} {rendered} exponents={exp_text} {'ok' if ok else 'FAIL'}"
         )
         rows.append(
             {
                 "n": n,
-                "poly": list(poly.coeffs),
-                "rendered": poly.render(),
+                "poly": q_coefficients(poly),
+                "rendered": rendered,
                 "snf_exponents": list(exponents),
                 "ok": ok,
             }

@@ -31,6 +31,11 @@ certify ``P @ W @ Q`` in one layout fixed by the partition.
 monomials over every sub-partition of a shape, by walking the
 sub-partitions iteratively straight into packed rows.
 
+There is no separate univariate type.  :meth:`Polynomial.substitute_uniform`
+sends every variable to x[1,1], so a polynomial in one symbol q is a
+polynomial on the single cell (1,1): q^k is the monomial x[1,1]^k, which
+``PackedLayout(1)`` encodes like any other.
+
 The canonical term order used for rendering and serialization is graded
 lex: degree descending, then the row-major exponent vector, larger first.
 With row-major letter names this reproduces forms like
@@ -50,7 +55,6 @@ from .partitions import Cell
 __all__ = [
     "Monomial",
     "Polynomial",
-    "UniPoly",
     "render",
     "letter_naming",
     "matrix_product",
@@ -442,14 +446,17 @@ class Polynomial:
         """Value with every variable set to 1, i.e. the coefficient sum."""
         return sum(self._terms.values())
 
-    def substitute_uniform(self) -> "UniPoly":
-        """Send every variable to the same univariate symbol."""
+    def substitute_uniform(self) -> "Polynomial":
+        """Send every variable to x[1,1]: each term's total degree becomes
+        the exponent of x[1,1], and terms of equal degree add up."""
         if not self._terms:
-            return UniPoly()
+            return _ZERO
         coeffs = [0] * (self.degree + 1)
         for mono, coeff in self._terms.items():
             coeffs[mono.degree] += coeff
-        return UniPoly(coeffs)
+        return _polynomial(
+            {_packed((k,) if k else (), k): c for k, c in enumerate(coeffs) if c}
+        )
 
     def translate(self, dr: int, dc: int) -> "Polynomial":
         if dr < 0 or dc < 0:
@@ -733,120 +740,3 @@ def polynomial_from_json(data: list) -> Polynomial:
         mono = Monomial(tuple((Cell(r, c), e) for r, c, e in item["monomial"]))
         terms[mono] = terms.get(mono, 0) + int(item["coeff"])
     return Polynomial(terms)
-
-
-class UniPoly:
-    """Dense univariate polynomial with integer coefficients."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "UniPoly":
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        return cls((0,) * power + (coeff,))
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree of the top term, -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
-
-    def coefficient(self, k: int) -> int:
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else 0
-
-    def __call__(self, x: int) -> int:
-        value = 0
-        for c in reversed(self._coeffs):
-            value = value * x + c
-        return value
-
-    def __add__(self, other) -> "UniPoly":
-        if isinstance(other, int):
-            other = UniPoly((other,))
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return UniPoly(
-            tuple(self.coefficient(k) + other.coefficient(k) for k in range(n))
-        )
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, int):
-            return UniPoly(tuple(c * other for c in self._coeffs))
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return UniPoly()
-        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a:
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = UniPoly((other,))
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self.render()})"
-
-    def render(self, name: str = "q") -> str:
-        """Ascending-power text form, e.g. ``1+2q+q^2+q^3``."""
-        if not self._coeffs:
-            return "0"
-        pieces = []
-        for k, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                pieces.append(str(c))
-                continue
-            var = name if k == 1 else f"{name}^{k}"
-            if c == 1:
-                pieces.append(var)
-            elif c == -1:
-                pieces.append("-" + var)
-            else:
-                pieces.append(f"{c}{var}")
-        return "+".join(pieces).replace("+-", "-")
-
-    def to_polynomial(self, cell=Cell(1, 1)) -> Polynomial:
-        """Embed into the multivariate ring using a single cell variable."""
-        cell = Cell(*cell)
-        terms = {}
-        for k, c in enumerate(self._coeffs):
-            if c:
-                terms[Monomial(((cell, k),))] = c
-        return Polynomial(terms)

@@ -4,6 +4,12 @@ The origin weight of the staircase (n-1, n-2, ..., 1) becomes a q-analog
 of the Catalan numbers; the matrices of those q-polynomials have normal
 forms with pure powers of q on the diagonal, with exponents given by
 binomial coefficients stepping down by two.
+
+A q-polynomial is an ordinary :class:`Polynomial` on the single cell
+(1,1), q^k being x[1,1]^k, as :meth:`Polynomial.substitute_uniform`
+returns it; the determinant and the reductions apply to it unchanged.
+Only output is q-specific: :func:`q_coefficients` gives the dense
+ascending coefficient list and :func:`render_q` the text form in q.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from math import comb
 
 from .partitions import Cell, Partition
-from .polynomials import UniPoly
+from .polynomials import Polynomial
 from .snf import snf_inductive
 from .weights import PolyMatrix, weight_polynomial
 
@@ -19,10 +25,11 @@ __all__ = [
     "staircase",
     "q_catalan",
     "q_catalan_table",
-    "catalan_numbers",
     "staircase_matrix",
     "expected_snf_exponents",
     "staircase_snf_diagonal",
+    "q_coefficients",
+    "render_q",
 ]
 
 
@@ -33,8 +40,9 @@ def staircase(n: int) -> Partition:
     return Partition(tuple(range(n - 1, 0, -1)))
 
 
-def q_catalan(n: int) -> UniPoly:
-    """Origin weight of the n-th staircase with all variables set to q.
+def q_catalan(n: int) -> Polynomial:
+    """Origin weight of the n-th staircase with all variables set to q,
+    as a polynomial in x[1,1].
 
     Evaluating at q = 1 counts the subpartitions of the staircase, which
     is the n-th Catalan number.
@@ -42,42 +50,29 @@ def q_catalan(n: int) -> UniPoly:
     if n < 0:
         raise ValueError("index must be nonnegative")
     if n == 0:
-        return UniPoly.one()
+        return Polynomial.one()
     return weight_polynomial(staircase(n), Cell(1, 1)).substitute_uniform()
 
 
-def q_catalan_table(n_max: int) -> tuple[UniPoly, ...]:
+def q_catalan_table(n_max: int) -> tuple[Polynomial, ...]:
     """The q-analogs for indices 0..n_max; entries 0 and 1 are both 1."""
     if n_max < 0:
         raise ValueError("table bound must be nonnegative")
     return tuple(q_catalan(n) for n in range(n_max + 1))
 
 
-def catalan_numbers(n_max: int) -> list[int]:
-    """Catalan numbers 0..n_max by the convolution recurrence (oracle)."""
-    values = [1]
-    for n in range(1, n_max + 1):
-        values.append(sum(values[k] * values[n - 1 - k] for k in range(n)))
-    return values
-
-
 def staircase_matrix(n: int) -> PolyMatrix:
     """The square q-polynomial matrix of the n-th staircase.
 
     Entry (i, j), 1-indexed, is the q-analog of index n + 2 - i - j; the
-    side is n // 2 + 1.  Entries are embedded into the multivariate ring
-    on the single cell (1, 1), so the determinant oracle applies directly.
-    This is exactly the origin weight square of the staircase with every
-    variable substituted by q.
+    side is n // 2 + 1.  This is exactly the origin weight square of the
+    staircase with every variable substituted by q.
     """
     if n < 1:
         raise ValueError("matrix index must be at least 1")
     side = n // 2 + 1
     entries = tuple(
-        tuple(
-            q_catalan(n + 2 - i - j).to_polynomial(Cell(1, 1))
-            for j in range(1, side + 1)
-        )
+        tuple(q_catalan(n + 2 - i - j) for j in range(1, side + 1))
         for i in range(1, side + 1)
     )
     return PolyMatrix(entries)
@@ -91,7 +86,7 @@ def expected_snf_exponents(n: int) -> tuple[int, ...]:
     return tuple(comb(n - 2 * k, 2) for k in range(n // 2 + 1))
 
 
-def staircase_snf_diagonal(n: int) -> tuple[UniPoly, ...]:
+def staircase_snf_diagonal(n: int) -> tuple[Polynomial, ...]:
     """Diagonal of the certified reduction of the n-th staircase, with all
     variables substituted by q."""
     if n < 1:
@@ -100,3 +95,27 @@ def staircase_snf_diagonal(n: int) -> tuple[UniPoly, ...]:
     side = lam.rank + 1
     result = snf_inductive(lam, side, side)
     return tuple(entry.substitute_uniform() for entry in result.diagonal)
+
+
+def q_coefficients(poly: Polynomial) -> list[int]:
+    """Coefficients of a polynomial in x[1,1] alone, constant term first,
+    ending in a nonzero one; ``[]`` for 0."""
+    coeffs = [0] * (poly.degree + 1) if poly else []
+    for mono, coeff in poly.items():
+        coeffs[mono.degree] = coeff
+    return coeffs
+
+
+def render_q(poly: Polynomial) -> str:
+    """A polynomial in x[1,1] alone written in q, ascending, e.g.
+    ``1+2q+q^2+q^3``, ``q^2``, ``-q`` or ``0``."""
+    pieces = []
+    for k, coeff in enumerate(q_coefficients(poly)):
+        if not coeff:
+            continue
+        var = "" if k == 0 else "q" if k == 1 else f"q^{k}"
+        if var and coeff in (1, -1):
+            pieces.append(var if coeff == 1 else "-" + var)
+        else:
+            pieces.append(f"{coeff}{var}")
+    return "+".join(pieces).replace("+-", "-") or "0"

@@ -55,6 +55,26 @@ def poly(lam: Partition, text: str) -> Polynomial:
     return Polynomial(terms)
 
 
+def q_poly(coeffs) -> Polynomial:
+    """The q-polynomial with ascending ``coeffs``, on the one cell (1,1)."""
+    return Polynomial(
+        {Monomial({Cell(1, 1): k}): c for k, c in enumerate(coeffs)}
+    )
+
+
+def q_power(k: int) -> Polynomial:
+    """q^k on the one cell (1,1)."""
+    return q_poly((0,) * k + (1,))
+
+
+def catalan_numbers(n_max: int) -> list[int]:
+    """Catalan numbers 0..n_max by the convolution recurrence (oracle)."""
+    values = [1]
+    for n in range(1, n_max + 1):
+        values.append(sum(values[k] * values[n - 1 - k] for k in range(n)))
+    return values
+
+
 def subpartitions(lam: Partition) -> Iterator[Partition]:
     """Every partition fitting inside ``lam``, each exactly once.
 

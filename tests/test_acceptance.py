@@ -14,11 +14,9 @@ from partition_snf import (
     Monomial,
     Partition,
     Polynomial,
-    UniPoly,
     all_partitions,
     alternating_row_sum,
     boundary_walk_count,
-    catalan_numbers,
     choice_poly,
     determinant,
     expected_snf_exponents,
@@ -33,9 +31,12 @@ from partition_snf import (
 from partition_snf.cli import main
 
 from helpers import (
+    catalan_numbers,
     is_lower_unitriangular,
     is_upper_unitriangular,
     poly,
+    q_poly,
+    q_power,
     subpartitions,
 )
 
@@ -155,16 +156,16 @@ def test_criterion_7_property_suite():
 
 def test_criterion_8_q_catalan():
     with budget("criterion 8: q-analog values and staircase normal forms", 120.0):
-        assert q_catalan(3) == UniPoly((1, 2, 1, 1))
+        assert q_catalan(3) == q_poly((1, 2, 1, 1))
         for n in range(1, 9):
             diag = staircase_snf_diagonal(n)
             exponents = expected_snf_exponents(n)
             assert len(diag) == len(exponents)
             for entry, k in zip(diag, exponents):
-                assert entry == UniPoly.monomial(k)
+                assert entry == q_power(k)
         oracle = catalan_numbers(10)
         for n in range(11):
-            assert q_catalan(n)(1) == oracle[n]
+            assert q_catalan(n).evaluate_at_ones() == oracle[n]
 
 
 def test_criterion_9_subpartition_count_oracles():

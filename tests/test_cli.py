@@ -349,6 +349,57 @@ class TestQCatalanCommand:
         assert rows[4]["snf_exponents"] == [6, 1, 0]
         assert envelope["verified"] is True
 
+    def test_golden_output(self, capsys):
+        code, out, err = run_cli(capsys, "qcatalan", "5")
+        assert (code, err) == (0, "")
+        assert out == QCATALAN_5_TEXT
+        code, out, err = run_cli(capsys, "qcatalan", "5", "--format", "json")
+        assert (code, err) == (0, "")
+        envelope = {
+            "command": "qcatalan",
+            "input": {"n_max": 5, "format": "json"},
+            "result": {"rows": QCATALAN_5_ROWS},
+            "verified": True,
+        }
+        assert out == json.dumps(envelope, indent=2) + "\n"
+
+
+QCATALAN_5_TEXT = """\
+n=0 1
+n=1 1 exponents=0 ok
+n=2 1+q exponents=1,0 ok
+n=3 1+2q+q^2+q^3 exponents=3,0 ok
+n=4 1+3q+3q^2+3q^3+2q^4+q^5+q^6 exponents=6,1,0 ok
+n=5 1+4q+6q^2+7q^3+7q^4+5q^5+5q^6+3q^7+2q^8+q^9+q^10 exponents=10,3,0 ok
+"""
+
+QCATALAN_5_ROWS = [
+    {"n": 0, "poly": [1], "rendered": "1"},
+    {"n": 1, "poly": [1], "rendered": "1", "snf_exponents": [0], "ok": True},
+    {"n": 2, "poly": [1, 1], "rendered": "1+q", "snf_exponents": [1, 0], "ok": True},
+    {
+        "n": 3,
+        "poly": [1, 2, 1, 1],
+        "rendered": "1+2q+q^2+q^3",
+        "snf_exponents": [3, 0],
+        "ok": True,
+    },
+    {
+        "n": 4,
+        "poly": [1, 3, 3, 3, 2, 1, 1],
+        "rendered": "1+3q+3q^2+3q^3+2q^4+q^5+q^6",
+        "snf_exponents": [6, 1, 0],
+        "ok": True,
+    },
+    {
+        "n": 5,
+        "poly": [1, 4, 6, 7, 7, 5, 5, 3, 2, 1, 1],
+        "rendered": "1+4q+6q^2+7q^3+7q^4+5q^5+5q^6+3q^7+2q^8+q^9+q^10",
+        "snf_exponents": [10, 3, 0],
+        "ok": True,
+    },
+]
+
 
 class TestSelftestCommand:
     def test_small_run(self, capsys):
