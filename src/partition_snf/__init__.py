@@ -8,10 +8,9 @@ unitriangular transforms, verifies every reduction exactly, and exposes
 the staircase q-analog specialization plus a command line front end.
 """
 
-from .checks import SelfTestReport, run_selftest
+from .checks import SelfTestReport, determinant, run_selftest
 from .errors import (
     CellOutOfRange,
-    CornerNotOnBorder,
     DimensionMismatch,
     EmptyPartition,
     IndexOutOfRange,
@@ -51,18 +50,15 @@ from .qcatalan import (
     q_coefficients,
     render_q,
     staircase,
-    staircase_matrix,
     staircase_snf_diagonal,
 )
 from .recurrence import (
     alternating_row_sum,
-    choice_poly,
     row_coefficient,
     row_coefficients,
 )
 from .snf import (
     SnfResult,
-    determinant,
     snf_both,
     snf_inductive,
     snf_recurrence,

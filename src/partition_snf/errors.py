@@ -37,12 +37,9 @@ class InternalGeometryError(PartitionSnfError, RuntimeError):
     """Square geometry violated; indicates a bug in the diagram layer."""
 
 
-class CornerNotOnBorder(PartitionSnfError, ValueError):
-    """Rectangle corner must lie on the adjoined border strip."""
-
-
 class InvalidRectangle(PartitionSnfError, ValueError):
-    """Rectangle is unsupported for the requested reduction."""
+    """Rectangle sides are not positive, its corner is off the border
+    strip, or it is taller than wide where a reduction needs it wide."""
 
 
 class DimensionMismatch(PartitionSnfError, ValueError):

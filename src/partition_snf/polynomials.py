@@ -57,7 +57,6 @@ __all__ = [
     "Polynomial",
     "render",
     "letter_naming",
-    "matrix_product",
     "polynomial_to_json",
     "polynomial_from_json",
 ]
@@ -145,10 +144,6 @@ class Monomial:
         return cls(((Cell(*cell), 1),))
 
     @classmethod
-    def from_cells(cls, cells: Iterable) -> "Monomial":
-        return cls((Cell(*cell), 1) for cell in cells)
-
-    @classmethod
     def skew(cls, outer: Sequence[int], inner: Sequence[int] = ()) -> "Monomial":
         """One variable on each cell of the skew diagram ``outer/inner``,
         both anchored at (1,1): row ``r`` covers columns
@@ -183,11 +178,6 @@ class Monomial:
     @property
     def is_one(self) -> bool:
         return not self._rows
-
-    def exponent(self, cell) -> int:
-        r, c = cell
-        fields = _fields(self._rows[r - 1]) if 1 <= r <= len(self._rows) else ()
-        return fields[c - 1] if 1 <= c <= len(fields) else 0
 
     def __mul__(self, other) -> "Monomial":
         if not isinstance(other, Monomial):
@@ -355,9 +345,6 @@ class Polynomial:
         """Terms in no particular order."""
         return iter(self._terms.items())
 
-    def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono, 0)
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
@@ -432,19 +419,7 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = _ONE
-        for _ in range(n):
-            result = result * self
-        return result
-
     # -- ring maps -----------------------------------------------------------
-
-    def evaluate_at_ones(self) -> int:
-        """Value with every variable set to 1, i.e. the coefficient sum."""
-        return sum(self._terms.values())
 
     def substitute_uniform(self) -> "Polynomial":
         """Send every variable to x[1,1]: each term's total degree becomes
@@ -657,21 +632,6 @@ def pack_matrices(
     return layout, [
         [[encoded[id(poly)] for poly in row] for row in matrix] for matrix in matrices
     ]
-
-
-def matrix_product(
-    *factors: Sequence[Sequence[Polynomial]],
-) -> tuple[tuple[Polynomial, ...], ...]:
-    """Rows of the chain product ``factors[0] @ factors[1] @ ...``, each
-    factor given as rows of polynomials; the caller checks that adjacent
-    dimensions agree.
-
-    The factors are packed by :func:`pack_matrices`, multiplied by
-    :func:`packed_product`, and only the entries of the last product are
-    decoded.
-    """
-    layout, packed = pack_matrices(*factors)
-    return tuple(tuple(map(layout.decode, row)) for row in packed_product(*packed))
 
 
 def _coordinate_name(cell) -> str:

@@ -19,13 +19,12 @@ from math import comb
 from .partitions import Cell, Partition
 from .polynomials import Polynomial
 from .snf import snf_inductive
-from .weights import PolyMatrix, weight_polynomial
+from .weights import weight_polynomial
 
 __all__ = [
     "staircase",
     "q_catalan",
     "q_catalan_table",
-    "staircase_matrix",
     "expected_snf_exponents",
     "staircase_snf_diagonal",
     "q_coefficients",
@@ -59,23 +58,6 @@ def q_catalan_table(n_max: int) -> tuple[Polynomial, ...]:
     if n_max < 0:
         raise ValueError("table bound must be nonnegative")
     return tuple(q_catalan(n) for n in range(n_max + 1))
-
-
-def staircase_matrix(n: int) -> PolyMatrix:
-    """The square q-polynomial matrix of the n-th staircase.
-
-    Entry (i, j), 1-indexed, is the q-analog of index n + 2 - i - j; the
-    side is n // 2 + 1.  This is exactly the origin weight square of the
-    staircase with every variable substituted by q.
-    """
-    if n < 1:
-        raise ValueError("matrix index must be at least 1")
-    side = n // 2 + 1
-    entries = tuple(
-        tuple(q_catalan(n + 2 - i - j) for j in range(1, side + 1))
-        for i in range(1, side + 1)
-    )
-    return PolyMatrix(entries)
 
 
 def expected_snf_exponents(n: int) -> tuple[int, ...]:

@@ -12,9 +12,10 @@ pieces:
 
 The fixed cells continue every chosen run of grid row ``a`` to the end of
 diagram row ``a``, so each term of their product is one skew monomial
-``lam_1..lam_i / starts``.  One enumerator of justified sub-arrays,
-:func:`_justified_sum`, thus builds both the choice polynomial and the
-coefficient, over different outer rows, with no product.
+``lam_1..lam_i / starts``.  :func:`row_coefficient` enumerates the
+justified sub-arrays once and builds those skew monomials, with no
+product; the choice polynomial on its own is built only by the tests,
+cell by cell, as the oracle for this shortcut.
 
 The alternating sum of coefficient-times-weight collapses to the full
 product of variables in column 1 and to zero in every later column of the
@@ -23,30 +24,33 @@ square.  That collapse is what drives the first normal-form reduction.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .errors import IndexOutOfRange
 from .partitions import Partition
 from .polynomials import Monomial, Polynomial
 from .weights import weight_at
 
 __all__ = [
-    "choice_poly",
     "row_coefficient",
     "row_coefficients",
     "alternating_row_sum",
 ]
 
 
-def _justified_sum(outer: Sequence[int], i: int, width: int) -> Polynomial:
-    """Sum of ``Monomial.skew(outer, starts)`` over the sub-arrays
-    ``width >= c_1 >= ... >= c_i >= 0``, where row ``a`` starts after
-    column ``a + width - c_a``.
+def row_coefficient(lam: Partition, i: int) -> Polynomial:
+    """Choice polynomial times the fixed-cell monomial; 1 at index 0.
 
-    The full sub-array, every ``c_a == width``, is built first: it is the
-    term of top degree, so a degree past the limit raises ``TooLarge``
-    before anything else is enumerated.
+    With ``width = lam_i - i``, this is the sum of
+    ``Monomial.skew(lam_1..lam_i, starts)`` over the sub-arrays
+    ``width >= c_1 >= ... >= c_i >= 0``, where row ``a`` starts after
+    column ``a + width - c_a``.  The full sub-array, every ``c_a == width``,
+    is built first: it is the term of top degree, so a degree past the
+    limit raises ``TooLarge`` before anything else is enumerated.
     """
+    if not 0 <= i <= lam.rank:
+        raise IndexOutOfRange(f"index {i} outside 0..{lam.rank}")
+    if i == 0:
+        return Polynomial.one()
+    outer, width = lam.parts[:i], lam.parts[i - 1] - i
     terms: dict[Monomial, int] = {}
 
     def descend(a: int, cap: int, starts: tuple[int, ...]) -> None:
@@ -58,33 +62,6 @@ def _justified_sum(outer: Sequence[int], i: int, width: int) -> Polynomial:
 
     descend(1, width, ())
     return Polynomial(terms)
-
-
-def choice_poly(lam: Partition, i: int) -> Polynomial:
-    """Sum over upper-right-justified sub-arrays of the grid for index
-    ``i``, which has ``i`` rows of ``lam_i - i`` cells.
-
-    A sub-array takes the last ``c_a`` cells of grid row ``a`` with
-    ``c_1 >= c_2 >= ... >= c_i >= 0``; each contributes the product of its
-    cells.  The number of terms is binomial(lam_i, i).
-    """
-    if i == 0:
-        return Polynomial.one()
-    if not 1 <= i <= lam.rank:
-        raise IndexOutOfRange(f"grid index {i} outside 1..{lam.rank}")
-    width = lam.parts[i - 1] - i
-    # Grid row a ends at column a + width.
-    return _justified_sum(tuple(a + width for a in range(1, i + 1)), i, width)
-
-
-def row_coefficient(lam: Partition, i: int) -> Polynomial:
-    """Choice polynomial times the fixed-cell monomial, built as the
-    justified sum with outer rows ``lam_1..lam_i``; 1 at index 0."""
-    if not 0 <= i <= lam.rank:
-        raise IndexOutOfRange(f"index {i} outside 0..{lam.rank}")
-    if i == 0:
-        return Polynomial.one()
-    return _justified_sum(lam.parts[:i], i, lam.parts[i - 1] - i)
 
 
 def row_coefficients(lam: Partition) -> tuple[Polynomial, ...]:

@@ -1,5 +1,5 @@
 """Two constructive normal-form reductions with explicit unitriangular
-transforms, exact verification, and a cofactor determinant oracle.
+transforms, and their exact verification.
 
 Both reductions certify themselves: the returned transforms are multiplied
 back against the weight matrix and compared entry by entry with the
@@ -39,13 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import (
-    DimensionMismatch,
-    InvalidRectangle,
-    NotSquare,
-    TooLarge,
-    VerificationFailed,
-)
+from .errors import DimensionMismatch, VerificationFailed
 from .partitions import Cell, Partition, subdiagram_shape
 from .polynomials import (
     PACKED_MINUS_ONE,
@@ -60,7 +54,7 @@ from .polynomials import (
     times,
 )
 from .recurrence import row_coefficients
-from .weights import PolyMatrix, leading_monomial, weight_at
+from .weights import PolyMatrix, _check_rectangle, leading_monomial, weight_at
 
 __all__ = [
     "SnfResult",
@@ -68,10 +62,7 @@ __all__ = [
     "snf_inductive",
     "snf_both",
     "verify_snf",
-    "determinant",
 ]
-
-_DET_SIDE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -86,12 +77,6 @@ class SnfResult:
     Q: PolyMatrix
     diagonal: tuple[Polynomial, ...]
     algorithm: str
-
-    @property
-    def D(self) -> PolyMatrix:
-        """The diagonal form, built from ``diagonal`` and the sides of the
-        transforms."""
-        return _expected_product(self.diagonal, self.P.rows, self.Q.rows)
 
     def agrees_with(self, other: "SnfResult") -> bool:
         """Whether ``other`` has the same diagonal and, entry for entry,
@@ -399,16 +384,7 @@ def snf_inductive(lam: Partition, d: int, e: int) -> SnfResult:
     are not representable in this layout; conjugate the partition and swap
     the sides instead.
     """
-    if d < 1 or e < 1:
-        raise InvalidRectangle(f"rectangle sides must be positive, got {d}x{e}")
-    if d > e:
-        raise InvalidRectangle(
-            f"{d}x{e} is taller than wide; conjugate the partition and use {e}x{d}"
-        )
-    if not lam.extended.on_border((d, e)):
-        raise InvalidRectangle(
-            f"corner ({d},{e}) is not on the border strip of {lam!r}"
-        )
+    _check_rectangle(lam, d, e, wide=True)
     weights = _PackedWeights(_layout(lam))
     U, VT = _reduce_rectangle(weights, lam, d, e)
     return _certified(weights, lam, d, e, U, VT, "inductive")
@@ -463,40 +439,3 @@ def verify_snf(W: PolyMatrix, result: SnfResult):
     except VerificationFailed as exc:
         return False, exc.residual
     return True, None
-
-
-def determinant(W: PolyMatrix) -> Polynomial:
-    """Exact determinant by cofactor expansion with column-mask memoization.
-
-    Intended as an independent oracle at desk scale; sides above
-    8 are rejected.
-    """
-    if W.rows != W.cols:
-        raise NotSquare(f"determinant of a {W.rows}x{W.cols} matrix")
-    n = W.rows
-    if n > _DET_SIDE_LIMIT:
-        raise TooLarge(f"cofactor expansion limited to side {_DET_SIDE_LIMIT}, got {n}")
-    memo: dict[int, Polynomial] = {}
-
-    def expand(r: int, mask: int) -> Polynomial:
-        if r == n:
-            return Polynomial.one()
-        known = memo.get(mask)
-        if known is not None:
-            return known
-        acc = Polynomial.zero()
-        pos = 0
-        row = W.entries[r]
-        for j in range(n):
-            bit = 1 << j
-            if not mask & bit:
-                continue
-            entry = row[j]
-            if entry:
-                term = entry * expand(r + 1, mask & ~bit)
-                acc = acc + term if pos % 2 == 0 else acc - term
-            pos += 1
-        memo[mask] = acc
-        return acc
-
-    return expand(0, (1 << n) - 1)

@@ -17,16 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    CornerNotOnBorder,
-    DimensionMismatch,
-    InternalGeometryError,
-)
+from .errors import DimensionMismatch, InternalGeometryError, InvalidRectangle
 from .partitions import Cell, Partition, subdiagram_shape
 from .polynomials import (
     Monomial,
     Polynomial,
-    matrix_product,
+    pack_matrices,
+    packed_product,
     polynomial_from_json,
     polynomial_to_json,
 )
@@ -120,14 +117,6 @@ class PolyMatrix:
     def from_rows(cls, rows: Iterable[Iterable], origin=Cell(1, 1)) -> "PolyMatrix":
         return cls(tuple(tuple(row) for row in rows), origin=Cell(*origin))
 
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        one = Polynomial.one()
-        zero = Polynomial.zero()
-        return cls(
-            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        )
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -135,14 +124,6 @@ class PolyMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0])
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        """0-indexed access; entry (i, j) sits on cell
-        (origin.row + i, origin.col + j)."""
-        return self.entries[i][j]
-
-    def cell_at(self, i: int, j: int) -> Cell:
-        return Cell(self.origin.row + i, self.origin.col + j)
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(
@@ -160,7 +141,11 @@ class PolyMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return PolyMatrix(matrix_product(self.entries, other.entries))
+        # One packed chain: only the entries of the product are decoded.
+        layout, packed = pack_matrices(self.entries, other.entries)
+        return PolyMatrix(
+            tuple(tuple(map(layout.decode, row)) for row in packed_product(*packed))
+        )
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
@@ -227,16 +212,25 @@ def square_matrix(lam: Partition, cell) -> PolyMatrix:
     return _weight_grid(lam, cell, side, side)
 
 
-def rect_weight_matrix(lam: Partition, d: int, e: int) -> PolyMatrix:
-    """Weight matrix of the d x e rectangle anchored at (1,1).
-
-    The corner (d, e) must sit on the border strip, which forces the whole
-    rectangle inside the extended diagram.
-    """
+def _check_rectangle(lam: Partition, d: int, e: int, wide: bool = False) -> None:
+    """Raise :class:`InvalidRectangle` unless the d x e rectangle anchored
+    at (1,1) has positive sides, is no taller than wide when ``wide`` is
+    set, and has its corner on the border strip, which forces the whole
+    rectangle inside the extended diagram."""
     if d < 1 or e < 1:
-        raise CornerNotOnBorder(f"rectangle sides must be positive, got {d}x{e}")
+        raise InvalidRectangle(f"rectangle sides must be positive, got {d}x{e}")
+    if wide and d > e:
+        raise InvalidRectangle(
+            f"{d}x{e} is taller than wide; conjugate the partition and use {e}x{d}"
+        )
     if not lam.extended.on_border((d, e)):
-        raise CornerNotOnBorder(
+        raise InvalidRectangle(
             f"corner ({d},{e}) is not on the border strip of {lam!r}"
         )
+
+
+def rect_weight_matrix(lam: Partition, d: int, e: int) -> PolyMatrix:
+    """Weight matrix of the d x e rectangle anchored at (1,1), whose corner
+    must sit on the border strip."""
+    _check_rectangle(lam, d, e)
     return _weight_grid(lam, Cell(1, 1), d, e)

@@ -5,22 +5,40 @@ with the same row-major letter assignment the CLI uses, so fixtures read
 exactly like the grids they pin down.
 """
 
-from typing import Iterator
+from itertools import combinations_with_replacement
+from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
 import partition_snf.snf as snf_module
 from partition_snf import (
     Cell,
+    IndexOutOfRange,
     Monomial,
     Partition,
     PolyMatrix,
     Polynomial,
     letter_naming,
+    q_catalan,
     subdiagram_shape,
     weight_at,
 )
 from partition_snf.snf import _peel_plan
+
+
+def from_cells(cells: Iterable) -> Monomial:
+    """The product of one variable on each of ``cells``."""
+    return Monomial((Cell(*cell), 1) for cell in cells)
+
+
+def evaluate_at_ones(p: Polynomial) -> int:
+    """Value with every variable set to 1, i.e. the coefficient sum."""
+    return sum(coeff for _, coeff in p.items())
+
+
+def identity(n: int) -> PolyMatrix:
+    """The n x n identity matrix."""
+    return PolyMatrix.from_rows([int(i == j) for j in range(n)] for i in range(n))
 
 
 def letter_cells(lam: Partition) -> dict[str, Cell]:
@@ -50,7 +68,7 @@ def poly(lam: Partition, text: str) -> Polynomial:
             digits += token[0]
             token = token[1:]
         coeff = sign * (int(digits) if digits else 1)
-        mono = Monomial.from_cells(cells[ch] for ch in token)
+        mono = from_cells(cells[ch] for ch in token)
         terms[mono] = terms.get(mono, 0) + coeff
     return Polynomial(terms)
 
@@ -65,6 +83,16 @@ def q_poly(coeffs) -> Polynomial:
 def q_power(k: int) -> Polynomial:
     """q^k on the one cell (1,1)."""
     return q_poly((0,) * k + (1,))
+
+
+def staircase_matrix(n: int) -> PolyMatrix:
+    """The square q-polynomial matrix of the n-th staircase: entry (i, j),
+    1-indexed, is ``q_catalan(n + 2 - i - j)`` and the side is n // 2 + 1.
+    The oracle for the origin weight square with every variable set to q."""
+    if n < 1:
+        raise ValueError("matrix index must be at least 1")
+    side = range(1, n // 2 + 2)
+    return PolyMatrix.from_rows([q_catalan(n + 2 - i - j) for j in side] for i in side)
 
 
 def catalan_numbers(n_max: int) -> list[int]:
@@ -108,7 +136,30 @@ def direct_weight(lam: Partition, cell) -> Polynomial:
         for r, length in enumerate(shape, start=1):
             for c in range(mu.part(r) + 1, length + 1):
                 cells.append(Cell(row + r - 1, col + c - 1))
-        terms[Monomial.from_cells(cells)] = 1
+        terms[from_cells(cells)] = 1
+    return Polynomial(terms)
+
+
+def choice_poly(lam: Partition, i: int) -> Polynomial:
+    """The paper's choice polynomial for index ``i``, cell by cell: its grid
+    row ``a`` holds cells (a, a+1) .. (a, a + w), with ``w = lam_i - i``,
+    and a sub-array takes the last ``c_a`` of them, ``w >= c_1 >= ... >=
+    c_i >= 0``.  Each sub-array contributes the product of its cells.  The
+    oracle for ``row_coefficient``, which builds skew monomials instead."""
+    if i == 0:
+        return Polynomial.one()
+    if not 1 <= i <= lam.rank:
+        raise IndexOutOfRange(f"grid index {i} outside 1..{lam.rank}")
+    w = lam.parts[i - 1] - i
+    terms: dict[Monomial, int] = {}
+    # Choosing from a descending range gives weakly decreasing counts.
+    for counts in combinations_with_replacement(range(w, -1, -1), i):
+        cells = [
+            Cell(a, b)
+            for a, c in enumerate(counts, start=1)
+            for b in range(a + w - c + 1, a + w + 1)
+        ]
+        terms[from_cells(cells)] = 1
     return Polynomial(terms)
 
 
@@ -168,10 +219,6 @@ def ref_degree(a: tuple) -> int:
 
 def ref_expanded(a: tuple) -> tuple:
     return tuple(cell for cell, e in a for _ in range(e))
-
-
-def ref_exponent(a: tuple, cell) -> int:
-    return dict(a).get(tuple(cell), 0)
 
 
 def ref_term_key(a: tuple):

@@ -17,10 +17,10 @@ from partition_snf import (
     all_partitions,
     alternating_row_sum,
     boundary_walk_count,
-    choice_poly,
     determinant,
     expected_snf_exponents,
     q_catalan,
+    row_coefficient,
     run_selftest,
     snf_inductive,
     snf_recurrence,
@@ -32,6 +32,9 @@ from partition_snf.cli import main
 
 from helpers import (
     catalan_numbers,
+    choice_poly,
+    evaluate_at_ones,
+    from_cells,
     is_lower_unitriangular,
     is_upper_unitriangular,
     poly,
@@ -120,7 +123,7 @@ def test_criterion_4_row_relation_instances():
 def test_criterion_5_choice_polynomials():
     with budget("criterion 5: choice polynomial anchors and counts", 120.0):
         def m(*cells):
-            return Polynomial.from_monomial(Monomial.from_cells(cells))
+            return Polynomial.from_monomial(from_cells(cells))
 
         six_terms = (
             Polynomial.one()
@@ -132,6 +135,9 @@ def test_criterion_5_choice_polynomials():
         )
         for lam in (Partition((4, 4)), Partition((5, 4, 1)), Partition((6, 4, 2))):
             assert choice_poly(lam, 2) == six_terms
+            # The fixed cells for index 2 are (1,4) .. (1,lam_1).
+            fixed = m(*(Cell(1, b) for b in range(4, lam.parts[0] + 1)))
+            assert row_coefficient(lam, 2) == six_terms * fixed
         for lam in all_partitions(12):
             for i in range(1, lam.rank + 1):
                 assert len(choice_poly(lam, i)) == comb(lam.parts[i - 1], i)
@@ -165,7 +171,7 @@ def test_criterion_8_q_catalan():
                 assert entry == q_power(k)
         oracle = catalan_numbers(10)
         for n in range(11):
-            assert q_catalan(n).evaluate_at_ones() == oracle[n]
+            assert evaluate_at_ones(q_catalan(n)) == oracle[n]
 
 
 def test_criterion_9_subpartition_count_oracles():

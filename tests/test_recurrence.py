@@ -5,26 +5,24 @@ import pytest
 from partition_snf import (
     Cell,
     IndexOutOfRange,
-    Monomial,
     Partition,
     Polynomial,
     all_partitions,
     alternating_row_sum,
-    choice_poly,
     leading_monomial,
     row_coefficient,
     row_coefficients,
     weight_at,
 )
 
-from helpers import poly
+from helpers import choice_poly, from_cells, poly
 
 LAM = Partition((3, 2))
 BIG = Partition((5, 4, 1))
 
 
 def cells_poly(*cells) -> Polynomial:
-    return Polynomial.from_monomial(Monomial.from_cells(cells))
+    return Polynomial.from_monomial(from_cells(cells))
 
 
 def grid_cells(lam: Partition, i: int) -> set[Cell]:
@@ -72,7 +70,7 @@ class TestChoicePoly:
     def test_displayed_six_terms(self):
         # lam_2 = 4: six sub-arrays, one per weakly decreasing length pair.
         def m(*cells):
-            return Polynomial.from_monomial(Monomial.from_cells(cells))
+            return Polynomial.from_monomial(from_cells(cells))
 
         expected = (
             Polynomial.one()

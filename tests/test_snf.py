@@ -4,9 +4,11 @@ import inspect
 import json
 import random
 import sys
+import types
 
 import pytest
 
+import partition_snf
 import partition_snf.snf as snf_module
 from partition_snf import (
     Cell,
@@ -29,18 +31,20 @@ from partition_snf import (
     snf_inductive,
     snf_recurrence,
     square_matrix,
-    staircase_matrix,
     verify_snf,
 )
 from partition_snf.polynomials import PACKED_MINUS_ONE, PACKED_ONE, PackedLayout
 
 from helpers import (
     accept_every_certification,
+    from_cells,
+    identity,
     is_lower_unitriangular,
     is_upper_unitriangular,
     naive_matrix_product,
     poly,
     ref_reduce_rectangle,
+    staircase_matrix,
     tamper_inductive,
 )
 
@@ -48,7 +52,7 @@ LAM = Partition((3, 2))
 
 
 def mono(*cells):
-    return Polynomial.from_monomial(Monomial.from_cells(cells))
+    return Polynomial.from_monomial(from_cells(cells))
 
 
 class TestPackedConstants:
@@ -99,11 +103,12 @@ class TestRecurrenceAlgorithm:
     def test_product_is_diagonal(self):
         for lam in (LAM, Partition((4, 2, 1)), Partition((3, 3, 3))):
             result = snf_recurrence(lam)
+            D = (result.P @ square_matrix(lam, Cell(1, 1)) @ result.Q).entries
             n = lam.rank + 1
             for i in range(n):
                 for j in range(n):
                     if i != j:
-                        assert result.D.entries[i][j].is_zero
+                        assert D[i][j].is_zero
 
 
 class TestInductiveAlgorithm:
@@ -309,8 +314,8 @@ class TestVerify:
         W = square_matrix(LAM, Cell(1, 1))
         naive = dataclasses.replace(
             snf_recurrence(LAM),
-            P=PolyMatrix.identity(3),
-            Q=PolyMatrix.identity(3),
+            P=identity(3),
+            Q=identity(3),
             diagonal=tuple(W.entries[i][i] for i in range(3)),
         )
         ok, residual = verify_snf(W, naive)
@@ -521,10 +526,58 @@ class TestDeterminant:
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
-            determinant(PolyMatrix.identity(9))
+            determinant(identity(9))
 
     def test_antisymmetry_small(self):
         x = Polynomial.variable(Cell(1, 1))
         y = Polynomial.variable(Cell(2, 2))
         M = PolyMatrix.from_rows([[0, x], [y, 0]])
         assert determinant(M) == -(x * y)
+
+
+def test_public_surface_is_pinned():
+    # Adding or removing a public name must be a deliberate change here.
+    package = sorted(
+        name
+        for name, value in vars(partition_snf).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert package == [
+        "Cell", "CellOutOfRange", "DimensionMismatch", "EmptyPartition",
+        "ExtendedDiagram", "IndexOutOfRange", "InternalGeometryError",
+        "InvalidRectangle", "Monomial", "NameCollision", "NonPositive",
+        "NotDecreasing", "NotSquare", "ParseError", "Partition",
+        "PartitionSnfError", "PolyMatrix", "Polynomial", "SelfTestReport",
+        "SnfResult", "TooLarge", "VerificationFailed", "all_partitions",
+        "alternating_row_sum", "boundary_walk_count", "clear_weight_cache",
+        "determinant", "expected_snf_exponents", "leading_monomial",
+        "letter_naming", "parse_partition", "partitions_of",
+        "polynomial_from_json", "polynomial_to_json", "q_catalan",
+        "q_catalan_table", "q_coefficients", "rect_weight_matrix", "render",
+        "render_q", "row_coefficient", "row_coefficients", "run_selftest",
+        "snf_both", "snf_inductive", "snf_recurrence", "square_matrix",
+        "staircase", "staircase_snf_diagonal", "subdiagram_shape",
+        "verify_snf", "weight_at", "weight_polynomial",
+    ]
+
+    def public(cls):
+        names = {name for name in dir(cls) if not name.startswith("_")}
+        if dataclasses.is_dataclass(cls):
+            names |= {f.name for f in dataclasses.fields(cls)}
+        return sorted(names)
+
+    assert public(Monomial) == [
+        "degree", "is_one", "pairs", "skew", "translate", "transpose", "variable",
+    ]
+    assert public(Polynomial) == [
+        "constant", "degree", "from_monomial", "is_zero", "items", "one",
+        "skew_sum", "substitute_uniform", "translate", "transpose_variables",
+        "variable", "zero",
+    ]
+    assert public(PolyMatrix) == [
+        "cols", "entries", "from_json", "from_rows", "is_zero", "origin",
+        "rows", "to_json", "transpose",
+    ]
+    assert public(SnfResult) == [
+        "P", "Q", "agrees_with", "algorithm", "diagonal", "to_json",
+    ]

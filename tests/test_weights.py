@@ -3,8 +3,8 @@ import pytest
 from partition_snf import (
     Cell,
     CellOutOfRange,
-    CornerNotOnBorder,
     DimensionMismatch,
+    InvalidRectangle,
     Partition,
     PolyMatrix,
     Polynomial,
@@ -18,7 +18,14 @@ from partition_snf import (
     weight_polynomial,
 )
 
-from helpers import direct_weight, extended_cells, poly, subpartitions
+from helpers import (
+    direct_weight,
+    evaluate_at_ones,
+    extended_cells,
+    identity,
+    poly,
+    subpartitions,
+)
 
 LAM = Partition((3, 2))
 BIG = Partition((5, 4, 1))
@@ -55,7 +62,7 @@ class TestWeightPolynomial:
     def test_term_count_5_4_1(self):
         p = weight_polynomial(BIG, Cell(1, 1))
         assert len(p) == 34
-        assert p.evaluate_at_ones() == 34
+        assert evaluate_at_ones(p) == 34
 
     def test_unit_coefficients_and_multilinear(self):
         for lam in (LAM, BIG, Partition((2, 2, 2))):
@@ -69,7 +76,7 @@ class TestWeightPolynomial:
         for lam in (LAM, BIG):
             for cell in sorted(extended_cells(lam.extended)):
                 expected = sum(1 for _ in subpartitions(lam.subdiagram(cell)))
-                assert weight_polynomial(lam, cell).evaluate_at_ones() == expected
+                assert evaluate_at_ones(weight_polynomial(lam, cell)) == expected
 
     def test_cached_matches_direct(self):
         for lam in (LAM, BIG, Partition((4, 3, 3, 1))):
@@ -80,7 +87,7 @@ class TestWeightPolynomial:
         column = Partition((1,) * 1200)
         weight = weight_at(column, 1, 1)
         assert len(weight) == 1201
-        assert weight.evaluate_at_ones() == 1201
+        assert evaluate_at_ones(weight) == 1201
         assert weight.degree == 1200
 
     def test_weight_at_extends_past_diagram(self):
@@ -104,7 +111,7 @@ class TestLeadingMonomial:
                 lead = leading_monomial(lam, cell)
                 ((mono, coeff),) = lead.items()
                 assert coeff == 1
-                assert p.coefficient(mono) == 1
+                assert dict(p.items())[mono] == 1
                 top = [m for m, _ in p.items() if m.degree == p.degree]
                 assert top == [mono]
                 assert mono.degree == lam.subdiagram(cell).size
@@ -167,22 +174,22 @@ class TestRectMatrix:
         assert W.entries == tuple(row[:3] for row in square.entries[:2])
 
     def test_corner_must_be_on_border(self):
-        with pytest.raises(CornerNotOnBorder):
+        with pytest.raises(InvalidRectangle):
             rect_weight_matrix(LAM, 2, 2)
-        with pytest.raises(CornerNotOnBorder):
+        with pytest.raises(InvalidRectangle):
             rect_weight_matrix(LAM, 0, 3)
 
 
 class TestPolyMatrix:
     def test_identity_product(self):
         W = square_matrix(LAM, Cell(1, 1))
-        I = PolyMatrix.identity(3)
+        I = identity(3)
         assert (I @ W).entries == W.entries
         assert (W @ I).entries == W.entries
 
     def test_matmul_shape_check(self):
         with pytest.raises(DimensionMismatch):
-            PolyMatrix.identity(2) @ PolyMatrix.identity(3)
+            identity(2) @ identity(3)
 
     def test_subtraction_and_zero(self):
         W = square_matrix(LAM, Cell(1, 1))
@@ -209,6 +216,6 @@ class TestPolyMatrix:
 
     def test_entries_track_origin_cells(self):
         M = square_matrix(LAM, Cell(2, 2))
-        assert M.cell_at(0, 0) == Cell(2, 2)
-        assert M.cell_at(1, 1) == Cell(3, 3)
-        assert M.entry(0, 0) == weight_polynomial(LAM, Cell(2, 2))
+        assert M.origin == Cell(2, 2)
+        assert M.entries[0][0] == weight_polynomial(LAM, Cell(2, 2))
+        assert M.entries[1][1] == weight_polynomial(LAM, Cell(3, 3))
