@@ -51,8 +51,7 @@ class NotSquare(PartitionSnfError, ValueError):
 
 
 class TooLarge(PartitionSnfError, ValueError):
-    """Input or result exceeds a size limit of the library: the side of a
-    cofactor determinant, or the total degree of a monomial."""
+    """A monomial's total degree exceeds 65535, the library's one size limit."""
 
 
 class VerificationFailed(PartitionSnfError, RuntimeError):

@@ -22,9 +22,10 @@ and then each row at a fixed stride, and decodes keys back, handing back
 the monomials it encoded.  A polynomial becomes a ``{key: coeff}`` dict
 and a monomial product one integer addition at any stride, so the key
 arithmetic takes no layout: :func:`times` scales by one monomial,
-:func:`fold` is the one multiply-accumulate, and :func:`packed_product`
-folds each row of a chain against each column.  :func:`pack_matrices`
-encodes polynomial matrices in a layout as wide as their widest row.
+:func:`quotient` divides exactly by one term, :func:`fold` is the one
+multiply-accumulate, and :func:`packed_product` folds each row of a
+chain against each column.  :func:`pack_matrices` encodes polynomial
+matrices in a layout as wide as their widest row.
 The reductions pack their weight shapes, replay their peeling and
 certify ``P @ W @ Q`` in one layout fixed by the partition.
 :meth:`Polynomial.skew_sum` builds a weight, the sum of the skew
@@ -49,7 +50,7 @@ from operator import add
 from struct import unpack
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import NameCollision, TooLarge
+from .errors import NameCollision, TooLarge, VerificationFailed
 from .partitions import Cell
 
 __all__ = [
@@ -453,6 +454,9 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # A constant equals its int, so it hashes as that int.
+        if not self.degree:
+            return hash(sum(self._terms.values()))
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
@@ -489,6 +493,21 @@ def times(terms: dict[int, int], key: int) -> dict[int, int]:
     """Packed ``terms`` multiplied by the monomial with key ``key``."""
     _check_product(_top(terms) + (key & _MASK))
     return {k + key: c for k, c in terms.items()}
+
+
+def quotient(terms: dict[int, int], divisor: dict[int, int]) -> dict[int, int]:
+    """Packed ``terms`` divided exactly by the one-term packed ``divisor``,
+    at any stride.  Raises :class:`VerificationFailed` when a coefficient
+    leaves a remainder or a key subtraction borrows across a field: the
+    key goes negative or its fields stop summing to its degree."""
+    ((key, coeff),) = divisor.items()
+    out = {}
+    for k, c in terms.items():
+        k -= key
+        if c % coeff or k < 0 or sum(_fields(k >> _FIELD)) != k & _MASK:
+            raise VerificationFailed("division by a term is not exact")
+        out[k] = c // coeff
+    return out
 
 
 def fold(base: dict[int, int], products) -> dict[int, int]:

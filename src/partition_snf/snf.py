@@ -96,18 +96,6 @@ class SnfResult:
         }
 
 
-def _expected_product(
-    diagonal: tuple[Polynomial, ...], rows: int, cols: int
-) -> PolyMatrix:
-    zero = Polynomial.zero()
-    pad = cols - rows
-    entries = [
-        [diagonal[i] if j == pad + i else zero for j in range(cols)]
-        for i in range(rows)
-    ]
-    return PolyMatrix(tuple(tuple(row) for row in entries))
-
-
 def _decoded(layout: PackedLayout, grid) -> tuple[tuple[Polynomial, ...], ...]:
     return tuple(tuple(map(layout.decode, row)) for row in grid)
 
@@ -134,29 +122,31 @@ def _certify(
     The factors are packed grids in ``layout``, which must fit every
     factor, the diagonal and so the product; ``Q`` is given transposed,
     its columns as rows.  The product is one packed chain, compared with
-    the packed expected form entry by entry, and decoded only when a
-    check fails.  Every failure raises :class:`VerificationFailed`
-    carrying the residual (computed minus expected), structural failures
-    included.
+    the packed expected form; only when a check fails is the residual,
+    computed minus expected, folded in packed form and decoded.  Every
+    failure raises :class:`VerificationFailed` carrying it, structural
+    failures included.
     """
     rows, cols = len(W), len(W[0])
     computed = packed_product(P, W, list(zip(*QT)))
     pad = cols - rows
+    expected = [
+        [layout.encode(diagonal[i]) if j == pad + i else {} for j in range(cols)]
+        for i in range(rows)
+    ]
     if not _is_upper_unitriangular(P):
         problem = "row transform is not upper unitriangular"
     elif not _is_upper_unitriangular(QT):
         problem = "column transform is not lower unitriangular"
-    elif any(
-        entry != (layout.encode(diagonal[i]) if j == pad + i else {})
-        for i, row in enumerate(computed)
-        for j, entry in enumerate(row)
-    ):
+    elif computed != expected:
         problem = "product differs from the expected diagonal form"
     else:
         return
-    expected = _expected_product(diagonal, rows, cols)
-    residual = PolyMatrix(_decoded(layout, computed)) - expected
-    raise VerificationFailed(f"{algorithm}: {problem}", residual=residual)
+    residual = [
+        [layout.decode(fold(c, ((e, PACKED_MINUS_ONE),))) for c, e in zip(*pair)]
+        for pair in zip(computed, expected)
+    ]
+    raise VerificationFailed(f"{algorithm}: {problem}", residual=PolyMatrix(residual))
 
 
 def _certified(weights: _PackedWeights, lam, d, e, P, QT, algorithm) -> SnfResult:

@@ -147,18 +147,6 @@ class PolyMatrix:
             tuple(tuple(map(layout.decode, row)) for row in packed_product(*packed))
         )
 
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("shape mismatch in matrix subtraction")
-        return PolyMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
     def is_zero(self) -> bool:
         return all(e.is_zero for row in self.entries for e in row)
 

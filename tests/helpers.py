@@ -15,6 +15,7 @@ from partition_snf import (
     Cell,
     IndexOutOfRange,
     Monomial,
+    NotSquare,
     Partition,
     PolyMatrix,
     Polynomial,
@@ -276,6 +277,58 @@ def ref_render(p: Polynomial, naming=None) -> str:
             piece = f"{coeff}{body}"
         out += piece if not out or piece.startswith("-") else "+" + piece
     return out
+
+
+def difference(left: PolyMatrix, right: PolyMatrix) -> PolyMatrix:
+    """``left - right`` entry by entry, for two matrices of one shape: the
+    reference for the residual that certification folds in packed form."""
+    assert (left.rows, left.cols) == (right.rows, right.cols)
+    return PolyMatrix(
+        tuple(
+            tuple(a - b for a, b in zip(ra, rb))
+            for ra, rb in zip(left.entries, right.entries)
+        )
+    )
+
+
+def cofactor_determinant(W: PolyMatrix) -> Polynomial:
+    """Exact determinant by cofactor expansion with column-mask memoization,
+    on ``Polynomial`` entries: the oracle for the packed elimination of
+    ``determinant``, and the determinant of matrices whose trailing
+    principal minors are not monomials.  Cost grows like 2**side."""
+    if W.rows != W.cols:
+        raise NotSquare(f"determinant of a {W.rows}x{W.cols} matrix")
+    n = W.rows
+    memo: dict[int, Polynomial] = {}
+
+    def expand(r: int, mask: int) -> Polynomial:
+        if r == n:
+            return Polynomial.one()
+        known = memo.get(mask)
+        if known is not None:
+            return known
+        acc = Polynomial.zero()
+        pos = 0
+        row = W.entries[r]
+        for j in range(n):
+            bit = 1 << j
+            if not mask & bit:
+                continue
+            entry = row[j]
+            if entry:
+                term = entry * expand(r + 1, mask & ~bit)
+                acc = acc + term if pos % 2 == 0 else acc - term
+            pos += 1
+        memo[mask] = acc
+        return acc
+
+    return expand(0, (1 << n) - 1)
+
+
+def box_partitions(side: int) -> Iterator[Partition]:
+    """Every partition inside the ``side x side`` box, C(2 side, side) of them."""
+    for parts in combinations_with_replacement(range(side, -1, -1), side):
+        yield Partition(tuple(p for p in parts if p))
 
 
 def naive_matrix_product(left, right) -> tuple:

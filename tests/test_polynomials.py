@@ -15,6 +15,7 @@ from partition_snf import (
     PolyMatrix,
     Polynomial,
     TooLarge,
+    VerificationFailed,
     all_partitions,
     letter_naming,
     polynomial_from_json,
@@ -29,6 +30,7 @@ from partition_snf.polynomials import (
     fold,
     pack_matrices,
     packed_product,
+    quotient,
     times,
 )
 
@@ -517,6 +519,38 @@ class TestPackedLayout:
         assert fold(x, [(minus_x, one)]) == {}
         assert layout.decode({}) == Polynomial.zero()
 
+    def test_quotient_undoes_a_product(self):
+        rng = random.Random(20261019)
+        layout = PackedLayout(3)
+        term = Polynomial.from_monomial(from_cells([(1, 3), (2, 1)]), -3)
+        term = layout.encode(term)
+        for _ in range(100):
+            p = layout.encode(random_poly(rng))
+            assert quotient(fold({}, [(p, term)]), term) == p
+
+    @pytest.mark.parametrize(
+        "dividend, divisor",
+        [
+            ({(1, 2): 1}, {(1, 1): 1}),
+            ({(2, 1): 1}, {(1, 2): 1}),
+            ({(1, 1): 1}, {(1, 1): 1, (1, 2): 1}),
+            ({(1, 3): 2}, {(2, 1): 1}),
+        ],
+    )
+    def test_quotient_rejects_a_borrow(self, dividend, divisor):
+        layout = PackedLayout(3)
+        terms = layout.encode(Polynomial.from_monomial(Monomial(dividend)))
+        key = layout.encode(Polynomial.from_monomial(Monomial(divisor)))
+        with pytest.raises(VerificationFailed, match="not exact"):
+            quotient(terms, key)
+
+    def test_quotient_rejects_a_remainder(self):
+        layout = PackedLayout(3)
+        x = Polynomial.variable((1, 2))
+        with pytest.raises(VerificationFailed, match="not exact"):
+            quotient(layout.encode(x * 3 + 1), {0: 2})
+        assert quotient(layout.encode(x * 4 + 2), {0: -2}) == layout.encode(x * -2 - 1)
+
 
 class TestDegreeLimit:
     """Total degree is capped at 65535 so no exponent field can carry."""
@@ -626,6 +660,15 @@ class TestPolynomialHash:
             assert {hash(route) for route in routes} == {hash(p)}
             assert len(set(routes)) == 1
             assert len({p, p + 1}) == 2
+
+    def test_constants_hash_as_their_ints(self):
+        # A constant equals its int, so a set or dict must merge the two.
+        for value in (0, 1, -1, 3, 2**64):
+            constant = Polynomial.constant(value)
+            assert constant == value and hash(constant) == hash(value)
+            assert len({constant, value}) == 1
+        assert hash(Polynomial.zero()) == hash(0)
+        assert {Polynomial.one(): "one"}[1] == "one"
 
 
 class TestSubstitution:

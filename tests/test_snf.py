@@ -5,10 +5,12 @@ import json
 import random
 import sys
 import types
+from math import prod
 
 import pytest
 
 import partition_snf
+import partition_snf.checks as checks_module
 import partition_snf.snf as snf_module
 from partition_snf import (
     Cell,
@@ -20,7 +22,6 @@ from partition_snf import (
     PolyMatrix,
     Polynomial,
     SnfResult,
-    TooLarge,
     VerificationFailed,
     all_partitions,
     determinant,
@@ -37,6 +38,9 @@ from partition_snf.polynomials import PACKED_MINUS_ONE, PACKED_ONE, PackedLayout
 
 from helpers import (
     accept_every_certification,
+    box_partitions,
+    cofactor_determinant,
+    difference,
     from_cells,
     identity,
     is_lower_unitriangular,
@@ -413,8 +417,11 @@ class TestCertify:
             snf_module._certify(layout, *factors, good.diagonal, "test")
         P, W, QT = (snf_module._decoded(layout, grid) for grid in factors)
         product = naive_matrix_product(naive_matrix_product(P, W), tuple(zip(*QT)))
-        expected = snf_module._expected_product(good.diagonal, d, e)
-        assert info.value.residual == PolyMatrix(product) - expected
+        expected = PolyMatrix.from_rows(
+            [good.diagonal[i] if j == e - d + i else 0 for j in range(e)]
+            for i in range(d)
+        )
+        assert info.value.residual == difference(PolyMatrix(product), expected)
 
     def test_selftest_reports_failed_certification(self, monkeypatch):
         monkeypatch.setattr(
@@ -512,27 +519,58 @@ class TestDeterminant:
 
     def test_equals_diagonal_product(self):
         for lam in all_partitions(7):
-            if lam.rank + 1 > 6:
-                continue
             W = square_matrix(lam, Cell(1, 1))
             product = Polynomial.one()
             for k in range(1, lam.rank + 2):
                 product = product * leading_monomial(lam, Cell(k, k))
             assert determinant(W) == product
 
+    def test_equals_cofactor_expansion_on_origin_squares(self):
+        for lam in [*all_partitions(12), *box_partitions(5)]:
+            W = square_matrix(lam, Cell(1, 1))
+            assert determinant(W) == cofactor_determinant(W), lam
+
+    def test_side_7_square_is_the_diagonal_product(self):
+        lam = Partition((6,) * 6)
+        W = square_matrix(lam, Cell(1, 1))
+        assert W.rows == 7
+        diagonal = [leading_monomial(lam, Cell(k, k)) for k in range(1, 8)]
+        assert determinant(W) == prod(diagonal, start=Polynomial.one())
+
     def test_not_square(self):
         with pytest.raises(NotSquare):
             determinant(rect_weight_matrix(LAM, 2, 3))
 
-    def test_too_large(self):
-        with pytest.raises(TooLarge):
-            determinant(identity(9))
+    def test_no_side_cap(self):
+        assert determinant(identity(9)) == 1
 
     def test_antisymmetry_small(self):
         x = Polynomial.variable(Cell(1, 1))
         y = Polynomial.variable(Cell(2, 2))
         M = PolyMatrix.from_rows([[0, x], [y, 0]])
-        assert determinant(M) == -(x * y)
+        assert cofactor_determinant(M) == -(x * y)
+
+    def test_zero_pivot_fails(self):
+        x = Polynomial.variable(Cell(1, 1))
+        y = Polynomial.variable(Cell(2, 2))
+        M = PolyMatrix.from_rows([[0, x], [y, 0]])
+        with pytest.raises(VerificationFailed, match=r"\(2,2\) is not one term: 0"):
+            determinant(M)
+
+    def test_selftest_records_a_zero_pivot(self, monkeypatch):
+        def zeroed(lam, cell):
+            rows = [list(row) for row in square_matrix(lam, cell).entries]
+            rows[-1][-1] = Polynomial.zero()
+            return PolyMatrix.from_rows(rows)
+
+        monkeypatch.setattr(checks_module, "square_matrix", zeroed)
+        report = run_selftest(3)
+        assert report.counts["determinant-product"] == 7
+        assert (
+            "determinant-product: partition (2, 1): "
+            "determinant pivot (2,2) is not one term: 0"
+        ) in report.failures
+        assert all(f.startswith("determinant-product: ") for f in report.failures)
 
 
 def test_public_surface_is_pinned():

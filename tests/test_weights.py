@@ -19,6 +19,7 @@ from partition_snf import (
 )
 
 from helpers import (
+    difference,
     direct_weight,
     evaluate_at_ones,
     extended_cells,
@@ -193,7 +194,8 @@ class TestPolyMatrix:
 
     def test_subtraction_and_zero(self):
         W = square_matrix(LAM, Cell(1, 1))
-        assert (W - W).is_zero()
+        assert difference(W, W).is_zero()
+        assert not difference(W, identity(3)).is_zero()
 
     def test_transpose(self):
         W = rect_weight_matrix(LAM, 2, 3)
