@@ -168,9 +168,18 @@ def _cmd_snf(args):
     lines = [f"partition: {lam}"]
     if args.algorithm == "both":
         by_rows, by_peeling = snf_both(lam)
-        rows_lines, rows_json = _snf_block(by_rows, naming, args.format)
-        peeling_lines, peeling_json = _snf_block(by_peeling, naming, args.format)
         agree = by_rows.agrees_with(by_peeling)
+        rows_lines, rows_json = _snf_block(by_rows, naming, args.format)
+        if not agree:
+            peeling_lines, peeling_json = _snf_block(by_peeling, naming, args.format)
+        elif rows_json is None:
+            # Equal results print alike but for their algorithm line, so
+            # the shared transforms and diagonal are rendered once.
+            peeling_lines = [f"algorithm: {by_peeling.algorithm}", *rows_lines[1:]]
+            peeling_json = None
+        else:
+            peeling_lines = []
+            peeling_json = {**rows_json, "algorithm": by_peeling.algorithm}
         lines += rows_lines + peeling_lines
         lines.append(f"agree: {'true' if agree else 'false'}")
         result = {"recurrence": rows_json, "inductive": peeling_json, "agree": agree}

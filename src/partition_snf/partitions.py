@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from operator import add
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     CellOutOfRange,
@@ -236,29 +237,46 @@ def parse_partition(text: str) -> Partition:
     return Partition(tuple(parts))
 
 
-def boundary_walk_count(p: Partition) -> int:
-    """Number of subpartitions, counted by a monotone boundary walk.
+def _plus_shifted(acc: list[int], poly: list[int], shift: int) -> list[int]:
+    """``acc + q^shift * poly`` on ascending coefficient lists, as a new list."""
+    end = shift + len(poly)
+    out = acc + [0] * (end - len(acc))
+    out[shift:end] = map(add, out[shift:end], poly)
+    return out
 
-    A contained partition corresponds to a right/up walk across the
-    bounding box whose up-step at height ``y`` happens at an x-coordinate
-    no greater than the matching row length.  The count is a plain dynamic
-    program over lattice points and never enumerates the partitions
-    themselves, so it serves as an independent cross-check for the
-    enumerator.
+
+def _complement_areas(parts: Sequence[int]) -> list[int]:
+    """Entry ``k`` counts the partitions inside ``parts`` that leave ``k``
+    of its cells uncovered: the ascending coefficients of
+    ``sum(q^(|mu| - |nu|) for nu inside mu)``, ending in the 1 of the
+    empty ``nu``.
+
+    A dynamic program over the rows, bottom first, that never enumerates
+    the partitions: ``ways[x]`` holds the rows below with the last one's
+    part at most ``x``, and a row of ``limit`` cells whose part is ``v``
+    leaves ``limit - v`` of them uncovered.
     """
-    height = len(p.parts)
-    width = p.parts[0] if p.parts else 0
-    ways = [1] * (width + 1)
-    for y in range(1, height + 1):
-        limit = p.part(height - y + 1)
-        nxt = [0] * (width + 1)
-        for x in range(width + 1):
-            v = nxt[x - 1] if x > 0 else 0
-            if x <= limit:
-                v += ways[x]
-            nxt[x] = v
-        ways = nxt
+    width = parts[0] if parts else 0
+    ways = [[1]] * (width + 1)
+    for limit in reversed(parts):
+        acc: list[int] = []
+        row = []
+        for v in range(limit + 1):
+            acc = _plus_shifted(acc, ways[v], limit - v)
+            row.append(acc)
+        ways = row + [acc] * (width - limit)
     return ways[width]
+
+
+def boundary_walk_count(p: Partition) -> int:
+    """Number of subpartitions: :func:`_complement_areas` at q = 1.
+
+    The count is a dynamic program over the rows and never enumerates
+    the partitions themselves, so it serves as an independent cross-check
+    for the enumerator, and through it for the q-weights the staircase
+    reductions read.
+    """
+    return sum(_complement_areas(p.parts))
 
 
 def partitions_of(n: int) -> Iterator[Partition]:

@@ -32,10 +32,14 @@ certify ``P @ W @ Q`` in one layout fixed by the partition.
 monomials over every sub-partition of a shape, by walking the
 sub-partitions iteratively straight into packed rows.
 
-There is no separate univariate type.  :meth:`Polynomial.substitute_uniform`
-sends every variable to x[1,1], so a polynomial in one symbol q is a
-polynomial on the single cell (1,1): q^k is the monomial x[1,1]^k, which
-``PackedLayout(1)`` encodes like any other.
+There is no separate univariate type: a polynomial in one symbol q is a
+polynomial on the single cell (1,1), q^k being the monomial x[1,1]^k.
+The packed path reaches Z[q] through a second key format, ``_QLayout``,
+whose keys are those ``PackedLayout(1)`` gives the powers of x[1,1].
+Encoding in it sends every variable to q, and ``_q_weight`` packs a
+shape's weight there straight from the subpartition-counting dynamic
+program, so the staircase reductions run on the same kernels in Z[q]
+without enumerating a multivariate weight.
 
 The canonical term order used for rendering and serialization is graded
 lex: degree descending, then the row-major exponent vector, larger first.
@@ -51,7 +55,7 @@ from struct import unpack
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NameCollision, TooLarge, VerificationFailed
-from .partitions import Cell
+from .partitions import Cell, _complement_areas
 
 __all__ = [
     "Monomial",
@@ -422,18 +426,6 @@ class Polynomial:
 
     # -- ring maps -----------------------------------------------------------
 
-    def substitute_uniform(self) -> "Polynomial":
-        """Send every variable to x[1,1]: each term's total degree becomes
-        the exponent of x[1,1], and terms of equal degree add up."""
-        if not self._terms:
-            return _ZERO
-        coeffs = [0] * (self.degree + 1)
-        for mono, coeff in self._terms.items():
-            coeffs[mono.degree] += coeff
-        return _polynomial(
-            {_packed((k,) if k else (), k): c for k, c in enumerate(coeffs) if c}
-        )
-
     def translate(self, dr: int, dc: int) -> "Polynomial":
         if dr < 0 or dc < 0:
             raise _shift_error(dr, dc)
@@ -615,6 +607,56 @@ class PackedLayout:
             degree = key & _MASK
             out[(key ^ degree) << shift | degree] = coeff
         return out
+
+
+# The key of q in a _QLayout; q^k is k times it while k fits its field.
+_Q = 1 | 1 << _FIELD
+
+
+class _QLayout(PackedLayout):
+    """The key format of the packed path in Z[q]: ``PackedLayout(1)``'s
+    keys of the powers of x[1,1], read as powers of q, with every
+    variable sent to q.
+
+    Encoding adds up the coefficients of each total degree, which is the
+    ring map sending every variable to q; so a reduction replayed and
+    certified in this layout is the image in Z[q] of the multivariate
+    one.  Every cell is q wherever it lies, so translation is the
+    identity, and decoding is ``PackedLayout(1)``'s.
+    """
+
+    __slots__ = ()
+
+    def __init__(self):
+        super().__init__(1)
+
+    def encode(self, poly: Polynomial) -> dict[int, int]:
+        terms: dict[int, int] = {}
+        for mono, coeff in poly._terms.items():
+            key = mono._degree * _Q
+            terms[key] = terms.get(key, 0) + coeff
+        return {k: c for k, c in terms.items() if c}
+
+    def variable(self, cell: Cell) -> int:
+        return _Q
+
+    def translate(self, terms: dict[int, int], dr: int, dc: int) -> dict[int, int]:
+        # The same dict: no packed operation changes its inputs.
+        return terms
+
+
+def _q_weight(shape: Sequence[int]) -> dict[int, int]:
+    """The weight of ``shape`` anchored at (1,1) with every variable sent
+    to q, ``sum(q^(|shape| - |nu|) for nu inside shape)``, packed in a
+    :class:`_QLayout` from the counting program, not from its terms.
+
+    A shape past the degree limit raises :class:`TooLarge` before the
+    program runs: its top power would carry out of the q field."""
+    degree = sum(shape)
+    if degree > _MAX_DEGREE:
+        raise _degree_error(degree)
+    # No coefficient is 0: removing corners one by one passes every size.
+    return {k * _Q: c for k, c in enumerate(_complement_areas(shape))}
 
 
 def packed_product(

@@ -6,20 +6,26 @@ forms with pure powers of q on the diagonal, with exponents given by
 binomial coefficients stepping down by two.
 
 A q-polynomial is an ordinary :class:`Polynomial` on the single cell
-(1,1), q^k being x[1,1]^k, as :meth:`Polynomial.substitute_uniform`
-returns it; the determinant and the reductions apply to it unchanged.
-Only output is q-specific: :func:`q_coefficients` gives the dense
-ascending coefficient list and :func:`render_q` the text form in q.
+(1,1), q^k being x[1,1]^k.  Nothing here enumerates a multivariate
+weight.  A shape's weight in q comes from the subpartition-counting
+dynamic program, and the staircase square is reduced and certified in
+Z[q] itself: the inductive reduction's replay and certification run
+unchanged on q-weights packed in the q key format.  Sending every
+variable to q is a ring map and every step is ring arithmetic, so the
+transforms are the images of the multivariate ones, and the certificate
+``P @ W @ Q = diag(q^e)`` is checked in Z[q].  Only output is
+q-specific: :func:`q_coefficients` gives the dense ascending coefficient
+list and :func:`render_q` the text form in q.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .partitions import Cell, Partition
-from .polynomials import Polynomial
-from .snf import snf_inductive
-from .weights import weight_polynomial
+from .partitions import Partition
+from .polynomials import Monomial, Polynomial, _q_weight, _QLayout
+from .snf import SnfResult, _certified, _PackedWeights, _reduce_rectangle
+from .snf import snf_inductive  # noqa: F401  (the benchmark tracer patches it here)
 
 __all__ = [
     "staircase",
@@ -48,9 +54,7 @@ def q_catalan(n: int) -> Polynomial:
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n == 0:
-        return Polynomial.one()
-    return weight_polynomial(staircase(n), Cell(1, 1)).substitute_uniform()
+    return _QLayout().decode(_q_weight(staircase(n).parts))
 
 
 def q_catalan_table(n_max: int) -> tuple[Polynomial, ...]:
@@ -68,15 +72,24 @@ def expected_snf_exponents(n: int) -> tuple[int, ...]:
     return tuple(comb(n - 2 * k, 2) for k in range(n // 2 + 1))
 
 
+def _q_reduction(lam: Partition) -> SnfResult:
+    """The inductive reduction of ``lam``'s origin square with every
+    variable sent to q, replayed and certified in Z[q]."""
+    # The leading monomial of W(1,1) is built first, so a partition past
+    # the degree limit raises TooLarge before any reduction work.
+    Monomial.skew(lam.parts)
+    side = lam.rank + 1
+    weights = _PackedWeights(_QLayout(), _q_weight)
+    U, VT = _reduce_rectangle(weights, lam, side, side)
+    return _certified(weights, lam, side, side, U, VT, "inductive")
+
+
 def staircase_snf_diagonal(n: int) -> tuple[Polynomial, ...]:
-    """Diagonal of the certified reduction of the n-th staircase, with all
-    variables substituted by q."""
+    """Diagonal of the n-th staircase square's reduction in Z[q], certified
+    there."""
     if n < 1:
         raise ValueError("matrix index must be at least 1")
-    lam = staircase(n)
-    side = lam.rank + 1
-    result = snf_inductive(lam, side, side)
-    return tuple(entry.substitute_uniform() for entry in result.diagonal)
+    return _q_reduction(staircase(n)).diagonal
 
 
 def q_coefficients(poly: Polynomial) -> list[int]:

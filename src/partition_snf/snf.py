@@ -33,11 +33,19 @@ in one tail, :func:`_certified`, which multiplies ``P @ W @ Q`` in the
 same layout, with nothing re-encoded, compares it with the packed
 expected form, and decodes the transforms once, for the result; the
 product is decoded only to build the residual of a failing check.
+
+The replay and the tail take their layout and weights as given:
+:class:`_PackedWeights` is handed the function that packs a shape's
+anchored weight.  The multivariate reductions read the shape memo, and
+the staircase reductions of :mod:`~partition_snf.qcatalan` pass the
+q-weights of the q key format instead, so the same replay and
+certification run in Z[q].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .errors import DimensionMismatch, VerificationFailed
 from .partitions import Cell, Partition, subdiagram_shape
@@ -113,25 +121,25 @@ def _certify(
     P: list[list[dict[int, int]]],
     W: list[list[dict[int, int]]],
     QT: list[list[dict[int, int]]],
-    diagonal: tuple[Polynomial, ...],
+    diagonal: list[dict[int, int]],
     algorithm: str,
 ) -> None:
     """Check ``P @ W @ Q`` against the expected diagonal form and the
     transforms for unitriangularity.
 
-    The factors are packed grids in ``layout``, which must fit every
-    factor, the diagonal and so the product; ``Q`` is given transposed,
-    its columns as rows.  The product is one packed chain, compared with
-    the packed expected form; only when a check fails is the residual,
-    computed minus expected, folded in packed form and decoded.  Every
-    failure raises :class:`VerificationFailed` carrying it, structural
-    failures included.
+    The factors and the diagonal entries are packed in ``layout``, which
+    must fit every factor, the diagonal and so the product; ``Q`` is
+    given transposed, its columns as rows.  The product is one packed
+    chain, compared with the packed expected form; only when a check
+    fails is the residual, computed minus expected, folded in packed
+    form and decoded.  Every failure raises :class:`VerificationFailed`
+    carrying it, structural failures included.
     """
     rows, cols = len(W), len(W[0])
     computed = packed_product(P, W, list(zip(*QT)))
     pad = cols - rows
     expected = [
-        [layout.encode(diagonal[i]) if j == pad + i else {} for j in range(cols)]
+        [diagonal[i] if j == pad + i else {} for j in range(cols)]
         for i in range(rows)
     ]
     if not _is_upper_unitriangular(P):
@@ -152,14 +160,18 @@ def _certify(
 def _certified(weights: _PackedWeights, lam, d, e, P, QT, algorithm) -> SnfResult:
     """The tail of both reductions of ``lam``'s d x e rectangle: certify
     the packed transforms ``P`` and ``QT`` (``Q`` transposed) against the
-    packed weights in the layout of ``weights``, then decode them."""
+    packed weights and the leading monomials, all in the layout of
+    ``weights`` and so in its ring, then decode them."""
     layout = weights.layout
-    diagonal = tuple(leading_monomial(lam, Cell(k, k + e - d)) for k in range(1, d + 1))
+    diagonal = [
+        layout.encode(leading_monomial(lam, Cell(k, k + e - d)))
+        for k in range(1, d + 1)
+    ]
     _certify(layout, P, weights.grid(lam, d, e), QT, diagonal, algorithm)
     return SnfResult(
         P=PolyMatrix(_decoded(layout, P)),
         Q=PolyMatrix(tuple(zip(*_decoded(layout, QT)))),
-        diagonal=diagonal,
+        diagonal=tuple(map(layout.decode, diagonal)),
         algorithm=algorithm,
     )
 
@@ -167,14 +179,20 @@ def _certified(weights: _PackedWeights, lam, d, e, P, QT, algorithm) -> SnfResul
 class _PackedWeights:
     """Weights of positions, and their negations, packed in one layout.
 
-    Each shape's memoized (1,1)-anchored weight is packed once and
-    negated once in packed form; a weight is then moved into place by one
-    shift of each key.  Past the extension the shape is empty and the
-    weight is 1.
+    ``anchored`` gives a nonempty shape's (1,1)-anchored weight packed in
+    ``layout``; it is asked once per shape, and the weight negated once
+    in packed form.  A weight is then moved into place by the layout's
+    translation.  Past the extension the shape is empty and the weight
+    is 1.
     """
 
-    def __init__(self, layout: PackedLayout):
+    def __init__(
+        self,
+        layout: PackedLayout,
+        anchored: Callable[[tuple[int, ...]], dict[int, int]],
+    ):
         self.layout = layout
+        self._anchored_weight = anchored
         # shape -> (weight, minus the weight), both (1,1)-anchored
         self._anchored = {(): (PACKED_ONE, PACKED_MINUS_ONE)}
 
@@ -182,9 +200,7 @@ class _PackedWeights:
         shape = subdiagram_shape(lam, row, col)
         pair = self._anchored.get(shape)
         if pair is None:
-            # The shape's memo entry, read as the weight at its own origin,
-            # where weight_at translates nothing.
-            plus = self.layout.encode(weight_at(Partition(shape), 1, 1))
+            plus = self._anchored_weight(shape)
             pair = self._anchored[shape] = (plus, {k: -c for k, c in plus.items()})
         terms = pair[0] if sign > 0 else pair[1]
         return self.layout.translate(terms, row - 1, col - 1) if shape else terms
@@ -224,6 +240,17 @@ def _layout(lam: Partition) -> PackedLayout:
     return PackedLayout(lam.parts[0] if lam else 1)
 
 
+def _weights(lam: Partition) -> _PackedWeights:
+    """The weights of ``lam``'s positions, read from the shape memo and
+    packed in ``lam``'s layout."""
+    layout = _layout(lam)
+    # The shape's memo entry, read as the weight at its own origin, where
+    # weight_at translates nothing.
+    return _PackedWeights(
+        layout, lambda shape: layout.encode(weight_at(Partition(shape), 1, 1))
+    )
+
+
 def _stacked_transforms(layout: PackedLayout, lam: Partition):
     """The recurrence's transforms of ``lam``'s origin square, packed in
     ``layout``: P, and Q transposed, which is the row transform of the
@@ -249,7 +276,7 @@ def snf_recurrence(lam: Partition) -> SnfResult:
     transposed.
     """
     n = lam.rank + 1
-    weights = _PackedWeights(_layout(lam))
+    weights = _weights(lam)
     P, QT = _stacked_transforms(weights.layout, lam)
     return _certified(weights, lam, n, n, P, QT, "recurrence")
 
@@ -375,7 +402,7 @@ def snf_inductive(lam: Partition, d: int, e: int) -> SnfResult:
     the sides instead.
     """
     _check_rectangle(lam, d, e, wide=True)
-    weights = _PackedWeights(_layout(lam))
+    weights = _weights(lam)
     U, VT = _reduce_rectangle(weights, lam, d, e)
     return _certified(weights, lam, d, e, U, VT, "inductive")
 
@@ -394,7 +421,7 @@ def snf_both(lam: Partition) -> tuple[SnfResult, SnfResult]:
     are, for the caller to compare.
     """
     n = lam.rank + 1
-    weights = _PackedWeights(_layout(lam))
+    weights = _weights(lam)
     P, QT = _stacked_transforms(weights.layout, lam)
     U, VT = _reduce_rectangle(weights, lam, n, n)
     by_rows = _certified(weights, lam, n, n, P, QT, "recurrence")
@@ -420,12 +447,12 @@ def verify_snf(W: PolyMatrix, result: SnfResult):
             f"transforms {P.rows}x{P.cols} / {Q.rows}x{Q.cols} do not fit a "
             f"{W.rows}x{W.cols} matrix"
         )
-    # The diagonal is packed only so that the layout is sized over it too.
+    # The diagonal is packed with the factors, so the layout fits it too.
     layout, packed = pack_matrices(
         P.entries, W.entries, tuple(zip(*Q.entries)), (result.diagonal,)
     )
     try:
-        _certify(layout, *packed[:3], result.diagonal, result.algorithm)
+        _certify(layout, *packed[:3], packed[3][0], result.algorithm)
     except VerificationFailed as exc:
         return False, exc.residual
     return True, None

@@ -86,6 +86,16 @@ def q_power(k: int) -> Polynomial:
     return q_poly((0,) * k + (1,))
 
 
+def substitute_uniform(p: Polynomial) -> Polynomial:
+    """``p`` with every variable sent to x[1,1]: each term's total degree
+    becomes the exponent of x[1,1], and terms of equal degree add up.
+    The multivariate-then-collapse oracle for the library's work in Z[q]."""
+    coeffs: dict[int, int] = {}
+    for mono, coeff in p.items():
+        coeffs[mono.degree] = coeffs.get(mono.degree, 0) + coeff
+    return Polynomial({Monomial({Cell(1, 1): k}): c for k, c in coeffs.items()})
+
+
 def staircase_matrix(n: int) -> PolyMatrix:
     """The square q-polynomial matrix of the n-th staircase: entry (i, j),
     1-indexed, is ``q_catalan(n + 2 - i - j)`` and the side is n // 2 + 1.

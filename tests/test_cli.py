@@ -116,6 +116,32 @@ class TestSnfCommand:
         assert "agree: true" in out
         assert out.count("verified: true") == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_agreeing_results_render_once(self, capsys, monkeypatch, fmt):
+        # Agreeing results differ only in their algorithm, so the shared
+        # block is rendered once; differing ones are rendered apart.
+        block, calls = cli_module._snf_block, []
+
+        def counted(result, naming, fmt):
+            calls.append(result.algorithm)
+            return block(result, naming, fmt)
+
+        monkeypatch.setattr(cli_module, "_snf_block", counted)
+        code, out, _ = run_cli(capsys, "snf", "3,2", "--format", fmt)
+        assert (code, calls) == (0, ["recurrence"])
+        if fmt == "json":
+            result = json.loads(out)["result"]
+            assert [result[name]["algorithm"] for name in ("recurrence", "inductive")] == [
+                "recurrence", "inductive"
+            ]
+        else:
+            assert "algorithm: recurrence" in out and "algorithm: inductive" in out
+        calls.clear()
+        tamper_inductive(monkeypatch, "P")
+        accept_every_certification(monkeypatch)
+        code, _, _ = run_cli(capsys, "snf", "3,2", "--format", fmt)
+        assert (code, calls) == (2, ["recurrence", "inductive"])
+
     @pytest.mark.parametrize("field", ["P", "Q"])
     def test_disagreeing_transforms(self, capsys, monkeypatch, field):
         # Same diagonal, different transform: the wrong pair fails its own
@@ -315,18 +341,27 @@ class TestDegreeLimit:
         assert "exceeds the limit" in done.stderr
 
     @pytest.mark.parametrize(
-        "argv", [("weights", "40,40,40,40,40,40"), ("qcatalan", "30")]
+        "argv", [("weights", "40,40,40,40,40,40"), ("snf", "11,10,9,8,7,6,5,4,3,2,1")]
     )
     def test_out_of_memory_is_one_line(self, argv):
         # The origin weight of six rows of 40 has C(46, 6) terms, and the
-        # staircase weights of qcatalan 30 fill the weight memo: both run
-        # far past a 256 MiB cap, and the CLI reports it in one line, not
-        # a traceback.
+        # 12-part staircase's multivariate weights fill the weight memo:
+        # both run far past a 256 MiB cap, and the CLI reports it in one
+        # line, not a traceback.
         done = _capped_cli(argv, 256 << 20)
         assert done.returncode == 1
         assert done.stdout == ""
         assert "Traceback" not in done.stderr
         assert done.stderr.splitlines() == ["error: out of memory"]
+
+    def test_qcatalan_runs_in_z_q_within_the_cap(self):
+        # The staircase reductions run in Z[q] and never enumerate the
+        # Catalan-many multivariate terms, so n = 20 fits 256 MiB.
+        done = _capped_cli(("qcatalan", "20", "--format", "json"), 256 << 20)
+        assert (done.returncode, done.stderr) == (0, "")
+        rows = json.loads(done.stdout)["result"]["rows"]
+        assert [row["n"] for row in rows] == list(range(21))
+        assert all(row["ok"] for row in rows[1:])
 
 
 class TestQCatalanCommand:

@@ -26,6 +26,7 @@ from partition_snf import (
 )
 from partition_snf.polynomials import (
     PackedLayout,
+    _QLayout,
     _term_key,
     fold,
     pack_matrices,
@@ -50,6 +51,7 @@ from helpers import (
     ref_transpose,
     skew_cells,
     subpartitions,
+    substitute_uniform,
 )
 
 LAM = Partition((3, 2))
@@ -552,6 +554,23 @@ class TestPackedLayout:
         assert quotient(layout.encode(x * 4 + 2), {0: -2}) == layout.encode(x * -2 - 1)
 
 
+class TestQLayout:
+    """The q key format: PackedLayout(1)'s keys of the powers of x[1,1],
+    with every cell sent to q."""
+
+    def test_keys_are_those_of_the_powers_of_x11(self):
+        layout, plain = _QLayout(), PackedLayout(1)
+        for k in (0, 1, 7, 65535):
+            assert layout.encode(x_power(k)) == plain.encode(x_power(k))
+        assert layout.variable(Cell(3, 5)) == plain.variable(Cell(1, 1))
+        assert layout.encode(poly(LAM, "ab-de+c")) == plain.encode(x_power(1))
+
+    def test_translate_is_the_identity(self):
+        layout = _QLayout()
+        terms = layout.encode(poly(LAM, "abcde+bc+1"))
+        assert layout.translate(terms, 2, 3) is terms
+
+
 class TestDegreeLimit:
     """Total degree is capped at 65535 so no exponent field can carry."""
 
@@ -673,25 +692,29 @@ class TestPolynomialHash:
 
 class TestSubstitution:
     def test_all_variables_to_q(self):
-        assert poly(LAM, "abcde").substitute_uniform() == q_power(5)
+        assert substitute_uniform(poly(LAM, "abcde")) == q_power(5)
 
     def test_constant(self):
-        assert Polynomial.one().substitute_uniform() == q_poly((1,))
+        assert substitute_uniform(Polynomial.one()) == q_poly((1,))
 
     def test_collects_by_degree(self):
-        assert poly(LAM, "de+e+1").substitute_uniform() == q_poly((1, 1, 1))
+        assert substitute_uniform(poly(LAM, "de+e+1")) == q_poly((1, 1, 1))
 
     def test_homomorphism(self):
         rng = random.Random(99)
+        layout = _QLayout()
         for _ in range(300):
             a, b = random_poly(rng), random_poly(rng)
-            qa, qb, qsum, qprod = (p.substitute_uniform() for p in (a, b, a + b, a * b))
+            qa, qb, qsum, qprod = (substitute_uniform(p) for p in (a, b, a + b, a * b))
             for image in (qa, qb, qsum, qprod):
                 # Only powers of x[1,1], and substituting again changes nothing.
                 assert all(m == Monomial({Cell(1, 1): m.degree}) for m, _ in image.items())
-                assert image.substitute_uniform() == image
+                assert substitute_uniform(image) == image
             assert qsum == qa + qb
             assert qprod == qa * qb
+            # The q key format encodes the same ring map.
+            for p, image in ((a, qa), (b, qb), (a * b, qprod)):
+                assert layout.decode(layout.encode(p)) == image
 
     def test_at_ones_of_zero(self):
         assert evaluate_at_ones(Polynomial.zero()) == 0

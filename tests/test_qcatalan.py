@@ -1,17 +1,27 @@
 import pytest
 
+import partition_snf.polynomials as polynomials_module
+import partition_snf.qcatalan as qcatalan_module
 from partition_snf import (
     Cell,
     Partition,
+    TooLarge,
+    VerificationFailed,
+    all_partitions,
     q_catalan_table,
     determinant,
     expected_snf_exponents,
     q_catalan,
     render_q,
+    snf_inductive,
     square_matrix,
     staircase,
     staircase_snf_diagonal,
+    weight_at,
+    weight_polynomial,
 )
+from partition_snf.polynomials import _q_weight, _QLayout
+from partition_snf.snf import _identity_grid
 
 from helpers import (
     catalan_numbers,
@@ -19,6 +29,7 @@ from helpers import (
     q_poly,
     q_power,
     staircase_matrix,
+    substitute_uniform,
 )
 
 
@@ -92,7 +103,7 @@ class TestStaircaseMatrix:
             assert (M.rows, M.cols) == (S.rows, S.cols)
             for i in range(S.rows):
                 for j in range(S.cols):
-                    assert M.entries[i][j] == S.entries[i][j].substitute_uniform()
+                    assert M.entries[i][j] == substitute_uniform(S.entries[i][j])
 
     def test_invalid_index(self):
         with pytest.raises(ValueError):
@@ -122,3 +133,62 @@ class TestStaircaseNormalForm:
             assert len(diag) == len(exponents)
             for entry, k in zip(diag, exponents):
                 assert entry == q_power(k)
+
+
+def collapsed(matrix):
+    return tuple(tuple(map(substitute_uniform, row)) for row in matrix.entries)
+
+
+class TestReductionInZq:
+    """The q-weights and the reduction in Z[q] are the images of the
+    multivariate ones with every variable sent to q."""
+
+    def test_q_weight_is_the_collapsed_weight(self):
+        layout = _QLayout()
+        for lam in all_partitions(10):
+            got = layout.decode(_q_weight(lam.parts))
+            assert got == substitute_uniform(weight_at(lam, 1, 1)), lam
+
+    def test_staircases_match_multivariate_then_collapse(self):
+        for n in range(11):
+            lam = staircase(n)
+            assert q_catalan(n) == substitute_uniform(weight_polynomial(lam, Cell(1, 1)))
+            if n:
+                side = lam.rank + 1
+                multivariate = snf_inductive(lam, side, side).diagonal
+                assert staircase_snf_diagonal(n) == tuple(map(substitute_uniform, multivariate))
+
+    def test_transforms_are_the_images_of_the_inductive_ones(self):
+        for lam in all_partitions(9):
+            side = lam.rank + 1
+            multivariate = snf_inductive(lam, side, side)
+            in_q = qcatalan_module._q_reduction(lam)
+            assert in_q.P.entries == collapsed(multivariate.P), lam
+            assert in_q.Q.entries == collapsed(multivariate.Q), lam
+            assert in_q.diagonal == tuple(map(substitute_uniform, multivariate.diagonal))
+
+    @pytest.mark.parametrize("field", ["P", "Q"])
+    def test_a_tampered_transform_fails_certification(self, monkeypatch, field):
+        reduce = qcatalan_module._reduce_rectangle
+
+        def tampered(weights, lam, d, e):
+            U, VT = reduce(weights, lam, d, e)
+            if field == "P":
+                return _identity_grid(len(U)), VT
+            return U, _identity_grid(len(VT))
+
+        monkeypatch.setattr(qcatalan_module, "_reduce_rectangle", tampered)
+        with pytest.raises(VerificationFailed, match="^inductive: product differs"):
+            staircase_snf_diagonal(5)
+
+    def test_q_weight_refuses_a_degree_past_the_limit_before_counting(self, monkeypatch):
+        def uncalled(parts):
+            raise AssertionError("the counting program ran")
+
+        monkeypatch.setattr(polynomials_module, "_complement_areas", uncalled)
+        with pytest.raises(TooLarge, match="65536 exceeds the limit 65535"):
+            _q_weight((65536,))
+        with pytest.raises(TooLarge):
+            _q_weight((40000, 30000))
+        with pytest.raises(AssertionError):
+            _q_weight((2, 1))

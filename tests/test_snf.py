@@ -215,7 +215,7 @@ def wide_border_rectangles(lam: Partition) -> list[tuple[int, int]]:
 
 def decoded_replay(lam: Partition, d: int, e: int):
     """(U, VT) of the packed replay, decoded into polynomial grids."""
-    weights = snf_module._PackedWeights(snf_module._layout(lam))
+    weights = snf_module._weights(lam)
     grids = snf_module._reduce_rectangle(weights, lam, d, e)
     return tuple(
         [list(row) for row in snf_module._decoded(weights.layout, grid)] for grid in grids
@@ -246,7 +246,7 @@ class TestPackedReplay:
 
 
 def decoded_weight_grid(lam: Partition, d: int, e: int):
-    weights = snf_module._PackedWeights(snf_module._layout(lam))
+    weights = snf_module._weights(lam)
     return snf_module._decoded(weights.layout, weights.grid(lam, d, e))
 
 
@@ -391,16 +391,17 @@ class TestCertify:
         minus_one = [[layout.encode(-Polynomial.one())]]
         one = [[layout.encode(Polynomial.one())]]
         with pytest.raises(VerificationFailed, match="not upper unitriangular") as info:
-            snf_module._certify(layout, minus_one, one, minus_one, (Polynomial.one(),), "test")
+            snf_module._certify(layout, minus_one, one, minus_one, one[0], "test")
         assert isinstance(info.value.residual, PolyMatrix)
         assert info.value.residual.is_zero()
 
     def test_product_failure_carries_residual(self):
         W = square_matrix(LAM, Cell(1, 1))
         good = snf_recurrence(LAM)
+        layout, *factors = packed_factors(LAM, good.P, W, good.Q)
         diagonal = (good.diagonal[0], poly(LAM, "d"), good.diagonal[2])
         with pytest.raises(VerificationFailed, match="differs") as info:
-            snf_module._certify(*packed_factors(LAM, good.P, W, good.Q), diagonal, "test")
+            snf_module._certify(layout, *factors, list(map(layout.encode, diagonal)), "test")
         assert info.value.residual.entries[1][1] == poly(LAM, "e-d")
 
     @pytest.mark.parametrize("d, e", [(3, 3), (2, 3)])
@@ -414,7 +415,7 @@ class TestCertify:
         tampered = layout.decode(factors[factor][i][j]) + Polynomial.variable((2, 2))
         factors[factor][i][j] = layout.encode(tampered)
         with pytest.raises(VerificationFailed, match="differs") as info:
-            snf_module._certify(layout, *factors, good.diagonal, "test")
+            snf_module._certify(layout, *factors, list(map(layout.encode, good.diagonal)), "test")
         P, W, QT = (snf_module._decoded(layout, grid) for grid in factors)
         product = naive_matrix_product(naive_matrix_product(P, W), tuple(zip(*QT)))
         expected = PolyMatrix.from_rows(
@@ -470,9 +471,9 @@ class TestBoth:
             certify(*args)
 
         class CountedWeights(packed_weights):
-            def __init__(self, layout):
+            def __init__(self, *args):
                 calls.append("weights")
-                super().__init__(layout)
+                super().__init__(*args)
 
         monkeypatch.setattr(snf_module, "_certify", spy)
         monkeypatch.setattr(snf_module, "_PackedWeights", CountedWeights)
@@ -609,8 +610,7 @@ def test_public_surface_is_pinned():
     ]
     assert public(Polynomial) == [
         "constant", "degree", "from_monomial", "is_zero", "items", "one",
-        "skew_sum", "substitute_uniform", "translate", "transpose_variables",
-        "variable", "zero",
+        "skew_sum", "translate", "transpose_variables", "variable", "zero",
     ]
     assert public(PolyMatrix) == [
         "cols", "entries", "from_json", "from_rows", "is_zero", "origin",
