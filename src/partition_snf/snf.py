@@ -24,15 +24,18 @@ so a wrong one fails under its own name.
 Each reduction works on packed polynomials in one
 :class:`~partition_snf.polynomials.PackedLayout`, wide enough for every
 cell of the partition.  Each weight shape's memo entry is packed once
-per reduction and shifted into place; the inductive replay's updates
-and the certification's ``W`` both read these packed shapes.  In the
-replay, scaling by a peeled cell adds one key to each term, and the
-layout is only the key format: the key arithmetic is the layout-free
-``times`` and ``fold`` of the polynomials module.  Both reductions end
+per reduction, or once per partition in the self-test, and shifted into
+place; the inductive replay's updates and the certification's ``W`` both
+read these packed shapes.  In the replay, scaling by a peeled cell adds
+one key to each term, and the layout is only the key format: the key
+arithmetic is the layout-free ``times`` and ``fold`` of the
+polynomials module.  Both reductions end
 in one tail, :func:`_certified`, which multiplies ``P @ W @ Q`` in the
 same layout, with nothing re-encoded, compares it with the packed
 expected form, and decodes the transforms once, for the result; the
-product is decoded only to build the residual of a failing check.
+product is decoded only to build the residual of a failing check.  The
+self-test certifies its border rectangles by the first half of that
+tail alone, :func:`_certify_packed`, and decodes nothing.
 
 The replay and the tail take their layout and weights as given:
 :class:`_PackedWeights` is handed the function that packs a shape's
@@ -157,23 +160,35 @@ def _certify(
     raise VerificationFailed(f"{algorithm}: {problem}", residual=PolyMatrix(residual))
 
 
-def _certified(weights: _PackedWeights, lam, d, e, P, QT, algorithm) -> SnfResult:
-    """The tail of both reductions of ``lam``'s d x e rectangle: certify
-    the packed transforms ``P`` and ``QT`` (``Q`` transposed) against the
-    packed weights and the leading monomials, all in the layout of
-    ``weights`` and so in its ring, then decode them."""
+def _certify_packed(weights: _PackedWeights, lam, d, e, P, QT, algorithm):
+    """Certify the packed transforms ``P`` and ``QT`` (``Q`` transposed)
+    of ``lam``'s d x e rectangle against the packed weights and the
+    leading monomials, all in the layout of ``weights`` and so in its
+    ring.  Returns the packed diagonal."""
     layout = weights.layout
     diagonal = [
         layout.encode(leading_monomial(lam, Cell(k, k + e - d)))
         for k in range(1, d + 1)
     ]
     _certify(layout, P, weights.grid(lam, d, e), QT, diagonal, algorithm)
+    return diagonal
+
+
+def _decoded_result(layout: PackedLayout, P, QT, diagonal, algorithm) -> SnfResult:
+    """The result of certified packed transforms and diagonal, decoded."""
     return SnfResult(
         P=PolyMatrix(_decoded(layout, P)),
         Q=PolyMatrix(tuple(zip(*_decoded(layout, QT)))),
         diagonal=tuple(map(layout.decode, diagonal)),
         algorithm=algorithm,
     )
+
+
+def _certified(weights: _PackedWeights, lam, d, e, P, QT, algorithm) -> SnfResult:
+    """The tail of both reductions of ``lam``'s d x e rectangle: certify
+    the packed transforms in the layout of ``weights``, then decode them."""
+    diagonal = _certify_packed(weights, lam, d, e, P, QT, algorithm)
+    return _decoded_result(weights.layout, P, QT, diagonal, algorithm)
 
 
 class _PackedWeights:
@@ -403,8 +418,20 @@ def snf_inductive(lam: Partition, d: int, e: int) -> SnfResult:
     """
     _check_rectangle(lam, d, e, wide=True)
     weights = _weights(lam)
+    U, VT, diagonal = _certify_inductive(weights, lam, d, e)
+    return _decoded_result(weights.layout, U, VT, diagonal, "inductive")
+
+
+def _certify_inductive(weights: _PackedWeights, lam: Partition, d: int, e: int):
+    """Reduce ``lam``'s d x e rectangle by peeling and certify the result,
+    all on ``weights``, which may be shared with other rectangles of
+    ``lam``.  Returns the packed ``U``, ``VT`` and diagonal, undecoded.
+
+    The rectangle is the caller's to check: :func:`snf_inductive` checks
+    it before the layout's degree probe, and the self-test takes it from
+    the border strip."""
     U, VT = _reduce_rectangle(weights, lam, d, e)
-    return _certified(weights, lam, d, e, U, VT, "inductive")
+    return U, VT, _certify_packed(weights, lam, d, e, U, VT, "inductive")
 
 
 def snf_both(lam: Partition) -> tuple[SnfResult, SnfResult]:
@@ -420,8 +447,13 @@ def snf_both(lam: Partition) -> tuple[SnfResult, SnfResult]:
     own name; two certified pairs that still differ are returned as they
     are, for the caller to compare.
     """
+    return _both(_weights(lam), lam)
+
+
+def _both(weights: _PackedWeights, lam: Partition) -> tuple[SnfResult, SnfResult]:
+    """:func:`snf_both` on ``weights``, which may be shared with the
+    other rectangles of ``lam``."""
     n = lam.rank + 1
-    weights = _weights(lam)
     P, QT = _stacked_transforms(weights.layout, lam)
     U, VT = _reduce_rectangle(weights, lam, n, n)
     by_rows = _certified(weights, lam, n, n, P, QT, "recurrence")

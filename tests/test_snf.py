@@ -499,6 +499,57 @@ class TestBoth:
         assert calls == ["recurrence", "inductive"]
 
 
+class TestSelftest:
+    def test_failing_border_rectangle_is_recorded(self, monkeypatch):
+        # Only the border rectangles are tampered with, through the name
+        # snf looks up, so a self-test that reduced or certified them by
+        # another route would pass them silently.
+        reduce = snf_module._reduce_rectangle
+
+        def tampered(weights, lam, d, e):
+            U, VT = reduce(weights, lam, d, e)
+            return U, VT if d == e else snf_module._identity_grid(len(VT))
+
+        monkeypatch.setattr(snf_module, "_reduce_rectangle", tampered)
+        report = run_selftest(4)
+        failures = [f for f in report.failures if f.startswith("border-rectangles: ")]
+        assert len(failures) == 22 == len(report.failures)
+        assert (
+            "border-rectangles: partition (1,) rectangle 1x2: inductive: "
+            "product differs from the expected diagonal form"
+        ) in failures
+
+    def test_failed_origin_square_skips_only_the_diagonal_check(self, monkeypatch):
+        clean = run_selftest(6).counts
+        tamper_inductive(monkeypatch, "P")
+        report = run_selftest(6)
+        partitions = len(list(all_partitions(6)))
+        assert report.counts["determinant-product"] == partitions == 30
+        assert report.counts["border-rectangles"] == clean["border-rectangles"]
+        assert report.counts["diagonal-monomials"] < partitions
+        assert not any(f.startswith("determinant-product") for f in report.failures)
+
+    def test_one_packed_weight_set_per_partition(self, monkeypatch):
+        packed_weights = snf_module._PackedWeights
+        asked = []
+
+        class CountedWeights(packed_weights):
+            def __init__(self, layout, anchored):
+                shapes = []
+                asked.append(shapes)
+
+                def counted(shape):
+                    shapes.append(shape)
+                    return anchored(shape)
+
+                super().__init__(layout, counted)
+
+        monkeypatch.setattr(snf_module, "_PackedWeights", CountedWeights)
+        assert run_selftest(8).ok
+        assert len(asked) == len(list(all_partitions(8))) == 67
+        assert all(len(shapes) == len(set(shapes)) for shapes in asked)
+
+
 class TestDeterminant:
     def test_trivial(self):
         assert determinant(PolyMatrix.from_rows([[1]])) == 1
