@@ -321,9 +321,12 @@ def main(argv=None) -> int:
     except PartitionSnfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError:
-        # Free the weight memo, then print one fixed line: reporting the
-        # error needs memory too, and formatting the exception more.
+    except (MemoryError, SystemError):
+        # CPython 3.11 can report an allocation that fails inside a
+        # comprehension as "SystemError: error return without exception
+        # set", so that is an out-of-memory error too.  Free the weight
+        # memo, then print one fixed line: reporting the error needs
+        # memory too, and formatting the exception more.
         clear_weight_cache()
         print("error: out of memory", file=sys.stderr)
         return 1

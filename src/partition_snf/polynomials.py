@@ -474,16 +474,17 @@ def _top(terms: dict[int, int]) -> int:
     return max(map(_degree_field, terms), default=0)
 
 
-def _check_product(top: int) -> None:
-    # Monomial.__mul__ raises on the same sum, so a packed product fails
-    # exactly where the unpacked one would have.
-    if top > _MAX_DEGREE:
-        raise _degree_error(top)
+def _check_degree(degree: int) -> None:
+    # A packed product passes its factors' summed top degrees, as
+    # Monomial.__mul__ checks them, so it fails exactly where the unpacked
+    # one would have; a reduction's weights pass the partition's size.
+    if degree > _MAX_DEGREE:
+        raise _degree_error(degree)
 
 
 def times(terms: dict[int, int], key: int) -> dict[int, int]:
     """Packed ``terms`` multiplied by the monomial with key ``key``."""
-    _check_product(_top(terms) + (key & _MASK))
+    _check_degree(_top(terms) + (key & _MASK))
     return {k + key: c for k, c in terms.items()}
 
 
@@ -511,7 +512,7 @@ def fold(base: dict[int, int], products) -> dict[int, int]:
     acc = None
     for a, b in products:
         if a and b:
-            _check_product(_top(a) + _top(b))
+            _check_degree(_top(a) + _top(b))
             if acc is None:
                 acc = dict(base)
                 get = acc.get
@@ -652,9 +653,7 @@ def _q_weight(shape: Sequence[int]) -> dict[int, int]:
 
     A shape past the degree limit raises :class:`TooLarge` before the
     program runs: its top power would carry out of the q field."""
-    degree = sum(shape)
-    if degree > _MAX_DEGREE:
-        raise _degree_error(degree)
+    _check_degree(sum(shape))
     # No coefficient is 0: removing corners one by one passes every size.
     return {k * _Q: c for k, c in enumerate(_complement_areas(shape))}
 

@@ -9,11 +9,14 @@ A q-polynomial is an ordinary :class:`Polynomial` on the single cell
 (1,1), q^k being x[1,1]^k.  Nothing here enumerates a multivariate
 weight.  A shape's weight in q comes from the subpartition-counting
 dynamic program, and the staircase square is reduced and certified in
-Z[q] itself: the inductive reduction's replay and certification run
-unchanged on q-weights packed in the q key format.  Sending every
-variable to q is a ring map and every step is ring arithmetic, so the
-transforms are the images of the multivariate ones, and the certificate
-``P @ W @ Q = diag(q^e)`` is checked in Z[q].  Only output is
+Z[q] itself, through the reductions' own pipeline: their packed weight
+set, built on q-weights in the q key format, is the one size check, and
+the inductive replay and the one certify tail run on it unchanged.
+Sending every variable to q is a ring map and every step is ring
+arithmetic, so the transforms are the images of the multivariate ones,
+and the certificate ``P @ W @ Q = diag(q^e)`` is checked in Z[q].  Only
+the diagonal is decoded.  A staircase past the degree limit, C(n, 2) >
+65535, is refused before its parts are built.  Only output is
 q-specific: :func:`q_coefficients` gives the dense ascending coefficient
 list and :func:`render_q` the text form in q.
 """
@@ -23,8 +26,8 @@ from __future__ import annotations
 from math import comb
 
 from .partitions import Partition
-from .polynomials import Monomial, Polynomial, _q_weight, _QLayout
-from .snf import SnfResult, _certified, _PackedWeights, _reduce_rectangle
+from .polynomials import Polynomial, _check_degree, _q_weight, _QLayout
+from .snf import _certify_inductive, _PackedWeights
 from .snf import snf_inductive  # noqa: F401  (the benchmark tracer patches it here)
 
 __all__ = [
@@ -54,6 +57,7 @@ def q_catalan(n: int) -> Polynomial:
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
+    _check_degree(comb(n, 2))
     return _QLayout().decode(_q_weight(staircase(n).parts))
 
 
@@ -61,6 +65,8 @@ def q_catalan_table(n_max: int) -> tuple[Polynomial, ...]:
     """The q-analogs for indices 0..n_max; entries 0 and 1 are both 1."""
     if n_max < 0:
         raise ValueError("table bound must be nonnegative")
+    # The largest staircase is refused before the smaller ones are counted.
+    _check_degree(comb(n_max, 2))
     return tuple(q_catalan(n) for n in range(n_max + 1))
 
 
@@ -72,24 +78,17 @@ def expected_snf_exponents(n: int) -> tuple[int, ...]:
     return tuple(comb(n - 2 * k, 2) for k in range(n // 2 + 1))
 
 
-def _q_reduction(lam: Partition) -> SnfResult:
-    """The inductive reduction of ``lam``'s origin square with every
-    variable sent to q, replayed and certified in Z[q]."""
-    # The leading monomial of W(1,1) is built first, so a partition past
-    # the degree limit raises TooLarge before any reduction work.
-    Monomial.skew(lam.parts)
-    side = lam.rank + 1
-    weights = _PackedWeights(_QLayout(), _q_weight)
-    U, VT = _reduce_rectangle(weights, lam, side, side)
-    return _certified(weights, lam, side, side, U, VT, "inductive")
-
-
 def staircase_snf_diagonal(n: int) -> tuple[Polynomial, ...]:
-    """Diagonal of the n-th staircase square's reduction in Z[q], certified
-    there."""
+    """Diagonal of the n-th staircase square's inductive reduction in Z[q],
+    certified there; only the diagonal is decoded."""
     if n < 1:
         raise ValueError("matrix index must be at least 1")
-    return _q_reduction(staircase(n)).diagonal
+    _check_degree(comb(n, 2))
+    lam = staircase(n)
+    side = lam.rank + 1
+    weights = _PackedWeights(lam, _QLayout(), _q_weight)
+    _, _, diagonal = _certify_inductive(weights, lam, side, side)
+    return tuple(map(weights.layout.decode, diagonal))
 
 
 def q_coefficients(poly: Polynomial) -> list[int]:

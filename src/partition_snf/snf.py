@@ -21,28 +21,27 @@ packed weights.  Equal packed transforms are certified once, and the two
 results share them; transforms that differ are certified pair by pair,
 so a wrong one fails under its own name.
 
-Each reduction works on packed polynomials in one
-:class:`~partition_snf.polynomials.PackedLayout`, wide enough for every
-cell of the partition.  Each weight shape's memo entry is packed once
-per reduction, or once per partition in the self-test, and shifted into
-place; the inductive replay's updates and the certification's ``W`` both
-read these packed shapes.  In the replay, scaling by a peeled cell adds
-one key to each term, and the layout is only the key format: the key
-arithmetic is the layout-free ``times`` and ``fold`` of the
-polynomials module.  Both reductions end
-in one tail, :func:`_certified`, which multiplies ``P @ W @ Q`` in the
-same layout, with nothing re-encoded, compares it with the packed
-expected form, and decodes the transforms once, for the result; the
-product is decoded only to build the residual of a failing check.  The
-self-test certifies its border rectangles by the first half of that
-tail alone, :func:`_certify_packed`, and decodes nothing.
+Every reduction runs one pipeline on packed polynomials, in either key
+format.  :class:`_PackedWeights` is the one size check: it refuses a
+partition past the degree limit before any work, then packs each weight
+shape once per reduction, or once per partition in the self-test, and
+shifts it into place.  The replay's updates and the certification's
+``W`` both read these packed shapes; scaling by a peeled cell adds one
+key to each term, and the key arithmetic is the layout-free ``times``
+and ``fold`` of the polynomials module.  One tail, :func:`_certified`,
+multiplies ``P @ W @ Q`` in the same layout, with nothing re-encoded,
+compares it with the packed expected form and returns the packed
+diagonal; the product is decoded only to build the residual of a
+failing check.  :func:`_decoded_result` is the one decode, once per
+result.  The self-test's border rectangles stop after the tail and
+decode nothing.
 
-The replay and the tail take their layout and weights as given:
-:class:`_PackedWeights` is handed the function that packs a shape's
-anchored weight.  The multivariate reductions read the shape memo, and
-the staircase reductions of :mod:`~partition_snf.qcatalan` pass the
-q-weights of the q key format instead, so the same replay and
-certification run in Z[q].
+The multivariate reductions pack the shape memo's weights in a
+:class:`~partition_snf.polynomials.PackedLayout` wide enough for every
+cell of the partition.  The staircase reductions of
+:mod:`~partition_snf.qcatalan` hand :class:`_PackedWeights` the
+q-weights of the q key format instead, so the same replay and tail run
+in Z[q].
 """
 
 from __future__ import annotations
@@ -55,9 +54,9 @@ from .partitions import Cell, Partition, subdiagram_shape
 from .polynomials import (
     PACKED_MINUS_ONE,
     PACKED_ONE,
-    Monomial,
     PackedLayout,
     Polynomial,
+    _check_degree,
     fold,
     pack_matrices,
     packed_product,
@@ -105,10 +104,6 @@ class SnfResult:
             "verified": True,
             "algorithm": self.algorithm,
         }
-
-
-def _decoded(layout: PackedLayout, grid) -> tuple[tuple[Polynomial, ...], ...]:
-    return tuple(tuple(map(layout.decode, row)) for row in grid)
 
 
 def _is_upper_unitriangular(grid) -> bool:
@@ -160,11 +155,11 @@ def _certify(
     raise VerificationFailed(f"{algorithm}: {problem}", residual=PolyMatrix(residual))
 
 
-def _certify_packed(weights: _PackedWeights, lam, d, e, P, QT, algorithm):
-    """Certify the packed transforms ``P`` and ``QT`` (``Q`` transposed)
-    of ``lam``'s d x e rectangle against the packed weights and the
-    leading monomials, all in the layout of ``weights`` and so in its
-    ring.  Returns the packed diagonal."""
+def _certified(weights: _PackedWeights, lam, d, e, P, QT, algorithm):
+    """The tail of every reduction of ``lam``'s d x e rectangle: certify
+    the packed transforms ``P`` and ``QT`` (``Q`` transposed) against the
+    packed weights and the leading monomials, all in the layout of
+    ``weights`` and so in its ring.  Returns the packed diagonal."""
     layout = weights.layout
     diagonal = [
         layout.encode(leading_monomial(lam, Cell(k, k + e - d)))
@@ -175,37 +170,37 @@ def _certify_packed(weights: _PackedWeights, lam, d, e, P, QT, algorithm):
 
 
 def _decoded_result(layout: PackedLayout, P, QT, diagonal, algorithm) -> SnfResult:
-    """The result of certified packed transforms and diagonal, decoded."""
+    """The result of certified packed transforms and diagonal, decoded:
+    the one decode of every reduction."""
+    P, QT = (tuple(tuple(map(layout.decode, row)) for row in grid) for grid in (P, QT))
     return SnfResult(
-        P=PolyMatrix(_decoded(layout, P)),
-        Q=PolyMatrix(tuple(zip(*_decoded(layout, QT)))),
+        P=PolyMatrix(P),
+        Q=PolyMatrix(tuple(zip(*QT))),
         diagonal=tuple(map(layout.decode, diagonal)),
         algorithm=algorithm,
     )
 
 
-def _certified(weights: _PackedWeights, lam, d, e, P, QT, algorithm) -> SnfResult:
-    """The tail of both reductions of ``lam``'s d x e rectangle: certify
-    the packed transforms in the layout of ``weights``, then decode them."""
-    diagonal = _certify_packed(weights, lam, d, e, P, QT, algorithm)
-    return _decoded_result(weights.layout, P, QT, diagonal, algorithm)
-
-
 class _PackedWeights:
-    """Weights of positions, and their negations, packed in one layout.
+    """Weights of ``lam``'s positions, and their negations, packed in one
+    layout.
 
-    ``anchored`` gives a nonempty shape's (1,1)-anchored weight packed in
-    ``layout``; it is asked once per shape, and the weight negated once
-    in packed form.  A weight is then moved into place by the layout's
-    translation.  Past the extension the shape is empty and the weight
-    is 1.
+    ``W(1,1)`` holds the leading monomial of degree ``|lam|``, so a
+    partition past the degree limit raises ``TooLarge`` here, before any
+    reduction work.  ``anchored`` gives a nonempty shape's (1,1)-anchored
+    weight packed in ``layout``; it is asked once per shape, and the
+    weight negated once in packed form.  A weight is then moved into
+    place by the layout's translation.  Past the extension the shape is
+    empty and the weight is 1.
     """
 
     def __init__(
         self,
+        lam: Partition,
         layout: PackedLayout,
         anchored: Callable[[tuple[int, ...]], dict[int, int]],
     ):
+        _check_degree(lam.size)
         self.layout = layout
         self._anchored_weight = anchored
         # shape -> (weight, minus the weight), both (1,1)-anchored
@@ -244,25 +239,16 @@ def _signed_row_transform(lam: Partition) -> list[list[Polynomial]]:
     return grid
 
 
-def _layout(lam: Partition) -> PackedLayout:
-    """A layout wide enough for every cell of ``lam``: every weight, every
-    transform entry and every product of them lies inside it.
-
-    The leading monomial of ``W(1,1)``, of degree ``|lam|``, is built
-    first, so a partition past the degree limit raises ``TooLarge``
-    before any reduction work."""
-    Monomial.skew(lam.parts)
-    return PackedLayout(lam.parts[0] if lam else 1)
-
-
 def _weights(lam: Partition) -> _PackedWeights:
     """The weights of ``lam``'s positions, read from the shape memo and
-    packed in ``lam``'s layout."""
-    layout = _layout(lam)
+    packed in a layout wide enough for every cell of ``lam``: every
+    weight, every transform entry and every product of them lies inside
+    it."""
+    layout = PackedLayout(lam.parts[0] if lam else 1)
     # The shape's memo entry, read as the weight at its own origin, where
     # weight_at translates nothing.
     return _PackedWeights(
-        layout, lambda shape: layout.encode(weight_at(Partition(shape), 1, 1))
+        lam, layout, lambda shape: layout.encode(weight_at(Partition(shape), 1, 1))
     )
 
 
@@ -293,7 +279,8 @@ def snf_recurrence(lam: Partition) -> SnfResult:
     n = lam.rank + 1
     weights = _weights(lam)
     P, QT = _stacked_transforms(weights.layout, lam)
-    return _certified(weights, lam, n, n, P, QT, "recurrence")
+    diagonal = _certified(weights, lam, n, n, P, QT, "recurrence")
+    return _decoded_result(weights.layout, P, QT, diagonal, "recurrence")
 
 
 def _identity_grid(n: int) -> list[list[dict[int, int]]]:
@@ -377,8 +364,8 @@ def _reduce_rectangle(weights: _PackedWeights, lam: Partition, d: int, e: int):
     rectangle takes the same step as one peeled beside it, with rows and
     columns swapped.  The replay runs on packed polynomials in the
     layout of ``weights``, which must hold every cell of ``lam``.
-    Returns U and VT as packed grids; the caller certifies them in the
-    same layout and decodes them.
+    Returns U and VT as packed grids, for the caller to certify in the
+    same layout.
     """
     layout = weights.layout
     plan, lam, e = _peel_plan(lam, d, e)
@@ -425,13 +412,15 @@ def snf_inductive(lam: Partition, d: int, e: int) -> SnfResult:
 def _certify_inductive(weights: _PackedWeights, lam: Partition, d: int, e: int):
     """Reduce ``lam``'s d x e rectangle by peeling and certify the result,
     all on ``weights``, which may be shared with other rectangles of
-    ``lam``.  Returns the packed ``U``, ``VT`` and diagonal, undecoded.
+    ``lam`` and may be in either key format.  Returns the packed ``U``,
+    ``VT`` and diagonal, undecoded.
 
     The rectangle is the caller's to check: :func:`snf_inductive` checks
-    it before the layout's degree probe, and the self-test takes it from
-    the border strip."""
+    it before building the weights, the self-test takes it from the
+    border strip, and the staircase reductions reduce the origin
+    square."""
     U, VT = _reduce_rectangle(weights, lam, d, e)
-    return U, VT, _certify_packed(weights, lam, d, e, U, VT, "inductive")
+    return U, VT, _certified(weights, lam, d, e, U, VT, "inductive")
 
 
 def snf_both(lam: Partition) -> tuple[SnfResult, SnfResult]:
@@ -454,12 +443,16 @@ def _both(weights: _PackedWeights, lam: Partition) -> tuple[SnfResult, SnfResult
     """:func:`snf_both` on ``weights``, which may be shared with the
     other rectangles of ``lam``."""
     n = lam.rank + 1
-    P, QT = _stacked_transforms(weights.layout, lam)
+    layout = weights.layout
+    P, QT = _stacked_transforms(layout, lam)
     U, VT = _reduce_rectangle(weights, lam, n, n)
-    by_rows = _certified(weights, lam, n, n, P, QT, "recurrence")
+    diagonal = _certified(weights, lam, n, n, P, QT, "recurrence")
+    by_rows = _decoded_result(layout, P, QT, diagonal, "recurrence")
     if U == P and VT == QT:
         return by_rows, replace(by_rows, algorithm="inductive")
-    return by_rows, _certified(weights, lam, n, n, U, VT, "inductive")
+    # The diagonal depends on the rectangle alone.
+    _certified(weights, lam, n, n, U, VT, "inductive")
+    return by_rows, _decoded_result(layout, U, VT, diagonal, "inductive")
 
 
 def verify_snf(W: PolyMatrix, result: SnfResult):

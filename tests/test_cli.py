@@ -329,6 +329,8 @@ class TestDegreeLimit:
             ("weights", "100000000"),
             ("weights", "99999999999999999999"),
             ("snf", "3000000000"),
+            ("qcatalan", "363"),
+            ("qcatalan", "99999999999999999999"),
         ],
     )
     def test_refused_within_a_memory_cap(self, argv):
@@ -341,14 +343,23 @@ class TestDegreeLimit:
         assert "exceeds the limit" in done.stderr
 
     @pytest.mark.parametrize(
-        "argv", [("weights", "40,40,40,40,40,40"), ("snf", "11,10,9,8,7,6,5,4,3,2,1")]
+        "argv, cap",
+        [
+            pytest.param(("weights", "40,40,40,40,40,40"), 256 << 20, id="argv0"),
+            pytest.param(("snf", "11,10,9,8,7,6,5,4,3,2,1"), 256 << 20, id="argv1"),
+            # Under this cap an allocation can fail inside a comprehension,
+            # which CPython 3.11 may raise as SystemError, not MemoryError.
+            pytest.param(
+                ("snf", "11,10,9,8,7,6,5,4,3,2,1"), 200 << 20, id="argv1-200MiB"
+            ),
+        ],
     )
-    def test_out_of_memory_is_one_line(self, argv):
+    def test_out_of_memory_is_one_line(self, argv, cap):
         # The origin weight of six rows of 40 has C(46, 6) terms, and the
         # 12-part staircase's multivariate weights fill the weight memo:
         # both run far past a 256 MiB cap, and the CLI reports it in one
         # line, not a traceback.
-        done = _capped_cli(argv, 256 << 20)
+        done = _capped_cli(argv, cap)
         assert done.returncode == 1
         assert done.stdout == ""
         assert "Traceback" not in done.stderr

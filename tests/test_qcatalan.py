@@ -2,6 +2,7 @@ import pytest
 
 import partition_snf.polynomials as polynomials_module
 import partition_snf.qcatalan as qcatalan_module
+import partition_snf.snf as snf_module
 from partition_snf import (
     Cell,
     Partition,
@@ -162,14 +163,19 @@ class TestReductionInZq:
         for lam in all_partitions(9):
             side = lam.rank + 1
             multivariate = snf_inductive(lam, side, side)
-            in_q = qcatalan_module._q_reduction(lam)
+            weights = snf_module._PackedWeights(lam, _QLayout(), _q_weight)
+            in_q = snf_module._decoded_result(
+                weights.layout,
+                *snf_module._certify_inductive(weights, lam, side, side),
+                "inductive",
+            )
             assert in_q.P.entries == collapsed(multivariate.P), lam
             assert in_q.Q.entries == collapsed(multivariate.Q), lam
             assert in_q.diagonal == tuple(map(substitute_uniform, multivariate.diagonal))
 
     @pytest.mark.parametrize("field", ["P", "Q"])
     def test_a_tampered_transform_fails_certification(self, monkeypatch, field):
-        reduce = qcatalan_module._reduce_rectangle
+        reduce = snf_module._reduce_rectangle
 
         def tampered(weights, lam, d, e):
             U, VT = reduce(weights, lam, d, e)
@@ -177,9 +183,21 @@ class TestReductionInZq:
                 return _identity_grid(len(U)), VT
             return U, _identity_grid(len(VT))
 
-        monkeypatch.setattr(qcatalan_module, "_reduce_rectangle", tampered)
+        monkeypatch.setattr(snf_module, "_reduce_rectangle", tampered)
         with pytest.raises(VerificationFailed, match="^inductive: product differs"):
             staircase_snf_diagonal(5)
+
+    @pytest.mark.parametrize("call", [q_catalan, q_catalan_table, staircase_snf_diagonal])
+    @pytest.mark.parametrize("n", [363, 10**20])
+    def test_refused_before_the_staircase_is_built(self, monkeypatch, call, n):
+        # C(363, 2) = 65,703 is past the limit; the tuple of a staircase
+        # that large, or the smaller staircases of a table, are never built.
+        def uncalled(n):
+            raise AssertionError("the staircase was built")
+
+        monkeypatch.setattr(qcatalan_module, "staircase", uncalled)
+        with pytest.raises(TooLarge, match="exceeds the limit 65535"):
+            call(n)
 
     def test_q_weight_refuses_a_degree_past_the_limit_before_counting(self, monkeypatch):
         def uncalled(parts):

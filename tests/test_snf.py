@@ -22,6 +22,7 @@ from partition_snf import (
     PolyMatrix,
     Polynomial,
     SnfResult,
+    TooLarge,
     VerificationFailed,
     all_partitions,
     determinant,
@@ -34,7 +35,13 @@ from partition_snf import (
     square_matrix,
     verify_snf,
 )
-from partition_snf.polynomials import PACKED_MINUS_ONE, PACKED_ONE, PackedLayout
+from partition_snf.polynomials import (
+    PACKED_MINUS_ONE,
+    PACKED_ONE,
+    PackedLayout,
+    _q_weight,
+    _QLayout,
+)
 
 from helpers import (
     accept_every_certification,
@@ -213,13 +220,16 @@ def wide_border_rectangles(lam: Partition) -> list[tuple[int, int]]:
     return [(d, e) for d, e in sorted(lam.extended.border) if d <= e]
 
 
+def decoded(layout, grid):
+    """A packed grid decoded into a grid of polynomials."""
+    return [[layout.decode(entry) for entry in row] for row in grid]
+
+
 def decoded_replay(lam: Partition, d: int, e: int):
     """(U, VT) of the packed replay, decoded into polynomial grids."""
     weights = snf_module._weights(lam)
     grids = snf_module._reduce_rectangle(weights, lam, d, e)
-    return tuple(
-        [list(row) for row in snf_module._decoded(weights.layout, grid)] for grid in grids
-    )
+    return tuple(decoded(weights.layout, grid) for grid in grids)
 
 
 class TestPackedReplay:
@@ -247,7 +257,7 @@ class TestPackedReplay:
 
 def decoded_weight_grid(lam: Partition, d: int, e: int):
     weights = snf_module._weights(lam)
-    return snf_module._decoded(weights.layout, weights.grid(lam, d, e))
+    return tuple(map(tuple, decoded(weights.layout, weights.grid(lam, d, e))))
 
 
 class TestPackedWeightGrid:
@@ -375,7 +385,7 @@ class TestVerify:
 def packed_factors(lam: Partition, P, W, Q):
     """``lam``'s layout and the packed P, W and Q transposed, as the
     reductions hand them to ``_certify``."""
-    layout = snf_module._layout(lam)
+    layout = snf_module._weights(lam).layout
 
     def packed(rows):
         return [[layout.encode(p) for p in row] for row in rows]
@@ -387,7 +397,7 @@ class TestCertify:
     def test_structural_failure_carries_residual(self):
         # The product matches, so only the transform shape is wrong; the
         # residual is still attached, as an all-zero matrix.
-        layout = snf_module._layout(Partition())
+        layout = snf_module._weights(Partition()).layout
         minus_one = [[layout.encode(-Polynomial.one())]]
         one = [[layout.encode(Polynomial.one())]]
         with pytest.raises(VerificationFailed, match="not upper unitriangular") as info:
@@ -416,7 +426,7 @@ class TestCertify:
         factors[factor][i][j] = layout.encode(tampered)
         with pytest.raises(VerificationFailed, match="differs") as info:
             snf_module._certify(layout, *factors, list(map(layout.encode, good.diagonal)), "test")
-        P, W, QT = (snf_module._decoded(layout, grid) for grid in factors)
+        P, W, QT = (decoded(layout, grid) for grid in factors)
         product = naive_matrix_product(naive_matrix_product(P, W), tuple(zip(*QT)))
         expected = PolyMatrix.from_rows(
             [good.diagonal[i] if j == e - d + i else 0 for j in range(e)]
@@ -499,6 +509,28 @@ class TestBoth:
         assert calls == ["recurrence", "inductive"]
 
 
+class TestDegreeLimit:
+    @pytest.mark.parametrize("parts", [(65536,), (40000, 30000)])
+    def test_refused_before_any_reduction_work(self, monkeypatch, parts):
+        # The packed weight set refuses |lam| past the limit, so neither
+        # the peeling plan nor the row coefficients are ever started.
+        def uncalled(*args):
+            raise AssertionError("reduction work ran")
+
+        monkeypatch.setattr(snf_module, "_peel_plan", uncalled)
+        monkeypatch.setattr(snf_module, "row_coefficients", uncalled)
+        lam = Partition(parts)
+        side = lam.rank + 1
+        for reduce in (
+            lambda: snf_recurrence(lam),
+            lambda: snf_inductive(lam, side, side),
+            lambda: snf_both(lam),
+            lambda: snf_module._PackedWeights(lam, _QLayout(), _q_weight),
+        ):
+            with pytest.raises(TooLarge, match=f"degree {sum(parts)} exceeds the limit"):
+                reduce()
+
+
 class TestSelftest:
     def test_failing_border_rectangle_is_recorded(self, monkeypatch):
         # Only the border rectangles are tampered with, through the name
@@ -534,7 +566,7 @@ class TestSelftest:
         asked = []
 
         class CountedWeights(packed_weights):
-            def __init__(self, layout, anchored):
+            def __init__(self, lam, layout, anchored):
                 shapes = []
                 asked.append(shapes)
 
@@ -542,7 +574,7 @@ class TestSelftest:
                     shapes.append(shape)
                     return anchored(shape)
 
-                super().__init__(layout, counted)
+                super().__init__(lam, layout, counted)
 
         monkeypatch.setattr(snf_module, "_PackedWeights", CountedWeights)
         assert run_selftest(8).ok
