@@ -5,26 +5,36 @@ elimination from the bottom-right corner, on packed entries.
 These power the ``selftest`` command and the acceptance tests: every
 identity the library is built on is replayed on every partition of size
 at most ``max_size``, with failures collected rather than raised so a run
-reports everything that broke.  Each partition's weights are packed once,
-and its origin square and every border rectangle reduce and certify on
-that one set; the border results are certified in packed form and never
-decoded.
+reports everything that broke.  Every check reads the partition's one
+packed weight set: the row relations fold its packed row coefficients
+against the columns of its origin square, the determinant eliminates on
+that square and is compared with one key, the sum of the leading
+monomials' keys, and the origin square and every border rectangle reduce
+and certify on it.  The border results are certified in packed form and
+never decoded, and no check does ``Polynomial`` arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
 
 from .errors import NotSquare, VerificationFailed
 from .partitions import Cell, all_partitions
-from .polynomials import PACKED_ONE, Polynomial, fold, pack_matrices, quotient, render
-from .recurrence import alternating_row_sum
-from .snf import _both, _certify_inductive, _weights
+from .polynomials import (
+    PACKED_ONE,
+    PackedLayout,
+    Polynomial,
+    fold,
+    pack_matrices,
+    quotient,
+    render,
+)
+from .recurrence import alternating_row_sum  # noqa: F401  (the benchmark tracer patches it here)
+from .snf import _both, _certify_inductive, _leading_keys, _weights
 from .snf import snf_inductive  # noqa: F401  (the benchmark tracer patches it here)
 from .snf import snf_recurrence  # noqa: F401  (the benchmark tracer patches it here)
 from .snf import verify_snf  # noqa: F401  (the benchmark tracer patches it here)
-from .weights import PolyMatrix, leading_monomial, square_matrix
+from .weights import PolyMatrix, leading_monomial
 
 __all__ = ["SelfTestReport", "run_selftest", "determinant"]
 
@@ -52,6 +62,30 @@ class SelfTestReport:
         return not self.failures
 
 
+def _eliminate(layout: PackedLayout, M: list[list[dict[int, int]]]) -> dict[int, int]:
+    """The packed determinant of the square ``M``, packed in ``layout``,
+    by fraction-free elimination from the bottom-right corner; ``M`` and
+    its rows are left as they are."""
+    M = list(M)
+    previous = PACKED_ONE
+    for k in range(len(M) - 1, 0, -1):
+        pivot = M[k][k]
+        if len(pivot) != 1:
+            raise VerificationFailed(
+                f"determinant pivot ({k + 1},{k + 1}) is not one term: "
+                f"{render(layout.decode(pivot))}"
+            )
+        minus = [{key: -c for key, c in entry.items()} for entry in M[k][:k]]
+        # Rows are replaced, never changed.
+        for i, row in enumerate(M[:k]):
+            M[i] = [
+                quotient(fold({}, ((pivot, a), (row[k], b))), previous)
+                for a, b in zip(row, minus)
+            ]
+        previous = pivot
+    return M[0][0]
+
+
 def determinant(W: PolyMatrix) -> Polynomial:
     """Exact determinant by fraction-free elimination from the bottom-right
     corner on packed entries (Bareiss, Math. Comp. 22 (1968)).
@@ -63,24 +97,8 @@ def determinant(W: PolyMatrix) -> Polynomial:
     """
     if W.rows != W.cols:
         raise NotSquare(f"determinant of a {W.rows}x{W.cols} matrix")
-    # Entries are reassigned, never changed: pack_matrices shares equal ones.
     layout, (M,) = pack_matrices(W.entries)
-    previous = PACKED_ONE
-    for k in range(len(M) - 1, 0, -1):
-        pivot = M[k][k]
-        if len(pivot) != 1:
-            raise VerificationFailed(
-                f"determinant pivot ({k + 1},{k + 1}) is not one term: "
-                f"{render(layout.decode(pivot))}"
-            )
-        minus = [{key: -c for key, c in entry.items()} for entry in M[k][:k]]
-        for i, row in enumerate(M[:k]):
-            M[i] = [
-                quotient(fold({}, ((pivot, a), (row[k], b))), previous)
-                for a, b in zip(row, minus)
-            ]
-        previous = pivot
-    return layout.decode(M[0][0])
+    return layout.decode(_eliminate(layout, M))
 
 
 def run_selftest(max_size: int) -> SelfTestReport:
@@ -103,25 +121,23 @@ def run_selftest(max_size: int) -> SelfTestReport:
             report.failures.append(f"{name}: {detail}")
 
     for lam in all_partitions(max_size):
-        rho = lam.rank
+        n = lam.rank + 1
+        # One packed weight set serves every check of lam, and is dropped
+        # with it.
+        weights = _weights(lam)
+        layout = weights.layout
+        square = weights.grid(n, n)
+        diagonal = _leading_keys(layout, lam, n, n)
 
-        for j in range(1, rho + 2):
-            residual = alternating_row_sum(lam, j)
-            expected = (
-                leading_monomial(lam, Cell(1, 1)) if j == 1 else Polynomial.zero()
-            )
+        coefficients = weights.coefficients(lam.parts)
+        for j in range(n):
+            residual = fold({}, zip(coefficients, (row[j] for row in square)))
             record(
                 "row-relations",
-                residual == expected,
-                f"partition {lam.parts} column {j}",
+                residual == ({diagonal[0]: 1} if j == 0 else {}),
+                f"partition {lam.parts} column {j + 1}",
             )
 
-        expected_diag = tuple(
-            leading_monomial(lam, Cell(k, k)) for k in range(1, rho + 2)
-        )
-        # One packed weight set serves the origin square and every border
-        # rectangle of lam, and is dropped with it.
-        weights = _weights(lam)
         try:
             by_rows, by_peeling = _both(weights, lam)
         except VerificationFailed as exc:
@@ -133,15 +149,15 @@ def run_selftest(max_size: int) -> SelfTestReport:
                 by_rows.agrees_with(by_peeling),
                 f"partition {lam.parts}",
             )
+            expected = tuple(leading_monomial(lam, Cell(k, k)) for k in range(1, n + 1))
             record(
                 "diagonal-monomials",
-                by_rows.diagonal == expected_diag,
+                by_rows.diagonal == expected,
                 f"partition {lam.parts}",
             )
 
-        product = prod(expected_diag, start=Polynomial.one())
         try:
-            ok, detail = determinant(square_matrix(lam, Cell(1, 1))) == product, ""
+            ok, detail = _eliminate(layout, square) == {sum(diagonal): 1}, ""
         except VerificationFailed as exc:
             ok, detail = False, f": {exc}"
         record("determinant-product", ok, f"partition {lam.parts}{detail}")
@@ -153,7 +169,7 @@ def run_selftest(max_size: int) -> SelfTestReport:
             # The reduction is certified in packed form or raises, and is
             # never decoded; the origin square was reduced above.
             detail = ""
-            if d != rho + 1 or e != rho + 1:
+            if d != n or e != n:
                 try:
                     _certify_inductive(weights, lam, d, e)
                 except VerificationFailed as exc:

@@ -312,6 +312,27 @@ def main(argv=None) -> int:
             args.partition = parse_partition(args.partition)
             echo["partition"] = list(args.partition)
         lines, result, code = _DISPATCH[args.command](args)
+        # Building and writing the output can run out of memory too, so
+        # they stay inside this try.
+        if args.format == "text":
+            output = "\n".join(lines)
+        else:
+            envelope = {"command": args.command, "input": echo, "result": result}
+            if args.command != "weights":  # a weight grid has nothing to verify
+                envelope["verified"] = code == 0
+            output = json.dumps(envelope, indent=2)
+        if not output.endswith("\n"):
+            output += "\n"
+        if not args.out:
+            sys.stdout.write(output)
+            return code
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(output)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -330,25 +351,6 @@ def main(argv=None) -> int:
         clear_weight_cache()
         print("error: out of memory", file=sys.stderr)
         return 1
-    if args.format == "text":
-        output = "\n".join(lines)
-    else:
-        envelope = {"command": args.command, "input": echo, "result": result}
-        if args.command != "weights":  # a weight grid has nothing to verify
-            envelope["verified"] = code == 0
-        output = json.dumps(envelope, indent=2)
-    if not output.endswith("\n"):
-        output += "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(output)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(output)
-    return code
 
 
 def run() -> None:

@@ -541,10 +541,10 @@ class PackedLayout:
 
     A key holds the total degree in its lowest 16-bit field, then row
     ``r`` of the monomial at bit ``16 + (r - 1) * stride``, where
-    ``stride`` is ``width`` fields.  Only encoding, decoding, translation
-    and variable keys depend on the stride.  Multiplying two monomials
-    adds their keys at any stride, so :func:`times`, :func:`fold` and
-    :func:`packed_product` take no layout.  No field carries while the
+    ``stride`` is ``width`` fields.  Only encoding, decoding, translation,
+    variable keys and run keys depend on the stride.  Multiplying two
+    monomials adds their keys at any stride, so :func:`times`,
+    :func:`fold` and :func:`packed_product` take no layout.  No field carries while the
     total degree stays at most 65535, and those functions raise
     :class:`TooLarge` before a product could pass it.  Every monomial
     encoded is remembered, so decoding hands back the monomials encoded
@@ -577,6 +577,16 @@ class PackedLayout:
     def variable(self, cell: Cell) -> int:
         """The key of the variable on ``cell``, for :func:`times`."""
         return 1 | 1 << (_FIELD + (cell[0] - 1) * self.stride + (cell[1] - 1) * _FIELD)
+
+    def run(self, line: int, start: int, stop: int, transposed: bool = False) -> int:
+        """The key of the product of the variables on columns ``start + 1
+        .. stop`` of row ``line``, or, when ``transposed``, on rows
+        ``start + 1 .. stop`` of column ``line``.  Keys of runs in distinct
+        rows add up to the key of their product; the caller keeps its
+        degree within the limit."""
+        along, across = (self.stride, _FIELD) if transposed else (_FIELD, self.stride)
+        body = ((1 << along * stop) - (1 << along * start)) // ((1 << along) - 1)
+        return body << (_FIELD + (line - 1) * across) | (stop - start)
 
     def decode(self, terms: dict[int, int]) -> Polynomial:
         if not terms:
@@ -623,7 +633,8 @@ class _QLayout(PackedLayout):
     ring map sending every variable to q; so a reduction replayed and
     certified in this layout is the image in Z[q] of the multivariate
     one.  Every cell is q wherever it lies, so translation is the
-    identity, and decoding is ``PackedLayout(1)``'s.
+    identity, a run of k cells is q^k, and decoding is
+    ``PackedLayout(1)``'s.
     """
 
     __slots__ = ()
@@ -640,6 +651,9 @@ class _QLayout(PackedLayout):
 
     def variable(self, cell: Cell) -> int:
         return _Q
+
+    def run(self, line: int, start: int, stop: int, transposed: bool = False) -> int:
+        return (stop - start) * _Q
 
     def translate(self, terms: dict[int, int], dr: int, dc: int) -> dict[int, int]:
         # The same dict: no packed operation changes its inputs.

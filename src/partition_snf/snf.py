@@ -28,11 +28,17 @@ shape once per reduction, or once per partition in the self-test, and
 shifts it into place.  The replay's updates and the certification's
 ``W`` both read these packed shapes; scaling by a peeled cell adds one
 key to each term, and the key arithmetic is the layout-free ``times``
-and ``fold`` of the polynomials module.  One tail, :func:`_certified`,
-multiplies ``P @ W @ Q`` in the same layout, with nothing re-encoded,
-compares it with the packed expected form and returns the packed
-diagonal; the product is decoded only to build the residual of a
-failing check.  :func:`_decoded_result` is the one decode, once per
+and ``fold`` of the polynomials module.  Beside ``anchored``, the weight
+set takes a coefficient function, which packs a shape's signed row
+coefficients: by default the walk of :mod:`~partition_snf.recurrence`,
+in Z[q] its closed form.  The recurrence's stacked transforms read them
+from the weight set's memo, the column transform's packed with
+variables transposed.  One tail, :func:`_certified`, builds each
+leading monomial of the expected diagonal as one key, from one run key
+per row, multiplies ``P @ W @ Q`` in the same layout, with nothing
+re-encoded, compares it with the packed expected form and returns the
+packed diagonal; the product is decoded only to build the residual of
+a failing check.  :func:`_decoded_result` is the one decode, once per
 result.  The self-test's border rectangles stop after the tail and
 decode nothing.
 
@@ -40,13 +46,14 @@ The multivariate reductions pack the shape memo's weights in a
 :class:`~partition_snf.polynomials.PackedLayout` wide enough for every
 cell of the partition.  The staircase reductions of
 :mod:`~partition_snf.qcatalan` hand :class:`_PackedWeights` the
-q-weights of the q key format instead, so the same replay and tail run
-in Z[q].
+q-weights and the closed-form coefficients of the q key format
+instead, so the same reductions and tail run in Z[q].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 from .errors import DimensionMismatch, VerificationFailed
@@ -63,8 +70,9 @@ from .polynomials import (
     polynomial_to_json,
     times,
 )
-from .recurrence import row_coefficients
-from .weights import PolyMatrix, _check_rectangle, leading_monomial, weight_at
+from .recurrence import _coefficient_keys
+from .recurrence import row_coefficients  # noqa: F401  (the benchmark tracer patches it here)
+from .weights import PolyMatrix, _check_rectangle, weight_at
 
 __all__ = [
     "SnfResult",
@@ -155,17 +163,29 @@ def _certify(
     raise VerificationFailed(f"{algorithm}: {problem}", residual=PolyMatrix(residual))
 
 
+def _leading_keys(layout: PackedLayout, lam: Partition, d: int, e: int) -> list[int]:
+    """Keys of the leading monomials on the diagonal of ``lam``'s d x e
+    rectangle, at (k, k + e - d) for k = 1..d: each the product of the
+    variables southeast of its cell, one run key per row of its
+    sub-diagram.  In Z[q] the key is q^|shape|."""
+    keys = []
+    for k in range(1, d + 1):
+        col = k + e - d
+        shape = subdiagram_shape(lam, k, col)
+        keys.append(
+            sum(layout.run(k + r, col - 1, col - 1 + p) for r, p in enumerate(shape))
+        )
+    return keys
+
+
 def _certified(weights: _PackedWeights, lam, d, e, P, QT, algorithm):
     """The tail of every reduction of ``lam``'s d x e rectangle: certify
     the packed transforms ``P`` and ``QT`` (``Q`` transposed) against the
     packed weights and the leading monomials, all in the layout of
     ``weights`` and so in its ring.  Returns the packed diagonal."""
     layout = weights.layout
-    diagonal = [
-        layout.encode(leading_monomial(lam, Cell(k, k + e - d)))
-        for k in range(1, d + 1)
-    ]
-    _certify(layout, P, weights.grid(lam, d, e), QT, diagonal, algorithm)
+    diagonal = [{key: 1} for key in _leading_keys(layout, lam, d, e)]
+    _certify(layout, P, weights.grid(d, e), QT, diagonal, algorithm)
     return diagonal
 
 
@@ -182,8 +202,9 @@ def _decoded_result(layout: PackedLayout, P, QT, diagonal, algorithm) -> SnfResu
 
 
 class _PackedWeights:
-    """Weights of ``lam``'s positions, and their negations, packed in one
-    layout.
+    """Weights of the positions of ``lam`` and of its smaller partitions,
+    their negations, and the row coefficients of their shapes, packed in
+    one layout.
 
     ``W(1,1)`` holds the leading monomial of degree ``|lam|``, so a
     partition past the degree limit raises ``TooLarge`` here, before any
@@ -191,7 +212,16 @@ class _PackedWeights:
     weight packed in ``layout``; it is asked once per shape, and the
     weight negated once in packed form.  A weight is then moved into
     place by the layout's translation.  Past the extension the shape is
-    empty and the weight is 1.
+    empty and the weight is 1.  The weights placed in ``lam``'s own
+    rectangles are kept, so every rectangle and check of ``lam`` reads
+    them from one grid.
+
+    ``coefficients`` gives a shape's signed row coefficients, packed in
+    ``layout`` and anchored at (1,1), or its conjugate's with variables
+    transposed; it is asked once per shape and orientation.  By default
+    it is the walk, whose terms are distinct keys in a
+    :class:`~partition_snf.polynomials.PackedLayout`; a Z[q] weight set
+    passes the closed form.
     """
 
     def __init__(
@@ -199,12 +229,20 @@ class _PackedWeights:
         lam: Partition,
         layout: PackedLayout,
         anchored: Callable[[tuple[int, ...]], dict[int, int]],
+        coefficients: Callable[[tuple[int, ...], bool], list[dict[int, int]]]
+        | None = None,
     ):
         _check_degree(lam.size)
         self.layout = layout
+        self._lam = lam
         self._anchored_weight = anchored
+        self._coefficient_keys = coefficients or partial(_coefficient_keys, layout)
         # shape -> (weight, minus the weight), both (1,1)-anchored
         self._anchored = {(): (PACKED_ONE, PACKED_MINUS_ONE)}
+        # (shape, conjugate) -> signed row coefficients
+        self._coefficients: dict[tuple, list[dict[int, int]]] = {}
+        # lam's placed weights, row by row, as far as they were read
+        self._grid: list[list[dict[int, int]]] = []
 
     def _placed(self, lam: Partition, row: int, col: int, sign: int) -> dict[int, int]:
         shape = subdiagram_shape(lam, row, col)
@@ -218,25 +256,27 @@ class _PackedWeights:
     def minus(self, lam: Partition, row: int, col: int) -> dict[int, int]:
         return self._placed(lam, row, col, -1)
 
-    def grid(self, lam: Partition, d: int, e: int) -> list[list[dict[int, int]]]:
-        """The weights of the d x e rectangle anchored at (1,1)."""
-        return [
-            [self._placed(lam, r, c, 1) for c in range(1, e + 1)]
-            for r in range(1, d + 1)
-        ]
+    def grid(self, d: int, e: int) -> list[list[dict[int, int]]]:
+        """The weights of the d x e rectangle of ``lam`` anchored at
+        (1,1), as new lists of the kept entries."""
+        kept = self._grid
+        kept.extend([] for _ in range(d - len(kept)))
+        for r, row in enumerate(kept[:d], start=1):
+            row.extend(
+                self._placed(self._lam, r, c, 1) for c in range(len(row) + 1, e + 1)
+            )
+        return [row[:e] for row in kept[:d]]
 
-
-def _signed_row_transform(lam: Partition) -> list[list[Polynomial]]:
-    """Row ``k`` holds the signed row coefficients of the sub-diagram
-    anchored at (k+1, k+1), translated to absolute coordinates."""
-    n = lam.rank + 1
-    grid = [[Polynomial.zero()] * n for _ in range(n)]
-    for k in range(n):
-        shape = Partition(subdiagram_shape(lam, k + 1, k + 1))
-        for i, coeff in enumerate(row_coefficients(shape)):
-            signed = coeff if i % 2 == 0 else -coeff
-            grid[k][k + i] = signed.translate(k, k)
-    return grid
+    def coefficients(
+        self, shape: tuple[int, ...], conjugate: bool = False
+    ) -> list[dict[int, int]]:
+        """The signed row coefficients of ``shape`` anchored at (1,1), or
+        of its conjugate with variables transposed, memoized."""
+        key = (shape, conjugate)
+        found = self._coefficients.get(key)
+        if found is None:
+            found = self._coefficients[key] = self._coefficient_keys(shape, conjugate)
+        return found
 
 
 def _weights(lam: Partition) -> _PackedWeights:
@@ -252,16 +292,21 @@ def _weights(lam: Partition) -> _PackedWeights:
     )
 
 
-def _stacked_transforms(layout: PackedLayout, lam: Partition):
+def _stacked_transforms(weights: _PackedWeights, lam: Partition):
     """The recurrence's transforms of ``lam``'s origin square, packed in
-    ``layout``: P, and Q transposed, which is the row transform of the
-    conjugate partition with variables transposed."""
-    encode = layout.encode
-    P = [[encode(p) for p in row] for row in _signed_row_transform(lam)]
-    QT = [
-        [encode(p.transpose_variables()) for p in row]
-        for row in _signed_row_transform(lam.conjugate())
-    ]
+    the layout of ``weights``: row ``k`` of P holds the signed row
+    coefficients of the sub-diagram anchored at (k+1, k+1), moved there;
+    Q transposed is the row transform of the conjugate partition with
+    variables transposed, whose coefficients the weight set packs
+    transposed."""
+    n = lam.rank + 1
+    translate = weights.layout.translate
+    P, QT = ([[{}] * n for _ in range(n)] for _ in range(2))
+    for k in range(n):
+        shape = subdiagram_shape(lam, k + 1, k + 1)
+        for grid, conjugate in ((P, False), (QT, True)):
+            for i, coeff in enumerate(weights.coefficients(shape, conjugate)):
+                grid[k][k + i] = translate(coeff, k, k) if k else coeff
     return P, QT
 
 
@@ -278,7 +323,7 @@ def snf_recurrence(lam: Partition) -> SnfResult:
     """
     n = lam.rank + 1
     weights = _weights(lam)
-    P, QT = _stacked_transforms(weights.layout, lam)
+    P, QT = _stacked_transforms(weights, lam)
     diagonal = _certified(weights, lam, n, n, P, QT, "recurrence")
     return _decoded_result(weights.layout, P, QT, diagonal, "recurrence")
 
@@ -444,7 +489,7 @@ def _both(weights: _PackedWeights, lam: Partition) -> tuple[SnfResult, SnfResult
     other rectangles of ``lam``."""
     n = lam.rank + 1
     layout = weights.layout
-    P, QT = _stacked_transforms(layout, lam)
+    P, QT = _stacked_transforms(weights, lam)
     U, VT = _reduce_rectangle(weights, lam, n, n)
     diagonal = _certified(weights, lam, n, n, P, QT, "recurrence")
     by_rows = _decoded_result(layout, P, QT, diagonal, "recurrence")

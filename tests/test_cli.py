@@ -11,7 +11,6 @@ import pytest
 import partition_snf
 import partition_snf.cli as cli_module
 from partition_snf import (
-    Polynomial,
     SnfResult,
     polynomial_from_json,
 )
@@ -248,7 +247,7 @@ class TestSnfCommand:
         # Both algorithms share one certification, reported as the
         # recurrence's, which is the one that runs first.
         monkeypatch.setattr(
-            "partition_snf.snf.leading_monomial", lambda lam, cell: Polynomial.zero()
+            "partition_snf.snf._leading_keys", lambda layout, lam, d, e: [0] * d
         )
         code, out, err = run_cli(capsys, "snf", "3,2")
         assert code == 2
@@ -364,6 +363,32 @@ class TestDegreeLimit:
         assert done.stdout == ""
         assert "Traceback" not in done.stderr
         assert done.stderr.splitlines() == ["error: out of memory"]
+
+    def test_out_of_memory_in_the_json_encoder_is_one_line(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_module.json, "dumps", exhausted)
+        code, out, err = run_cli(capsys, "recurrence", "3,2", "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: out of memory"]
+
+    def test_out_of_memory_joining_the_text_is_one_line(self, capsys, monkeypatch):
+        # The command's lines are built; joining them fails.
+        class Exhausting(list):
+            def __iter__(self):
+                raise MemoryError
+
+        command = cli_module._DISPATCH["recurrence"]
+
+        def exhausting(args):
+            lines, result, code = command(args)
+            return Exhausting(lines), result, code
+
+        monkeypatch.setitem(cli_module._DISPATCH, "recurrence", exhausting)
+        code, out, err = run_cli(capsys, "recurrence", "3,2")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: out of memory"]
 
     def test_qcatalan_runs_in_z_q_within_the_cap(self):
         # The staircase reductions run in Z[q] and never enumerate the

@@ -21,7 +21,8 @@ from partition_snf import (
     weight_at,
     weight_polynomial,
 )
-from partition_snf.polynomials import _q_weight, _QLayout
+from partition_snf.polynomials import PackedLayout, _q_weight, _QLayout
+from partition_snf.recurrence import _coefficient_keys, _q_coefficient_keys
 from partition_snf.snf import _identity_grid
 
 from helpers import (
@@ -172,6 +173,28 @@ class TestReductionInZq:
             assert in_q.P.entries == collapsed(multivariate.P), lam
             assert in_q.Q.entries == collapsed(multivariate.Q), lam
             assert in_q.diagonal == tuple(map(substitute_uniform, multivariate.diagonal))
+
+    def test_q_coefficients_are_the_collapsed_walk(self):
+        q = _QLayout()
+        for lam in all_partitions(12):
+            layout = PackedLayout(lam.parts[0] if lam else 1)
+            for conjugate in (False, True):
+                walked = _coefficient_keys(layout, lam.parts, conjugate)
+                closed = _q_coefficient_keys(lam.parts, conjugate)
+                assert [q.decode(c) for c in closed] == [
+                    substitute_uniform(layout.decode(c)) for c in walked
+                ], (lam, conjugate)
+
+    def test_both_reductions_agree_in_z_q(self):
+        # The recurrence reads the closed-form coefficients, the peeling
+        # replay the q-weights; both are certified in Z[q] and agree.
+        for n in range(1, 21):
+            lam = staircase(n)
+            weights = snf_module._PackedWeights(lam, _QLayout(), _q_weight, _q_coefficient_keys)
+            by_rows, by_peeling = snf_module._both(weights, lam)
+            assert by_rows.agrees_with(by_peeling), n
+            assert by_rows.P is by_peeling.P, n
+            assert by_rows.diagonal == tuple(map(q_power, expected_snf_exponents(n))), n
 
     @pytest.mark.parametrize("field", ["P", "Q"])
     def test_a_tampered_transform_fails_certification(self, monkeypatch, field):

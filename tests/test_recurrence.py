@@ -2,11 +2,14 @@ from math import comb
 
 import pytest
 
+import partition_snf.recurrence as recurrence_module
+import partition_snf.snf as snf_module
 from partition_snf import (
     Cell,
     IndexOutOfRange,
     Partition,
     Polynomial,
+    TooLarge,
     all_partitions,
     alternating_row_sum,
     leading_monomial,
@@ -163,6 +166,62 @@ class TestRowCoefficient:
             row_coefficient(LAM, 3)
         with pytest.raises(IndexOutOfRange):
             row_coefficient(LAM, -1)
+
+
+class TestPackedWalk:
+    """The packed walk is the one enumeration of the row coefficients;
+    the reductions and the self-test read it from their weight set."""
+
+    def test_decodes_to_the_cell_by_cell_oracle(self):
+        for lam in all_partitions(12):
+            weights = snf_module._weights(lam)
+            decode = weights.layout.decode
+            mu = lam.conjugate()
+            rows = weights.coefficients(lam.parts)
+            # The conjugate's coefficients, packed with variables transposed.
+            columns = weights.coefficients(lam.parts, True)
+            assert len(rows) == len(columns) == lam.rank + 1
+            for i, (row, column) in enumerate(zip(rows, columns)):
+                sign = (-1) ** i
+                assert decode(row) == sign * choice_poly(lam, i) * fixed_monomial(lam, i), (lam, i)
+                oracle = choice_poly(mu, i) * fixed_monomial(mu, i)
+                assert decode(column) == sign * oracle.transpose_variables(), (lam, i)
+
+    def test_weight_set_walks_each_shape_once(self, monkeypatch):
+        walk = recurrence_module._walk
+        calls = []
+
+        def counted(layout, parts, i, sign=1, transposed=False):
+            calls.append((parts, i, transposed))
+            return walk(layout, parts, i, sign, transposed)
+
+        monkeypatch.setattr(recurrence_module, "_walk", counted)
+        weights = snf_module._weights(BIG)
+        for _ in range(2):
+            assert weights.coefficients(BIG.parts) is weights.coefficients(BIG.parts)
+            weights.coefficients(BIG.parts, True)
+        assert len(calls) == len(set(calls)) == 2 * (BIG.rank + 1)
+
+    def test_refused_past_the_limit_before_enumerating(self, monkeypatch):
+        # C(70000, 2) sub-arrays would never finish; the top degree
+        # 69999 + 69998 is checked first.
+        def uncalled(*args):
+            raise AssertionError("the sub-arrays were enumerated")
+
+        monkeypatch.setattr(recurrence_module, "combinations_with_replacement", uncalled)
+        for parts, i in (((70000,), 1), ((70000, 70000), 2), ((40000, 30000), 2)):
+            with pytest.raises(TooLarge, match="exceeds the limit 65535"):
+                row_coefficient(Partition(parts), i)
+        with pytest.raises(TooLarge):
+            row_coefficients(Partition((70000,)))
+        assert row_coefficient(Partition((70000,)), 0) == 1
+        with pytest.raises(AssertionError):
+            row_coefficient(LAM, 1)
+
+    def test_index_outside_the_rank(self):
+        for lam, i in ((Partition(), 1), (LAM, 3), (BIG, -1), (Partition((70000,)), 2)):
+            with pytest.raises(IndexOutOfRange):
+                row_coefficient(lam, i)
 
 
 class TestAlternatingRowSum:

@@ -257,7 +257,7 @@ class TestPackedReplay:
 
 def decoded_weight_grid(lam: Partition, d: int, e: int):
     weights = snf_module._weights(lam)
-    return tuple(map(tuple, decoded(weights.layout, weights.grid(lam, d, e))))
+    return tuple(map(tuple, decoded(weights.layout, weights.grid(d, e))))
 
 
 class TestPackedWeightGrid:
@@ -436,7 +436,7 @@ class TestCertify:
 
     def test_selftest_reports_failed_certification(self, monkeypatch):
         monkeypatch.setattr(
-            snf_module, "leading_monomial", lambda lam, cell: Polynomial.zero()
+            snf_module, "_leading_keys", lambda layout, lam, d, e: [0] * d
         )
         report = run_selftest(3)
         assert not report.ok
@@ -519,6 +519,7 @@ class TestDegreeLimit:
 
         monkeypatch.setattr(snf_module, "_peel_plan", uncalled)
         monkeypatch.setattr(snf_module, "row_coefficients", uncalled)
+        monkeypatch.setattr(snf_module, "_coefficient_keys", uncalled)
         lam = Partition(parts)
         side = lam.rank + 1
         for reduce in (
@@ -582,7 +583,51 @@ class TestSelftest:
         assert all(len(shapes) == len(set(shapes)) for shapes in asked)
 
 
+class TestSelftestReadsPackedCoefficients:
+    def test_tampered_coefficient_fails_row_relations_and_agreement(self, monkeypatch):
+        # Coefficient 1 of every row transform gains the term x[1,1],
+        # which no coefficient 1 has: the row relations and the
+        # recurrence's certification both read it.
+        clean = run_selftest(6).counts
+        walk = snf_module._coefficient_keys
+
+        def tampered(layout, shape, conjugate=False):
+            keys = walk(layout, shape, conjugate)
+            if len(keys) > 1 and not conjugate:
+                keys[1] = {**keys[1], layout.run(1, 0, 1): -1}
+            return keys
+
+        monkeypatch.setattr(snf_module, "_coefficient_keys", tampered)
+        report = run_selftest(6)
+        ranked = [lam for lam in all_partitions(6) if lam.rank]
+        relations = [f for f in report.failures if f.startswith("row-relations: ")]
+        assert len(relations) == sum(lam.rank + 1 for lam in ranked)
+        agreement = [f for f in report.failures if f.startswith("snf-agreement: ")]
+        assert len(agreement) == len(ranked) == 29
+        assert all(": recurrence: product differs" in f for f in agreement)
+        # Only the empty partition, of rank 0, reaches the diagonal check.
+        assert report.counts == {**clean, "diagonal-monomials": 1}
+
+    def test_one_grid_per_partition(self):
+        lam = Partition((4, 3, 1))
+        weights = snf_module._weights(lam)
+        square = weights.grid(3, 3)
+        wide = weights.grid(2, 5)
+        assert all(a is b for a, b in zip(square[0], wide[0]))
+        assert all(a is b for a, b in zip(square[1], wide[1]))
+        square[0][0] = {}
+        assert weights.grid(1, 1) == [[weights.grid(3, 3)[0][0]]] != [[{}]]
+
+
 class TestDeterminant:
+    def test_packed_elimination_equals_cofactor_expansion(self):
+        for lam in all_partitions(10):
+            weights = snf_module._weights(lam)
+            side = lam.rank + 1
+            got = checks_module._eliminate(weights.layout, weights.grid(side, side))
+            W = square_matrix(lam, Cell(1, 1))
+            assert weights.layout.decode(got) == cofactor_determinant(W), lam
+
     def test_trivial(self):
         assert determinant(PolyMatrix.from_rows([[1]])) == 1
 
@@ -642,12 +687,14 @@ class TestDeterminant:
             determinant(M)
 
     def test_selftest_records_a_zero_pivot(self, monkeypatch):
-        def zeroed(lam, cell):
-            rows = [list(row) for row in square_matrix(lam, cell).entries]
-            rows[-1][-1] = Polynomial.zero()
-            return PolyMatrix.from_rows(rows)
+        eliminate = checks_module._eliminate
 
-        monkeypatch.setattr(checks_module, "square_matrix", zeroed)
+        def zeroed(layout, M):
+            rows = [list(row) for row in M]
+            rows[-1][-1] = {}
+            return eliminate(layout, rows)
+
+        monkeypatch.setattr(checks_module, "_eliminate", zeroed)
         report = run_selftest(3)
         assert report.counts["determinant-product"] == 7
         assert (
