@@ -25,6 +25,7 @@ from .partitions import Cell, Partition, parse_partition
 from .polynomials import (
     Monomial,
     Polynomial,
+    _check_degree,
     letter_naming,
     polynomial_to_json,
     render,
@@ -199,6 +200,9 @@ def _cmd_snf(args):
 
 def _cmd_recurrence(args):
     lam = args.partition
+    # Column 1's expected residual is W(1,1)'s leading monomial, of degree
+    # |lam|: refused past the limit before any coefficient is walked.
+    _check_degree(lam.size)
     naming = _naming_for(lam, args.naming)
     if args.j == "all":
         columns = list(range(1, lam.rank + 2))

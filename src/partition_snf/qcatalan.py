@@ -10,8 +10,8 @@ A q-polynomial is an ordinary :class:`Polynomial` on the single cell
 weight.  A shape's weight in q comes from the subpartition-counting
 dynamic program, and the staircase square is reduced and certified in
 Z[q] itself, through the reductions' own pipeline: their packed weight
-set, built on q-weights and the closed-form row coefficients in the q
-key format, is the one size check, and the inductive replay and the one
+set, built on q-weights in the q key format, where the row
+coefficients are in closed form, is the one size check, and the inductive replay and the one
 certify tail run on it unchanged.
 Sending every variable to q is a ring map and every step is ring
 arithmetic, so the transforms are the images of the multivariate ones,
@@ -28,7 +28,6 @@ from math import comb
 
 from .partitions import Partition
 from .polynomials import Polynomial, _check_degree, _q_weight, _QLayout
-from .recurrence import _q_coefficient_keys
 from .snf import _certify_inductive, _PackedWeights
 from .snf import snf_inductive  # noqa: F401  (the benchmark tracer patches it here)
 
@@ -88,7 +87,7 @@ def staircase_snf_diagonal(n: int) -> tuple[Polynomial, ...]:
     _check_degree(comb(n, 2))
     lam = staircase(n)
     side = lam.rank + 1
-    weights = _PackedWeights(lam, _QLayout(), _q_weight, _q_coefficient_keys)
+    weights = _PackedWeights(lam, _QLayout(), _q_weight)
     _, _, diagonal = _certify_inductive(weights, lam, side, side)
     return tuple(map(weights.layout.decode, diagonal))
 

@@ -20,8 +20,10 @@ the conjugate's coefficients with variables transposed, as the column
 transform needs them.  In Z[q] the walk is not needed: every term of
 coefficient ``i`` becomes a power of q, and the coefficient is a shifted
 Gaussian binomial, which :func:`_q_coefficient_keys` packs from the
-subpartition-counting program.  The reductions and the self-test read
-these packed coefficients from their weight set; the public
+subpartition-counting program.  :func:`_coefficient_keys`, the weight
+sets' coefficient function, picks the walk or the closed form by the
+layout.  The reductions and the self-test read these packed
+coefficients from their weight set; the public
 :func:`row_coefficient`, :func:`row_coefficients` and
 :func:`alternating_row_sum` are decodes of the same packed path.  The
 choice polynomial on its own is built only by the tests, cell by cell,
@@ -45,6 +47,7 @@ from .polynomials import (
     _check_degree,
     _q_weight,
     _Q,
+    _QLayout,
     fold,
 )
 from .weights import weight_at
@@ -104,8 +107,11 @@ def _coefficient_keys(
     layout: PackedLayout, shape: tuple[int, ...], conjugate: bool = False
 ) -> list[dict[int, int]]:
     """The signed row coefficients of every index 0..rank of ``shape``,
-    or of its conjugate with variables transposed, packed in ``layout``
-    by the walk: a weight set's coefficient function."""
+    or of its conjugate with variables transposed, packed in ``layout``:
+    by the walk, or in a :class:`~partition_snf.polynomials._QLayout`,
+    whose keys do not tell the walk's terms apart, by the closed form."""
+    if isinstance(layout, _QLayout):
+        return _q_coefficient_keys(shape, conjugate)
     lam = _oriented(shape, conjugate)
     return [
         _walk(layout, lam.parts, i, (-1) ** i, conjugate) for i in range(lam.rank + 1)
@@ -133,6 +139,8 @@ def _q_coefficient_keys(
 
 
 def _layout(lam: Partition) -> PackedLayout:
+    """The layout of ``lam``'s multivariate packed path: wide enough for
+    every cell of ``lam``."""
     return PackedLayout(lam.parts[0] if lam else 1)
 
 

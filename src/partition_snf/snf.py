@@ -28,12 +28,12 @@ shape once per reduction, or once per partition in the self-test, and
 shifts it into place.  The replay's updates and the certification's
 ``W`` both read these packed shapes; scaling by a peeled cell adds one
 key to each term, and the key arithmetic is the layout-free ``times``
-and ``fold`` of the polynomials module.  Beside ``anchored``, the weight
-set takes a coefficient function, which packs a shape's signed row
-coefficients: by default the walk of :mod:`~partition_snf.recurrence`,
-in Z[q] its closed form.  The recurrence's stacked transforms read them
-from the weight set's memo, the column transform's packed with
-variables transposed.  One tail, :func:`_certified`, builds each
+and ``fold`` of the polynomials module.  Beside the weights of
+``anchored``, the weight set packs a shape's signed row coefficients
+by the coefficient function of :mod:`~partition_snf.recurrence`: the
+walk, or in a Z[q] layout the closed form.  The recurrence's stacked
+transforms read them from the weight set's memo, the column
+transform's packed with variables transposed.  One tail, :func:`_certified`, builds each
 leading monomial of the expected diagonal as one key, from one run key
 per row, multiplies ``P @ W @ Q`` in the same layout, with nothing
 re-encoded, compares it with the packed expected form and returns the
@@ -46,14 +46,13 @@ The multivariate reductions pack the shape memo's weights in a
 :class:`~partition_snf.polynomials.PackedLayout` wide enough for every
 cell of the partition.  The staircase reductions of
 :mod:`~partition_snf.qcatalan` hand :class:`_PackedWeights` the
-q-weights and the closed-form coefficients of the q key format
-instead, so the same reductions and tail run in Z[q].
+q-weights and the q key format instead, in which the coefficients are
+the closed form, so the same reductions and tail run in Z[q].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable
 
 from .errors import DimensionMismatch, VerificationFailed
@@ -70,7 +69,7 @@ from .polynomials import (
     polynomial_to_json,
     times,
 )
-from .recurrence import _coefficient_keys
+from .recurrence import _coefficient_keys, _layout
 from .recurrence import row_coefficients  # noqa: F401  (the benchmark tracer patches it here)
 from .weights import PolyMatrix, _check_rectangle, weight_at
 
@@ -216,12 +215,10 @@ class _PackedWeights:
     rectangles are kept, so every rectangle and check of ``lam`` reads
     them from one grid.
 
-    ``coefficients`` gives a shape's signed row coefficients, packed in
-    ``layout`` and anchored at (1,1), or its conjugate's with variables
-    transposed; it is asked once per shape and orientation.  By default
-    it is the walk, whose terms are distinct keys in a
-    :class:`~partition_snf.polynomials.PackedLayout`; a Z[q] weight set
-    passes the closed form.
+    A shape's signed row coefficients, packed in ``layout`` and anchored
+    at (1,1), or its conjugate's with variables transposed, are asked of
+    the recurrence's coefficient function once per shape and
+    orientation; the layout picks the walk or, in Z[q], the closed form.
     """
 
     def __init__(
@@ -229,14 +226,11 @@ class _PackedWeights:
         lam: Partition,
         layout: PackedLayout,
         anchored: Callable[[tuple[int, ...]], dict[int, int]],
-        coefficients: Callable[[tuple[int, ...], bool], list[dict[int, int]]]
-        | None = None,
     ):
         _check_degree(lam.size)
         self.layout = layout
         self._lam = lam
         self._anchored_weight = anchored
-        self._coefficient_keys = coefficients or partial(_coefficient_keys, layout)
         # shape -> (weight, minus the weight), both (1,1)-anchored
         self._anchored = {(): (PACKED_ONE, PACKED_MINUS_ONE)}
         # (shape, conjugate) -> signed row coefficients
@@ -275,7 +269,9 @@ class _PackedWeights:
         key = (shape, conjugate)
         found = self._coefficients.get(key)
         if found is None:
-            found = self._coefficients[key] = self._coefficient_keys(shape, conjugate)
+            found = self._coefficients[key] = _coefficient_keys(
+                self.layout, shape, conjugate
+            )
         return found
 
 
@@ -284,7 +280,7 @@ def _weights(lam: Partition) -> _PackedWeights:
     packed in a layout wide enough for every cell of ``lam``: every
     weight, every transform entry and every product of them lies inside
     it."""
-    layout = PackedLayout(lam.parts[0] if lam else 1)
+    layout = _layout(lam)
     # The shape's memo entry, read as the weight at its own origin, where
     # weight_at translates nothing.
     return _PackedWeights(

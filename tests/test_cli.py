@@ -328,6 +328,10 @@ class TestDegreeLimit:
             ("weights", "100000000"),
             ("weights", "99999999999999999999"),
             ("snf", "3000000000"),
+            # Walking coefficient 1 of these before the check would run
+            # out of memory, or never reach a refused coefficient.
+            ("recurrence", "40000,30000"),
+            ("recurrence", "65536"),
             ("qcatalan", "363"),
             ("qcatalan", "99999999999999999999"),
         ],

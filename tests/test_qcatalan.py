@@ -190,7 +190,7 @@ class TestReductionInZq:
         # replay the q-weights; both are certified in Z[q] and agree.
         for n in range(1, 21):
             lam = staircase(n)
-            weights = snf_module._PackedWeights(lam, _QLayout(), _q_weight, _q_coefficient_keys)
+            weights = snf_module._PackedWeights(lam, _QLayout(), _q_weight)
             by_rows, by_peeling = snf_module._both(weights, lam)
             assert by_rows.agrees_with(by_peeling), n
             assert by_rows.P is by_peeling.P, n
