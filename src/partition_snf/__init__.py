@@ -8,7 +8,7 @@ unitriangular transforms, verifies every reduction exactly, and exposes
 the staircase q-analog specialization plus a command line front end.
 """
 
-from .checks import SelfTestReport, determinant, run_selftest
+from .checks import SelfTestReport, alternating_row_sum, determinant, run_selftest
 from .errors import (
     CellOutOfRange,
     DimensionMismatch,
@@ -52,11 +52,7 @@ from .qcatalan import (
     staircase,
     staircase_snf_diagonal,
 )
-from .recurrence import (
-    alternating_row_sum,
-    row_coefficient,
-    row_coefficients,
-)
+from .recurrence import row_coefficient, row_coefficients
 from .snf import (
     SnfResult,
     snf_both,

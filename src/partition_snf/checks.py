@@ -1,6 +1,7 @@
 """Exhaustive property suites over all partitions up to a given size,
-and the determinant oracle they check the diagonal against: fraction-free
-elimination from the bottom-right corner, on packed entries.
+and the oracles they check: the alternating row relation, folded on
+packed entries, and the determinant, by fraction-free elimination from
+the bottom-right corner on packed entries.
 
 These power the ``selftest`` command and the acceptance tests: every
 identity the library is built on is replayed on every partition of size
@@ -11,15 +12,17 @@ against the columns of its origin square, the determinant eliminates on
 that square and is compared with one key, the sum of the leading
 monomials' keys, and the origin square and every border rectangle reduce
 and certify on it.  The border results are certified in packed form and
-never decoded, and no check does ``Polynomial`` arithmetic.
+never decoded, and no check does ``Polynomial`` arithmetic.  The public
+:func:`alternating_row_sum` folds the same packed coefficients against
+one column of a partition's weight set, and decodes the residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NotSquare, VerificationFailed
-from .partitions import Cell, all_partitions
+from .errors import IndexOutOfRange, NotSquare, VerificationFailed
+from .partitions import Cell, Partition, all_partitions
 from .polynomials import (
     PACKED_ONE,
     PackedLayout,
@@ -29,14 +32,13 @@ from .polynomials import (
     quotient,
     render,
 )
-from .recurrence import alternating_row_sum  # noqa: F401  (the benchmark tracer patches it here)
-from .snf import _both, _certify_inductive, _leading_keys, _weights
+from .snf import _both, _certify_inductive, _leading_keys, _PackedWeights, _weights
 from .snf import snf_inductive  # noqa: F401  (the benchmark tracer patches it here)
 from .snf import snf_recurrence  # noqa: F401  (the benchmark tracer patches it here)
 from .snf import verify_snf  # noqa: F401  (the benchmark tracer patches it here)
 from .weights import PolyMatrix, leading_monomial
 
-__all__ = ["SelfTestReport", "run_selftest", "determinant"]
+__all__ = ["SelfTestReport", "run_selftest", "alternating_row_sum", "determinant"]
 
 CHECK_NAMES = (
     "row-relations",
@@ -60,6 +62,28 @@ class SelfTestReport:
     @property
     def ok(self) -> bool:
         return not self.failures
+
+
+def _row_sum(weights: _PackedWeights, lam: Partition, j: int) -> dict[int, int]:
+    """The packed residual of the row relation in column ``j`` of
+    ``lam``'s origin square: its signed row coefficients folded against
+    the column's weights, each placed on its own."""
+    if not 1 <= j <= lam.rank + 1:
+        raise IndexOutOfRange(f"column {j} outside 1..{lam.rank + 1}")
+    column = (weights.placed(lam, i, j) for i in range(1, lam.rank + 2))
+    return fold({}, zip(weights.coefficients(lam.parts), column))
+
+
+def alternating_row_sum(lam: Partition, j: int) -> Polynomial:
+    """Signed sum of coefficient i times the weight at (i + 1, j).
+
+    Returns the residual polynomial so failures show what was left over;
+    the expected value is the full variable product for j = 1 and zero for
+    2 <= j <= rank + 1.  The sum is one packed fold on ``lam``'s weight
+    set, which refuses ``|lam|`` past the limit first, decoded.
+    """
+    weights = _weights(lam)
+    return weights.layout.decode(_row_sum(weights, lam, j))
 
 
 def _eliminate(layout: PackedLayout, M: list[list[dict[int, int]]]) -> dict[int, int]:

@@ -19,13 +19,13 @@ import argparse
 import json
 import sys
 
-from .checks import CHECK_NAMES, run_selftest
+from .checks import CHECK_NAMES, _row_sum, run_selftest
+from .checks import alternating_row_sum  # noqa: F401  (the benchmark tracer patches it here)
 from .errors import PartitionSnfError, VerificationFailed
 from .partitions import Cell, Partition, parse_partition
 from .polynomials import (
     Monomial,
     Polynomial,
-    _check_degree,
     letter_naming,
     polynomial_to_json,
     render,
@@ -37,8 +37,8 @@ from .qcatalan import (
     render_q,
     staircase_snf_diagonal,
 )
-from .recurrence import alternating_row_sum, row_coefficients
-from .snf import SnfResult, snf_both, snf_inductive, snf_recurrence
+from .recurrence import row_coefficients
+from .snf import SnfResult, _weights, snf_both, snf_inductive, snf_recurrence
 from .snf import verify_snf  # noqa: F401  (the benchmark tracer patches it here)
 from .weights import clear_weight_cache, leading_monomial, weight_polynomial
 
@@ -200,9 +200,9 @@ def _cmd_snf(args):
 
 def _cmd_recurrence(args):
     lam = args.partition
-    # Column 1's expected residual is W(1,1)'s leading monomial, of degree
-    # |lam|: refused past the limit before any coefficient is walked.
-    _check_degree(lam.size)
+    # One weight set serves every column; it refuses |lam| past the limit
+    # before any coefficient is walked.
+    weights = _weights(lam)
     naming = _naming_for(lam, args.naming)
     if args.j == "all":
         columns = list(range(1, lam.rank + 2))
@@ -219,7 +219,7 @@ def _cmd_recurrence(args):
     checks = []
     code = 0
     for j in columns:
-        residual = alternating_row_sum(lam, j)
+        residual = weights.layout.decode(_row_sum(weights, lam, j))
         expected = origin_monomial if j == 1 else Polynomial.zero()
         ok = residual == expected
         if not ok:

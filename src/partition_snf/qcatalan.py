@@ -10,9 +10,9 @@ A q-polynomial is an ordinary :class:`Polynomial` on the single cell
 weight.  A shape's weight in q comes from the subpartition-counting
 dynamic program, and the staircase square is reduced and certified in
 Z[q] itself, through the reductions' own pipeline: their packed weight
-set, built on q-weights in the q key format, where the row
-coefficients are in closed form, is the one size check, and the inductive replay and the one
-certify tail run on it unchanged.
+set, given the q key format, counts its weights and takes the row
+coefficients in closed form.  It is the one size check, and the
+inductive replay and the one certify tail run on it unchanged.
 Sending every variable to q is a ring map and every step is ring
 arithmetic, so the transforms are the images of the multivariate ones,
 and the certificate ``P @ W @ Q = diag(q^e)`` is checked in Z[q].  Only
@@ -87,7 +87,7 @@ def staircase_snf_diagonal(n: int) -> tuple[Polynomial, ...]:
     _check_degree(comb(n, 2))
     lam = staircase(n)
     side = lam.rank + 1
-    weights = _PackedWeights(lam, _QLayout(), _q_weight)
+    weights = _PackedWeights(lam, _QLayout())
     _, _, diagonal = _certify_inductive(weights, lam, side, side)
     return tuple(map(weights.layout.decode, diagonal))
 

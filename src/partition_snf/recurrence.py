@@ -17,21 +17,21 @@ of the coefficients, :func:`_walk`, walks the justified sub-arrays once
 and packs each term straight into a key of a packed layout, as the sum of
 its rows' precomputed run keys; with the runs laid along columns it packs
 the conjugate's coefficients with variables transposed, as the column
-transform needs them.  In Z[q] the walk is not needed: every term of
-coefficient ``i`` becomes a power of q, and the coefficient is a shifted
-Gaussian binomial, which :func:`_q_coefficient_keys` packs from the
-subpartition-counting program.  :func:`_coefficient_keys`, the weight
-sets' coefficient function, picks the walk or the closed form by the
-layout.  The reductions and the self-test read these packed
-coefficients from their weight set; the public
-:func:`row_coefficient`, :func:`row_coefficients` and
-:func:`alternating_row_sum` are decodes of the same packed path.  The
-choice polynomial on its own is built only by the tests, cell by cell,
-as the oracle for the walk.
+transform needs them.  :func:`_coefficient_keys` walks every index of a
+shape.  In Z[q] the walk is not needed: every term of coefficient ``i``
+becomes a power of q, and the coefficient is a shifted Gaussian
+binomial, which :func:`_q_coefficient_keys` packs from the
+subpartition-counting program.  The weight set of
+:mod:`~partition_snf.snf` picks one of the two by its layout, and the
+reductions and the self-test read the packed coefficients from it; the
+public :func:`row_coefficient` and :func:`row_coefficients` are decodes
+of the walk.  The choice polynomial on its own is built only by the
+tests, cell by cell, as the oracle for the walk.
 
 The alternating sum of coefficient-times-weight collapses to the full
 product of variables in column 1 and to zero in every later column of the
-square.  That collapse is what drives the first normal-form reduction.
+square.  That collapse drives the first normal-form reduction; its
+oracle, ``alternating_row_sum``, is in :mod:`~partition_snf.checks`.
 """
 
 from __future__ import annotations
@@ -41,22 +41,10 @@ from operator import getitem
 
 from .errors import IndexOutOfRange
 from .partitions import Partition
-from .polynomials import (
-    PackedLayout,
-    Polynomial,
-    _check_degree,
-    _q_weight,
-    _Q,
-    _QLayout,
-    fold,
-)
-from .weights import weight_at
+from .polynomials import PackedLayout, Polynomial, _check_degree, _q_weight, _Q
+from .weights import weight_at  # noqa: F401  (the benchmark tracer patches it here)
 
-__all__ = [
-    "row_coefficient",
-    "row_coefficients",
-    "alternating_row_sum",
-]
+__all__ = ["row_coefficient", "row_coefficients"]
 
 
 def _walk(
@@ -107,11 +95,8 @@ def _coefficient_keys(
     layout: PackedLayout, shape: tuple[int, ...], conjugate: bool = False
 ) -> list[dict[int, int]]:
     """The signed row coefficients of every index 0..rank of ``shape``,
-    or of its conjugate with variables transposed, packed in ``layout``:
-    by the walk, or in a :class:`~partition_snf.polynomials._QLayout`,
-    whose keys do not tell the walk's terms apart, by the closed form."""
-    if isinstance(layout, _QLayout):
-        return _q_coefficient_keys(shape, conjugate)
+    or of its conjugate with variables transposed, walked and packed in
+    ``layout``, which must tell monomials apart."""
     lam = _oriented(shape, conjugate)
     return [
         _walk(layout, lam.parts, i, (-1) ** i, conjugate) for i in range(lam.rank + 1)
@@ -122,12 +107,12 @@ def _q_coefficient_keys(
     shape: tuple[int, ...], conjugate: bool = False
 ) -> list[dict[int, int]]:
     """:func:`_coefficient_keys` in a :class:`~partition_snf.polynomials._QLayout`,
-    where transposing changes nothing: coefficient ``i`` is
-    ``q^low * [lam_i choose i]_q``, the Gaussian binomial counting the
-    sub-arrays by their cells, with ``low = lam_1 + ... + lam_i -
-    i(i + 1)/2 - i(lam_i - i)`` the degree of the empty sub-array.  The
-    binomial is the q-weight of the ``i x (lam_i - i)`` box, so nothing
-    is enumerated."""
+    whose keys do not tell the walk's terms apart, and where transposing
+    changes nothing: coefficient ``i`` is ``q^low * [lam_i choose i]_q``,
+    the Gaussian binomial counting the sub-arrays by their cells, with
+    ``low = lam_1 + ... + lam_i - i(i + 1)/2 - i(lam_i - i)`` the degree
+    of the empty sub-array.  The binomial is the q-weight of the
+    ``i x (lam_i - i)`` box, so nothing is enumerated."""
     lam = _oriented(shape, conjugate)
     keys = [{0: 1}]
     for i in range(1, lam.rank + 1):
@@ -159,24 +144,12 @@ def row_coefficient(lam: Partition, i: int) -> Polynomial:
 
 
 def row_coefficients(lam: Partition) -> tuple[Polynomial, ...]:
-    """The row coefficients of every index 0..rank."""
-    layout = _layout(lam)
-    return tuple(
-        layout.decode(_walk(layout, lam.parts, i)) for i in range(lam.rank + 1)
-    )
+    """The row coefficients of every index 0..rank.
 
-
-def alternating_row_sum(lam: Partition, j: int) -> Polynomial:
-    """Signed sum of coefficient i times the weight at (i + 1, j).
-
-    Returns the residual polynomial so failures show what was left over;
-    the expected value is the full variable product for j = 1 and zero for
-    2 <= j <= rank + 1.  The sum is one packed fold of the signed
-    coefficients against the column's weights, decoded.
+    The top degree never falls as the index grows, so index ``rank`` is
+    walked first: past the limit it raises ``TooLarge`` before anything
+    is enumerated.
     """
-    if not 1 <= j <= lam.rank + 1:
-        raise IndexOutOfRange(f"column {j} outside 1..{lam.rank + 1}")
     layout = _layout(lam)
-    coefficients = _coefficient_keys(layout, lam.parts)
-    column = [layout.encode(weight_at(lam, i + 1, j)) for i in range(lam.rank + 1)]
-    return layout.decode(fold({}, zip(coefficients, column)))
+    walked = [_walk(layout, lam.parts, i) for i in range(lam.rank, -1, -1)]
+    return tuple(map(layout.decode, reversed(walked)))

@@ -28,12 +28,14 @@ shape once per reduction, or once per partition in the self-test, and
 shifts it into place.  The replay's updates and the certification's
 ``W`` both read these packed shapes; scaling by a peeled cell adds one
 key to each term, and the key arithmetic is the layout-free ``times``
-and ``fold`` of the polynomials module.  Beside the weights of
-``anchored``, the weight set packs a shape's signed row coefficients
-by the coefficient function of :mod:`~partition_snf.recurrence`: the
-walk, or in a Z[q] layout the closed form.  The recurrence's stacked
-transforms read them from the weight set's memo, the column
-transform's packed with variables transposed.  One tail, :func:`_certified`, builds each
+and ``fold`` of the polynomials module.  Beside the weights, the
+weight set packs a shape's signed row coefficients.  Its layout picks
+both functions, and so the ring: in a multivariate layout the shape
+memo's weights and the walk of :mod:`~partition_snf.recurrence`, in the
+Z[q] layout the counted q-weights and the closed form.  The
+recurrence's stacked transforms read the coefficients from the weight
+set's memo, the column transform's packed with variables transposed.
+One tail, :func:`_certified`, builds each
 leading monomial of the expected diagonal as one key, from one run key
 per row, multiplies ``P @ W @ Q`` in the same layout, with nothing
 re-encoded, compares it with the packed expected form and returns the
@@ -42,18 +44,16 @@ a failing check.  :func:`_decoded_result` is the one decode, once per
 result.  The self-test's border rectangles stop after the tail and
 decode nothing.
 
-The multivariate reductions pack the shape memo's weights in a
+The multivariate reductions pack in a
 :class:`~partition_snf.polynomials.PackedLayout` wide enough for every
 cell of the partition.  The staircase reductions of
-:mod:`~partition_snf.qcatalan` hand :class:`_PackedWeights` the
-q-weights and the q key format instead, in which the coefficients are
-the closed form, so the same reductions and tail run in Z[q].
+:mod:`~partition_snf.qcatalan` hand :class:`_PackedWeights` the q key
+format instead, so the same reductions and tail run in Z[q].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from .errors import DimensionMismatch, VerificationFailed
 from .partitions import Cell, Partition, subdiagram_shape
@@ -63,13 +63,15 @@ from .polynomials import (
     PackedLayout,
     Polynomial,
     _check_degree,
+    _q_weight,
+    _QLayout,
     fold,
     pack_matrices,
     packed_product,
     polynomial_to_json,
     times,
 )
-from .recurrence import _coefficient_keys, _layout
+from .recurrence import _coefficient_keys, _layout, _q_coefficient_keys
 from .recurrence import row_coefficients  # noqa: F401  (the benchmark tracer patches it here)
 from .weights import PolyMatrix, _check_rectangle, weight_at
 
@@ -207,30 +209,39 @@ class _PackedWeights:
 
     ``W(1,1)`` holds the leading monomial of degree ``|lam|``, so a
     partition past the degree limit raises ``TooLarge`` here, before any
-    reduction work.  ``anchored`` gives a nonempty shape's (1,1)-anchored
-    weight packed in ``layout``; it is asked once per shape, and the
-    weight negated once in packed form.  A weight is then moved into
-    place by the layout's translation.  Past the extension the shape is
-    empty and the weight is 1.  The weights placed in ``lam``'s own
-    rectangles are kept, so every rectangle and check of ``lam`` reads
-    them from one grid.
+    reduction work.  A nonempty shape's weight anchored at (1,1) is
+    packed once per shape, and negated once in packed form.  A weight is
+    then moved into place by the layout's translation.  Past the
+    extension the shape is empty and the weight is 1.  The weights
+    placed in ``lam``'s own rectangles are kept, so every rectangle and
+    check of ``lam`` reads them from one grid.
 
-    A shape's signed row coefficients, packed in ``layout`` and anchored
-    at (1,1), or its conjugate's with variables transposed, are asked of
-    the recurrence's coefficient function once per shape and
-    orientation; the layout picks the walk or, in Z[q], the closed form.
+    A shape's signed row coefficients, anchored at (1,1), or its
+    conjugate's with variables transposed, are packed once per shape and
+    orientation.
+
+    The layout picks how both are packed: in a
+    :class:`~partition_snf.polynomials._QLayout` the weight is counted
+    and the coefficients are the closed form; otherwise the weight is
+    the shape memo's, read as the weight at the shape's own origin,
+    where ``weight_at`` translates nothing, and the coefficients are
+    walked.
     """
 
-    def __init__(
-        self,
-        lam: Partition,
-        layout: PackedLayout,
-        anchored: Callable[[tuple[int, ...]], dict[int, int]],
-    ):
+    def __init__(self, lam: Partition, layout: PackedLayout):
         _check_degree(lam.size)
         self.layout = layout
         self._lam = lam
-        self._anchored_weight = anchored
+        if isinstance(layout, _QLayout):
+            self._anchored_weight = _q_weight
+            self._coefficient_keys = _q_coefficient_keys
+        else:
+            self._anchored_weight = lambda shape: layout.encode(
+                weight_at(Partition(shape), 1, 1)
+            )
+            self._coefficient_keys = lambda shape, conjugate: _coefficient_keys(
+                layout, shape, conjugate
+            )
         # shape -> (weight, minus the weight), both (1,1)-anchored
         self._anchored = {(): (PACKED_ONE, PACKED_MINUS_ONE)}
         # (shape, conjugate) -> signed row coefficients
@@ -238,7 +249,9 @@ class _PackedWeights:
         # lam's placed weights, row by row, as far as they were read
         self._grid: list[list[dict[int, int]]] = []
 
-    def _placed(self, lam: Partition, row: int, col: int, sign: int) -> dict[int, int]:
+    def placed(self, lam: Partition, row: int, col: int, sign=1) -> dict[int, int]:
+        """The weight of ``lam`` at (row, col), times ``sign``, moved
+        into place."""
         shape = subdiagram_shape(lam, row, col)
         pair = self._anchored.get(shape)
         if pair is None:
@@ -248,7 +261,7 @@ class _PackedWeights:
         return self.layout.translate(terms, row - 1, col - 1) if shape else terms
 
     def minus(self, lam: Partition, row: int, col: int) -> dict[int, int]:
-        return self._placed(lam, row, col, -1)
+        return self.placed(lam, row, col, -1)
 
     def grid(self, d: int, e: int) -> list[list[dict[int, int]]]:
         """The weights of the d x e rectangle of ``lam`` anchored at
@@ -257,7 +270,7 @@ class _PackedWeights:
         kept.extend([] for _ in range(d - len(kept)))
         for r, row in enumerate(kept[:d], start=1):
             row.extend(
-                self._placed(self._lam, r, c, 1) for c in range(len(row) + 1, e + 1)
+                self.placed(self._lam, r, c) for c in range(len(row) + 1, e + 1)
             )
         return [row[:e] for row in kept[:d]]
 
@@ -269,9 +282,7 @@ class _PackedWeights:
         key = (shape, conjugate)
         found = self._coefficients.get(key)
         if found is None:
-            found = self._coefficients[key] = _coefficient_keys(
-                self.layout, shape, conjugate
-            )
+            found = self._coefficients[key] = self._coefficient_keys(shape, conjugate)
         return found
 
 
@@ -280,12 +291,7 @@ def _weights(lam: Partition) -> _PackedWeights:
     packed in a layout wide enough for every cell of ``lam``: every
     weight, every transform entry and every product of them lies inside
     it."""
-    layout = _layout(lam)
-    # The shape's memo entry, read as the weight at its own origin, where
-    # weight_at translates nothing.
-    return _PackedWeights(
-        lam, layout, lambda shape: layout.encode(weight_at(Partition(shape), 1, 1))
-    )
+    return _PackedWeights(lam, _layout(lam))
 
 
 def _stacked_transforms(weights: _PackedWeights, lam: Partition):

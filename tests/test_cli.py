@@ -10,11 +10,14 @@ import pytest
 
 import partition_snf
 import partition_snf.cli as cli_module
+import partition_snf.recurrence as recurrence_module
 from partition_snf import (
+    Partition,
     SnfResult,
     polynomial_from_json,
 )
 from partition_snf.cli import main
+from partition_snf.polynomials import PackedLayout
 
 from helpers import accept_every_certification, tamper_inductive
 
@@ -283,6 +286,31 @@ class TestRecurrenceCommand:
         checks = envelope["result"]["checks"]
         assert [c["j"] for c in checks] == [1, 2, 3]
         assert all(c["ok"] for c in checks)
+
+    def test_packs_each_shape_once(self, capsys, monkeypatch):
+        # One weight set serves every column: the coefficients are walked
+        # once for the printout and once for the residuals, and no weight
+        # is encoded twice.
+        walk, encode = recurrence_module._walk, PackedLayout.encode
+        walked, encoded = [], []
+
+        def counted_walk(*args):
+            walked.append(args)
+            return walk(*args)
+
+        def counted_encode(layout, poly):
+            encoded.append(poly)
+            return encode(layout, poly)
+
+        monkeypatch.setattr(recurrence_module, "_walk", counted_walk)
+        monkeypatch.setattr(PackedLayout, "encode", counted_encode)
+        staircase = (10, 9, 8, 7, 6, 5, 4, 3, 2, 1)
+        argv = ("recurrence", ",".join(map(str, staircase)), "--j", "all")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.count(", ok") == 6
+        rank = Partition(staircase).rank
+        assert len(walked) <= 2 * (rank + 1) == 12
+        assert encoded and len(encoded) == len(set(encoded))
 
 
 def _capped_cli(argv, cap: int) -> subprocess.CompletedProcess:

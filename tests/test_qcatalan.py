@@ -164,7 +164,7 @@ class TestReductionInZq:
         for lam in all_partitions(9):
             side = lam.rank + 1
             multivariate = snf_inductive(lam, side, side)
-            weights = snf_module._PackedWeights(lam, _QLayout(), _q_weight)
+            weights = snf_module._PackedWeights(lam, _QLayout())
             in_q = snf_module._decoded_result(
                 weights.layout,
                 *snf_module._certify_inductive(weights, lam, side, side),
@@ -190,7 +190,7 @@ class TestReductionInZq:
         # replay the q-weights; both are certified in Z[q] and agree.
         for n in range(1, 21):
             lam = staircase(n)
-            weights = snf_module._PackedWeights(lam, _QLayout(), _q_weight)
+            weights = snf_module._PackedWeights(lam, _QLayout())
             by_rows, by_peeling = snf_module._both(weights, lam)
             assert by_rows.agrees_with(by_peeling), n
             assert by_rows.P is by_peeling.P, n

@@ -214,6 +214,12 @@ class TestPackedWalk:
                 row_coefficient(Partition(parts), i)
         with pytest.raises(TooLarge):
             row_coefficients(Partition((70000,)))
+        # Index 1 alone is under the limit, with 40,000 terms: the top
+        # degree of index 2, or |lam| for the weight set, is checked first.
+        with pytest.raises(TooLarge, match="exceeds the limit 65535"):
+            row_coefficients(Partition((40000, 30000)))
+        with pytest.raises(TooLarge, match="degree 70000 exceeds the limit 65535"):
+            alternating_row_sum(Partition((40000, 30000)), 1)
         assert row_coefficient(Partition((70000,)), 0) == 1
         with pytest.raises(AssertionError):
             row_coefficient(LAM, 1)

@@ -39,7 +39,6 @@ from partition_snf.polynomials import (
     PACKED_MINUS_ONE,
     PACKED_ONE,
     PackedLayout,
-    _q_weight,
     _QLayout,
 )
 
@@ -526,7 +525,7 @@ class TestDegreeLimit:
             lambda: snf_recurrence(lam),
             lambda: snf_inductive(lam, side, side),
             lambda: snf_both(lam),
-            lambda: snf_module._PackedWeights(lam, _QLayout(), _q_weight),
+            lambda: snf_module._PackedWeights(lam, _QLayout()),
         ):
             with pytest.raises(TooLarge, match=f"degree {sum(parts)} exceeds the limit"):
                 reduce()
@@ -567,15 +566,17 @@ class TestSelftest:
         asked = []
 
         class CountedWeights(packed_weights):
-            def __init__(self, lam, layout, anchored):
+            def __init__(self, lam, layout):
+                super().__init__(lam, layout)
                 shapes = []
                 asked.append(shapes)
+                anchored = self._anchored_weight
 
                 def counted(shape):
                     shapes.append(shape)
                     return anchored(shape)
 
-                super().__init__(lam, layout, counted)
+                self._anchored_weight = counted
 
         monkeypatch.setattr(snf_module, "_PackedWeights", CountedWeights)
         assert run_selftest(8).ok
