@@ -36,10 +36,11 @@ There is no separate univariate type: a polynomial in one symbol q is a
 polynomial on the single cell (1,1), q^k being the monomial x[1,1]^k.
 The packed path reaches Z[q] through a second key format, ``_QLayout``,
 whose keys are those ``PackedLayout(1)`` gives the powers of x[1,1].
-Encoding in it sends every variable to q, and ``_q_weight`` packs a
-shape's weight there straight from the subpartition-counting dynamic
-program, so the staircase reductions run on the same kernels in Z[q]
-without enumerating a multivariate weight.
+Encoding in it sends every variable to q.  It carries the Z[q] shape
+functions: a shape's weight, packed by ``_q_weight`` straight from the
+subpartition-counting dynamic program, and its row coefficients in
+closed form.  So the staircase reductions run on the same kernels in
+Z[q] without enumerating a multivariate weight.
 
 The canonical term order used for rendering and serialization is graded
 lex: degree descending, then the row-major exponent vector, larger first.
@@ -55,7 +56,7 @@ from struct import unpack
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NameCollision, TooLarge, VerificationFailed
-from .partitions import Cell, _complement_areas
+from .partitions import Cell, Partition, _complement_areas
 
 __all__ = [
     "Monomial",
@@ -624,6 +625,18 @@ class PackedLayout:
 _Q = 1 | 1 << _FIELD
 
 
+def _q_weight(shape: Sequence[int]) -> dict[int, int]:
+    """The weight of ``shape`` anchored at (1,1) with every variable sent
+    to q, ``sum(q^(|shape| - |nu|) for nu inside shape)``, packed in a
+    :class:`_QLayout` from the counting program, not from its terms.
+
+    A shape past the degree limit raises :class:`TooLarge` before the
+    program runs: its top power would carry out of the q field."""
+    _check_degree(sum(shape))
+    # No coefficient is 0: removing corners one by one passes every size.
+    return {k * _Q: c for k, c in enumerate(_complement_areas(shape))}
+
+
 class _QLayout(PackedLayout):
     """The key format of the packed path in Z[q]: ``PackedLayout(1)``'s
     keys of the powers of x[1,1], read as powers of q, with every
@@ -634,13 +647,30 @@ class _QLayout(PackedLayout):
     certified in this layout is the image in Z[q] of the multivariate
     one.  Every cell is q wherever it lies, so translation is the
     identity, a run of k cells is q^k, and decoding is
-    ``PackedLayout(1)``'s.
+    ``PackedLayout(1)``'s.  Its shape functions count a shape's weight
+    and give its row coefficients in closed form.
     """
 
     __slots__ = ()
 
+    weight = staticmethod(_q_weight)
+
     def __init__(self):
         super().__init__(1)
+
+    def coefficients(self, lam: Partition, transposed=False) -> list[dict[int, int]]:
+        """The signed row coefficients of every index 0..rank of ``lam``,
+        where transposing changes nothing: coefficient ``i`` is ``q^low *
+        [lam_i choose i]_q``, the q-weight of the ``i x (lam_i - i)`` box
+        counting the walk's sub-arrays by their cells, with ``low = lam_1 +
+        ... + lam_i - i(i + 1)/2 - i(lam_i - i)`` the empty one's degree."""
+        keys = [{0: 1}]
+        for i in range(1, lam.rank + 1):
+            width = lam.parts[i - 1] - i
+            low = (sum(lam.parts[:i]) - i * (i + 1) // 2 - i * width) * _Q
+            sign = (-1) ** i
+            keys.append({k + low: sign * c for k, c in _q_weight((width,) * i).items()})
+        return keys
 
     def encode(self, poly: Polynomial) -> dict[int, int]:
         terms: dict[int, int] = {}
@@ -658,18 +688,6 @@ class _QLayout(PackedLayout):
     def translate(self, terms: dict[int, int], dr: int, dc: int) -> dict[int, int]:
         # The same dict: no packed operation changes its inputs.
         return terms
-
-
-def _q_weight(shape: Sequence[int]) -> dict[int, int]:
-    """The weight of ``shape`` anchored at (1,1) with every variable sent
-    to q, ``sum(q^(|shape| - |nu|) for nu inside shape)``, packed in a
-    :class:`_QLayout` from the counting program, not from its terms.
-
-    A shape past the degree limit raises :class:`TooLarge` before the
-    program runs: its top power would carry out of the q field."""
-    _check_degree(sum(shape))
-    # No coefficient is 0: removing corners one by one passes every size.
-    return {k * _Q: c for k, c in enumerate(_complement_areas(shape))}
 
 
 def packed_product(

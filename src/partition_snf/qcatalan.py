@@ -10,8 +10,8 @@ A q-polynomial is an ordinary :class:`Polynomial` on the single cell
 weight.  A shape's weight in q comes from the subpartition-counting
 dynamic program, and the staircase square is reduced and certified in
 Z[q] itself, through the reductions' own pipeline: their packed weight
-set, given the q key format, counts its weights and takes the row
-coefficients in closed form.  It is the one size check, and the
+set, given the Z[q] layout, takes from it the counted weights and the
+closed-form row coefficients.  It is the one size check, and the
 inductive replay and the one certify tail run on it unchanged.
 Sending every variable to q is a ring map and every step is ring
 arithmetic, so the transforms are the images of the multivariate ones,
@@ -19,14 +19,15 @@ and the certificate ``P @ W @ Q = diag(q^e)`` is checked in Z[q].  Only
 the diagonal is decoded.  A staircase past the degree limit, C(n, 2) >
 65535, is refused before its parts are built.  Only output is
 q-specific: :func:`q_coefficients` gives the dense ascending coefficient
-list and :func:`render_q` the text form in q.
+list and :func:`render_q` the text form in q; both refuse a term in any
+variable but x[1,1].
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .partitions import Partition
+from .partitions import Cell, Partition
 from .polynomials import Polynomial, _check_degree, _q_weight, _QLayout
 from .snf import _certify_inductive, _PackedWeights
 from .snf import snf_inductive  # noqa: F401  (the benchmark tracer patches it here)
@@ -94,16 +95,22 @@ def staircase_snf_diagonal(n: int) -> tuple[Polynomial, ...]:
 
 def q_coefficients(poly: Polynomial) -> list[int]:
     """Coefficients of a polynomial in x[1,1] alone, constant term first,
-    ending in a nonzero one; ``[]`` for 0."""
+    ending in a nonzero one; ``[]`` for 0.  A term in any other variable
+    raises ``ValueError``."""
     coeffs = [0] * (poly.degree + 1) if poly else []
     for mono, coeff in poly.items():
+        # One field for a power of x[1,1], none for 1.
+        if mono.pairs not in ((), ((Cell(1, 1), mono.degree),)):
+            raise ValueError(f"{mono!r} is not a power of x[1,1]")
         coeffs[mono.degree] = coeff
     return coeffs
 
 
 def render_q(poly: Polynomial) -> str:
     """A polynomial in x[1,1] alone written in q, ascending, e.g.
-    ``1+2q+q^2+q^3``, ``q^2``, ``-q`` or ``0``."""
+    ``1+2q+q^2+q^3``, ``q^2``, ``-q`` or ``0``; like
+    :func:`q_coefficients`, it raises ``ValueError`` on any other
+    variable."""
     pieces = []
     for k, coeff in enumerate(q_coefficients(poly)):
         if not coeff:

@@ -17,16 +17,15 @@ of the coefficients, :func:`_walk`, walks the justified sub-arrays once
 and packs each term straight into a key of a packed layout, as the sum of
 its rows' precomputed run keys; with the runs laid along columns it packs
 the conjugate's coefficients with variables transposed, as the column
-transform needs them.  :func:`_coefficient_keys` walks every index of a
-shape.  In Z[q] the walk is not needed: every term of coefficient ``i``
-becomes a power of q, and the coefficient is a shifted Gaussian
-binomial, which :func:`_q_coefficient_keys` packs from the
-subpartition-counting program.  The weight set of
-:mod:`~partition_snf.snf` picks one of the two by its layout, and the
-reductions and the self-test read the packed coefficients from it; the
-public :func:`row_coefficient` and :func:`row_coefficients` are decodes
-of the walk.  The choice polynomial on its own is built only by the
-tests, cell by cell, as the oracle for the walk.
+transform needs them.  The multivariate ring is one layout class,
+:class:`_PartitionLayout`, which holds the width rule, one field per
+column of the partition's first row, and the ring's two shape functions:
+the shape memo's weight, read through ``weight_at`` and encoded, and the
+walk of every index.  The weight set of :mod:`~partition_snf.snf` reads
+both from its layout, and the reductions and the self-test read the
+packed coefficients from it; the public :func:`row_coefficient` and
+:func:`row_coefficients` are decodes of the walk.  The choice polynomial
+on its own is built only by the tests, cell by cell, as its oracle.
 
 The alternating sum of coefficient-times-weight collapses to the full
 product of variables in column 1 and to zero in every later column of the
@@ -41,8 +40,8 @@ from operator import getitem
 
 from .errors import IndexOutOfRange
 from .partitions import Partition
-from .polynomials import PackedLayout, Polynomial, _check_degree, _q_weight, _Q
-from .weights import weight_at  # noqa: F401  (the benchmark tracer patches it here)
+from .polynomials import PackedLayout, Polynomial, _check_degree
+from .weights import weight_at
 
 __all__ = ["row_coefficient", "row_coefficients"]
 
@@ -85,48 +84,25 @@ def _walk(
     )
 
 
-def _oriented(shape: tuple[int, ...], conjugate: bool) -> Partition:
-    """The partition whose coefficients a weight set asks for."""
-    lam = Partition(shape)
-    return lam.conjugate() if conjugate else lam
+class _PartitionLayout(PackedLayout):
+    """The multivariate ring of ``lam``'s packed path: one field per
+    column of its first row, so every cell of ``lam`` fits."""
 
+    __slots__ = ()
 
-def _coefficient_keys(
-    layout: PackedLayout, shape: tuple[int, ...], conjugate: bool = False
-) -> list[dict[int, int]]:
-    """The signed row coefficients of every index 0..rank of ``shape``,
-    or of its conjugate with variables transposed, walked and packed in
-    ``layout``, which must tell monomials apart."""
-    lam = _oriented(shape, conjugate)
-    return [
-        _walk(layout, lam.parts, i, (-1) ** i, conjugate) for i in range(lam.rank + 1)
-    ]
+    def __init__(self, lam: Partition):
+        super().__init__(lam.part(1))
 
+    def weight(self, shape: tuple[int, ...]) -> dict[int, int]:
+        """The memo's weight of ``shape`` at its own origin, encoded."""
+        return self.encode(weight_at(Partition(shape), 1, 1))
 
-def _q_coefficient_keys(
-    shape: tuple[int, ...], conjugate: bool = False
-) -> list[dict[int, int]]:
-    """:func:`_coefficient_keys` in a :class:`~partition_snf.polynomials._QLayout`,
-    whose keys do not tell the walk's terms apart, and where transposing
-    changes nothing: coefficient ``i`` is ``q^low * [lam_i choose i]_q``,
-    the Gaussian binomial counting the sub-arrays by their cells, with
-    ``low = lam_1 + ... + lam_i - i(i + 1)/2 - i(lam_i - i)`` the degree
-    of the empty sub-array.  The binomial is the q-weight of the
-    ``i x (lam_i - i)`` box, so nothing is enumerated."""
-    lam = _oriented(shape, conjugate)
-    keys = [{0: 1}]
-    for i in range(1, lam.rank + 1):
-        width = lam.parts[i - 1] - i
-        low = (sum(lam.parts[:i]) - i * (i + 1) // 2 - i * width) * _Q
-        sign = (-1) ** i
-        keys.append({k + low: sign * c for k, c in _q_weight((width,) * i).items()})
-    return keys
-
-
-def _layout(lam: Partition) -> PackedLayout:
-    """The layout of ``lam``'s multivariate packed path: wide enough for
-    every cell of ``lam``."""
-    return PackedLayout(lam.parts[0] if lam else 1)
+    def coefficients(self, lam: Partition, transposed=False) -> list[dict[int, int]]:
+        """The signed row coefficients of every index 0..rank of ``lam``,
+        walked, with variables transposed when ``transposed`` is set."""
+        return [
+            _walk(self, lam.parts, i, (-1) ** i, transposed) for i in range(lam.rank + 1)
+        ]
 
 
 def row_coefficient(lam: Partition, i: int) -> Polynomial:
@@ -139,7 +115,7 @@ def row_coefficient(lam: Partition, i: int) -> Polynomial:
     """
     if not 0 <= i <= lam.rank:
         raise IndexOutOfRange(f"index {i} outside 0..{lam.rank}")
-    layout = _layout(lam)
+    layout = _PartitionLayout(lam)
     return layout.decode(_walk(layout, lam.parts, i))
 
 
@@ -150,6 +126,6 @@ def row_coefficients(lam: Partition) -> tuple[Polynomial, ...]:
     walked first: past the limit it raises ``TooLarge`` before anything
     is enumerated.
     """
-    layout = _layout(lam)
+    layout = _PartitionLayout(lam)
     walked = [_walk(layout, lam.parts, i) for i in range(lam.rank, -1, -1)]
     return tuple(map(layout.decode, reversed(walked)))

@@ -29,12 +29,12 @@ shifts it into place.  The replay's updates and the certification's
 ``W`` both read these packed shapes; scaling by a peeled cell adds one
 key to each term, and the key arithmetic is the layout-free ``times``
 and ``fold`` of the polynomials module.  Beside the weights, the
-weight set packs a shape's signed row coefficients.  Its layout picks
-both functions, and so the ring: in a multivariate layout the shape
-memo's weights and the walk of :mod:`~partition_snf.recurrence`, in the
-Z[q] layout the counted q-weights and the closed form.  The
-recurrence's stacked transforms read the coefficients from the weight
-set's memo, the column transform's packed with variables transposed.
+weight set packs a shape's signed row coefficients.  It has no ring
+branch: a layout is its ring, and the weight set calls the layout's
+``weight`` and ``coefficients`` for both.  A negated weight is made on
+its first negated read.  The recurrence's stacked transforms read the
+coefficients from the weight set's memo, the column transform's packed
+with variables transposed.
 One tail, :func:`_certified`, builds each
 leading monomial of the expected diagonal as one key, from one run key
 per row, multiplies ``P @ W @ Q`` in the same layout, with nothing
@@ -44,11 +44,11 @@ a failing check.  :func:`_decoded_result` is the one decode, once per
 result.  The self-test's border rectangles stop after the tail and
 decode nothing.
 
-The multivariate reductions pack in a
-:class:`~partition_snf.polynomials.PackedLayout` wide enough for every
-cell of the partition.  The staircase reductions of
-:mod:`~partition_snf.qcatalan` hand :class:`_PackedWeights` the q key
-format instead, so the same reductions and tail run in Z[q].
+The multivariate reductions pack in the partition's layout of
+:mod:`~partition_snf.recurrence`, wide enough for every cell of the
+partition.  The staircase reductions of :mod:`~partition_snf.qcatalan`
+hand :class:`_PackedWeights` the Z[q] layout instead, so the same
+reductions and tail run in Z[q].
 """
 
 from __future__ import annotations
@@ -63,17 +63,16 @@ from .polynomials import (
     PackedLayout,
     Polynomial,
     _check_degree,
-    _q_weight,
-    _QLayout,
     fold,
     pack_matrices,
     packed_product,
     polynomial_to_json,
     times,
 )
-from .recurrence import _coefficient_keys, _layout, _q_coefficient_keys
+from .recurrence import _PartitionLayout
 from .recurrence import row_coefficients  # noqa: F401  (the benchmark tracer patches it here)
-from .weights import PolyMatrix, _check_rectangle, weight_at
+from .weights import PolyMatrix, _check_rectangle
+from .weights import weight_at  # noqa: F401  (the benchmark tracer patches it here)
 
 __all__ = [
     "SnfResult",
@@ -210,40 +209,28 @@ class _PackedWeights:
     ``W(1,1)`` holds the leading monomial of degree ``|lam|``, so a
     partition past the degree limit raises ``TooLarge`` here, before any
     reduction work.  A nonempty shape's weight anchored at (1,1) is
-    packed once per shape, and negated once in packed form.  A weight is
-    then moved into place by the layout's translation.  Past the
-    extension the shape is empty and the weight is 1.  The weights
-    placed in ``lam``'s own rectangles are kept, so every rectangle and
-    check of ``lam`` reads them from one grid.
+    packed once per shape, and negated in packed form on the shape's
+    first negated read, if any.  A weight is then moved into place by
+    the layout's translation.  Past the extension the shape is empty and
+    the weight is 1.  The weights placed in ``lam``'s own rectangles are
+    kept, so every rectangle and check of ``lam`` reads them from one
+    grid.
 
     A shape's signed row coefficients, anchored at (1,1), or its
     conjugate's with variables transposed, are packed once per shape and
     orientation.
 
-    The layout picks how both are packed: in a
-    :class:`~partition_snf.polynomials._QLayout` the weight is counted
-    and the coefficients are the closed form; otherwise the weight is
-    the shape memo's, read as the weight at the shape's own origin,
-    where ``weight_at`` translates nothing, and the coefficients are
-    walked.
+    The layout is the ring: its ``weight`` and ``coefficients`` pack
+    both, and nothing here asks which ring it is.
     """
 
     def __init__(self, lam: Partition, layout: PackedLayout):
         _check_degree(lam.size)
         self.layout = layout
         self._lam = lam
-        if isinstance(layout, _QLayout):
-            self._anchored_weight = _q_weight
-            self._coefficient_keys = _q_coefficient_keys
-        else:
-            self._anchored_weight = lambda shape: layout.encode(
-                weight_at(Partition(shape), 1, 1)
-            )
-            self._coefficient_keys = lambda shape, conjugate: _coefficient_keys(
-                layout, shape, conjugate
-            )
-        # shape -> (weight, minus the weight), both (1,1)-anchored
-        self._anchored = {(): (PACKED_ONE, PACKED_MINUS_ONE)}
+        # shape -> its (1,1)-anchored weight, and minus that weight
+        self._anchored = {(): PACKED_ONE}
+        self._negated = {(): PACKED_MINUS_ONE}
         # (shape, conjugate) -> signed row coefficients
         self._coefficients: dict[tuple, list[dict[int, int]]] = {}
         # lam's placed weights, row by row, as far as they were read
@@ -253,11 +240,13 @@ class _PackedWeights:
         """The weight of ``lam`` at (row, col), times ``sign``, moved
         into place."""
         shape = subdiagram_shape(lam, row, col)
-        pair = self._anchored.get(shape)
-        if pair is None:
-            plus = self._anchored_weight(shape)
-            pair = self._anchored[shape] = (plus, {k: -c for k, c in plus.items()})
-        terms = pair[0] if sign > 0 else pair[1]
+        terms = (self._anchored if sign > 0 else self._negated).get(shape)
+        if terms is None:
+            terms = self._anchored.get(shape)
+            if terms is None:
+                terms = self._anchored[shape] = self.layout.weight(shape)
+            if sign < 0:
+                terms = self._negated[shape] = {k: -c for k, c in terms.items()}
         return self.layout.translate(terms, row - 1, col - 1) if shape else terms
 
     def minus(self, lam: Partition, row: int, col: int) -> dict[int, int]:
@@ -282,7 +271,8 @@ class _PackedWeights:
         key = (shape, conjugate)
         found = self._coefficients.get(key)
         if found is None:
-            found = self._coefficients[key] = self._coefficient_keys(shape, conjugate)
+            lam = Partition(shape).conjugate() if conjugate else Partition(shape)
+            found = self._coefficients[key] = self.layout.coefficients(lam, conjugate)
         return found
 
 
@@ -291,7 +281,7 @@ def _weights(lam: Partition) -> _PackedWeights:
     packed in a layout wide enough for every cell of ``lam``: every
     weight, every transform entry and every product of them lies inside
     it."""
-    return _PackedWeights(lam, _layout(lam))
+    return _PackedWeights(lam, _PartitionLayout(lam))
 
 
 def _stacked_transforms(weights: _PackedWeights, lam: Partition):

@@ -6,10 +6,12 @@ exactly like the grids they pin down.
 """
 
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
+import partition_snf.checks as checks_module
 import partition_snf.snf as snf_module
 from partition_snf import (
     Cell,
@@ -19,11 +21,13 @@ from partition_snf import (
     Partition,
     PolyMatrix,
     Polynomial,
+    boundary_walk_count,
     letter_naming,
     q_catalan,
     subdiagram_shape,
     weight_at,
 )
+from partition_snf.polynomials import PackedLayout
 from partition_snf.snf import _peel_plan
 
 
@@ -434,3 +438,61 @@ def accept_every_certification(monkeypatch) -> None:
     """Let every certification pass, so tampered transforms reach the
     callers' agreement checks."""
     monkeypatch.setattr(snf_module, "_certify", lambda *args: None)
+
+
+# -- the image in Z ------------------------------------------------------------
+#
+# A ring is one layout class: its key format plus its two shape functions.
+# This one lives only here, and the library's reductions run in it
+# unchanged.
+
+
+class ZLayout(PackedLayout):
+    """The packed path with every variable sent to 1: the ring Z, where
+    the origin weight squares are the Carlitz-Roselle-Scoville integer
+    matrices of determinant 1.  Every key is 0, so a variable and a run
+    of cells are 0 and translation is the identity.  A shape's weight is
+    its number of subpartitions, and coefficient ``i`` of ``lam`` is
+    ``(-1)^i C(lam_i, i)``, the number of sub-arrays the walk takes."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        super().__init__(1)
+
+    def variable(self, cell) -> int:
+        return 0
+
+    def run(self, line, start, stop, transposed=False) -> int:
+        return 0
+
+    def translate(self, terms, dr, dc):
+        return terms
+
+    def weight(self, shape) -> dict[int, int]:
+        return {0: boundary_walk_count(Partition(shape))}
+
+    def coefficients(self, lam: Partition, transposed=False) -> list[dict[int, int]]:
+        return [{0: (-1) ** i * comb(lam.part(i), i)} for i in range(lam.rank + 1)]
+
+
+def wide_border_rectangles(lam: Partition) -> list[tuple[int, int]]:
+    """The border rectangles of ``lam`` at least as wide as tall."""
+    return [(d, e) for d, e in sorted(lam.extended.border) if d <= e]
+
+
+def z_image_certified(lam: Partition) -> int:
+    """Check ``lam`` in :class:`ZLayout` on one packed weight set: both
+    reductions of the origin square agree, its normal form is the
+    identity, its determinant is 1, and every border rectangle at least
+    as wide as tall certifies.  Returns the number of those rectangles."""
+    n = lam.rank + 1
+    weights = snf_module._PackedWeights(lam, ZLayout())
+    by_rows, by_peeling = snf_module._both(weights, lam)
+    assert by_rows.agrees_with(by_peeling), lam
+    assert by_rows.diagonal == (Polynomial.one(),) * n, lam
+    assert checks_module._eliminate(weights.layout, weights.grid(n, n)) == {0: 1}, lam
+    wide = wide_border_rectangles(lam)
+    for d, e in wide:
+        snf_module._certify_inductive(weights, lam, d, e)
+    return len(wide)

@@ -6,6 +6,7 @@ import partition_snf.snf as snf_module
 from partition_snf import (
     Cell,
     Partition,
+    Polynomial,
     TooLarge,
     VerificationFailed,
     all_partitions,
@@ -13,6 +14,7 @@ from partition_snf import (
     determinant,
     expected_snf_exponents,
     q_catalan,
+    q_coefficients,
     render_q,
     snf_inductive,
     square_matrix,
@@ -21,8 +23,8 @@ from partition_snf import (
     weight_at,
     weight_polynomial,
 )
-from partition_snf.polynomials import PackedLayout, _q_weight, _QLayout
-from partition_snf.recurrence import _coefficient_keys, _q_coefficient_keys
+from partition_snf.polynomials import _q_weight, _QLayout
+from partition_snf.recurrence import _PartitionLayout
 from partition_snf.snf import _identity_grid
 
 from helpers import (
@@ -73,6 +75,16 @@ class TestQCatalan:
         oracle = catalan_numbers(10)
         for n in range(11):
             assert evaluate_at_ones(q_catalan(n)) == oracle[n]
+
+    def test_q_forms_refuse_other_variables(self):
+        # Each term used to land on its degree whatever its variables,
+        # so x[1,2] read as q and x[1,2] + x[2,1] as q.
+        x12, x21 = Polynomial.variable((1, 2)), Polynomial.variable((2, 1))
+        for poly in (x12, x21 * x21 * x21, x12 + x21):
+            for read in (q_coefficients, render_q):
+                with pytest.raises(ValueError, match=r"is not a power of x\[1,1\]"):
+                    read(poly)
+        assert q_coefficients(q_poly((3, 0, -1))) == [3, 0, -1]
 
 
 class TestStaircaseMatrix:
@@ -177,10 +189,11 @@ class TestReductionInZq:
     def test_q_coefficients_are_the_collapsed_walk(self):
         q = _QLayout()
         for lam in all_partitions(12):
-            layout = PackedLayout(lam.parts[0] if lam else 1)
+            layout = _PartitionLayout(lam)
             for conjugate in (False, True):
-                walked = _coefficient_keys(layout, lam.parts, conjugate)
-                closed = _q_coefficient_keys(lam.parts, conjugate)
+                oriented = lam.conjugate() if conjugate else lam
+                walked = layout.coefficients(oriented, conjugate)
+                closed = q.coefficients(oriented, conjugate)
                 assert [q.decode(c) for c in closed] == [
                     substitute_uniform(layout.decode(c)) for c in walked
                 ], (lam, conjugate)

@@ -11,6 +11,8 @@ import pytest
 
 import partition_snf
 import partition_snf.checks as checks_module
+import partition_snf.cli as cli_module
+import partition_snf.recurrence as recurrence_module
 import partition_snf.snf as snf_module
 from partition_snf import (
     Cell,
@@ -25,6 +27,7 @@ from partition_snf import (
     TooLarge,
     VerificationFailed,
     all_partitions,
+    alternating_row_sum,
     determinant,
     leading_monomial,
     rect_weight_matrix,
@@ -33,6 +36,7 @@ from partition_snf import (
     snf_inductive,
     snf_recurrence,
     square_matrix,
+    subdiagram_shape,
     verify_snf,
 )
 from partition_snf.polynomials import (
@@ -56,6 +60,8 @@ from helpers import (
     ref_reduce_rectangle,
     staircase_matrix,
     tamper_inductive,
+    wide_border_rectangles,
+    z_image_certified,
 )
 
 LAM = Partition((3, 2))
@@ -213,10 +219,6 @@ class TestInductiveAlgorithm:
                 )
         finally:
             sys.setrecursionlimit(limit)
-
-
-def wide_border_rectangles(lam: Partition) -> list[tuple[int, int]]:
-    return [(d, e) for d, e in sorted(lam.extended.border) if d <= e]
 
 
 def decoded(layout, grid):
@@ -518,7 +520,7 @@ class TestDegreeLimit:
 
         monkeypatch.setattr(snf_module, "_peel_plan", uncalled)
         monkeypatch.setattr(snf_module, "row_coefficients", uncalled)
-        monkeypatch.setattr(snf_module, "_coefficient_keys", uncalled)
+        monkeypatch.setattr(recurrence_module, "_walk", uncalled)
         lam = Partition(parts)
         side = lam.rank + 1
         for reduce in (
@@ -565,23 +567,74 @@ class TestSelftest:
         packed_weights = snf_module._PackedWeights
         asked = []
 
+        anchored = recurrence_module._PartitionLayout.weight
+
         class CountedWeights(packed_weights):
             def __init__(self, lam, layout):
                 super().__init__(lam, layout)
-                shapes = []
-                asked.append(shapes)
-                anchored = self._anchored_weight
+                asked.append([])
 
-                def counted(shape):
-                    shapes.append(shape)
-                    return anchored(shape)
-
-                self._anchored_weight = counted
+        def counted(layout, shape):
+            # The partitions run one after another, so the newest weight
+            # set is the one asking.
+            asked[-1].append(shape)
+            return anchored(layout, shape)
 
         monkeypatch.setattr(snf_module, "_PackedWeights", CountedWeights)
+        monkeypatch.setattr(recurrence_module._PartitionLayout, "weight", counted)
         assert run_selftest(8).ok
         assert len(asked) == len(list(all_partitions(8))) == 67
         assert all(len(shapes) == len(set(shapes)) for shapes in asked)
+
+
+class TestZImage:
+    def test_integer_matrices_reduce_to_the_identity(self):
+        # Every variable sent to 1, by a layout the library does not
+        # define: the weight set takes both shape functions from it.
+        partitions = list(all_partitions(9))
+        assert len(partitions) == 97
+        assert sum(map(z_image_certified, partitions)) == 442
+
+
+class TestNegatedOnRead:
+    """The weight set negates a shape's weight on its first negated read,
+    and never when no negated weight is read."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        packed_weights = snf_module._PackedWeights
+        made = []
+
+        class Recorded(packed_weights):
+            def __init__(self, lam, layout):
+                super().__init__(lam, layout)
+                self.read = {()}
+                made.append(self)
+
+            def minus(self, lam, row, col):
+                self.read.add(subdiagram_shape(lam, row, col))
+                return super().minus(lam, row, col)
+
+        monkeypatch.setattr(snf_module, "_PackedWeights", Recorded)
+        return made
+
+    def test_row_sums_and_the_recurrence_command_negate_nothing(self, recorded, capsys):
+        lam = Partition((5, 4, 4, 1))
+        for j in range(1, lam.rank + 2):
+            assert alternating_row_sum(lam, j) == (
+                leading_monomial(lam, Cell(1, 1)) if j == 1 else 0
+            )
+        argv = ["recurrence", "10,9,8,7,6,5,4,3,2,1", "--j", "all"]
+        assert cli_module.main(argv) == 0
+        capsys.readouterr()
+        assert len(recorded) == lam.rank + 2
+        assert all(w._negated == {(): PACKED_MINUS_ONE} for w in recorded)
+
+    def test_selftest_negates_only_what_it_reads_negated(self, recorded):
+        assert run_selftest(8).ok
+        assert len(recorded) == 67
+        assert all(set(w._negated) == w.read for w in recorded)
+        assert any(len(w.read) > 1 for w in recorded)
 
 
 class TestSelftestReadsPackedCoefficients:
@@ -590,15 +643,15 @@ class TestSelftestReadsPackedCoefficients:
         # which no coefficient 1 has: the row relations and the
         # recurrence's certification both read it.
         clean = run_selftest(6).counts
-        walk = snf_module._coefficient_keys
+        walk = recurrence_module._PartitionLayout.coefficients
 
-        def tampered(layout, shape, conjugate=False):
-            keys = walk(layout, shape, conjugate)
-            if len(keys) > 1 and not conjugate:
+        def tampered(layout, lam, transposed=False):
+            keys = walk(layout, lam, transposed)
+            if len(keys) > 1 and not transposed:
                 keys[1] = {**keys[1], layout.run(1, 0, 1): -1}
             return keys
 
-        monkeypatch.setattr(snf_module, "_coefficient_keys", tampered)
+        monkeypatch.setattr(recurrence_module._PartitionLayout, "coefficients", tampered)
         report = run_selftest(6)
         ranked = [lam for lam in all_partitions(6) if lam.rank]
         relations = [f for f in report.failures if f.startswith("row-relations: ")]
