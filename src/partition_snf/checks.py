@@ -70,7 +70,7 @@ def _row_sum(weights: _PackedWeights, lam: Partition, j: int) -> dict[int, int]:
     the column's weights, each placed on its own."""
     if not 1 <= j <= lam.rank + 1:
         raise IndexOutOfRange(f"column {j} outside 1..{lam.rank + 1}")
-    column = (weights.placed(lam, i, j) for i in range(1, lam.rank + 2))
+    column = (weights.placed(lam.parts, i, j) for i in range(1, lam.rank + 2))
     return fold({}, zip(weights.coefficients(lam.parts), column))
 
 

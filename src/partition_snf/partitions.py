@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
@@ -77,6 +78,14 @@ class ExtendedDiagram:
             for r, length in enumerate(self.row_lengths, start=1)
             for c in range(self.base.part(r) + 1, length + 1)
         )
+
+
+def _extends_to(parts: tuple[int, ...], row: int, col: int) -> bool:
+    """Whether ``(row, col)``, both >= 1, lies in the extended diagram of
+    the partition ``parts``: :attr:`Partition.extended` on bare parts."""
+    if row == 1:
+        return col <= (parts[0] if parts else 0) + 1
+    return row - 1 <= len(parts) and col <= parts[row - 2] + 1
 
 
 @dataclass(frozen=True)
@@ -142,9 +151,6 @@ class Partition:
             for c in range(1, p + 1):
                 yield Cell(r, c)
 
-    def is_rectangle(self) -> bool:
-        return bool(self.parts) and self.parts[0] == self.parts[-1]
-
     # -- derived diagrams ------------------------------------------------
 
     def conjugate(self) -> "Partition":
@@ -203,23 +209,21 @@ class Partition:
         return Partition(tuple(parts))
 
 
-def subdiagram_shape(p: Partition, row: int, col: int) -> tuple[int, ...]:
-    """Shape of the cells of ``p`` weakly southeast of ``(row, col)``.
+def subdiagram_shape(p, row: int, col: int) -> tuple[int, ...]:
+    """Shape of the cells of ``p``, a partition or its tuple of parts,
+    weakly southeast of ``(row, col)``.
 
     Total in both coordinates (no containment requirement); the result is
     empty whenever ``(row, col)`` is not a cell of ``p``.
     """
     if row < 1 or col < 1:
         raise CellOutOfRange(f"cell coordinates must be >= 1, got ({row},{col})")
-    parts = []
-    r = row
-    while True:
-        v = p.part(r) - col + 1
-        if v <= 0:
+    shape = []
+    for part in islice(p, row - 1, None):
+        if part < col:
             break
-        parts.append(v)
-        r += 1
-    return tuple(parts)
+        shape.append(part - col + 1)
+    return tuple(shape)
 
 
 def parse_partition(text: str) -> Partition:

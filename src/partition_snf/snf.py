@@ -35,6 +35,8 @@ branch: a layout is its ring, and the weight set calls the layout's
 its first negated read.  The recurrence's stacked transforms read the
 coefficients from the weight set's memo, the column transform's packed
 with variables transposed.
+The peeling is planned and replayed on part tuples, with ``(row, col)``
+corners, so it builds no ``Partition``, ``Cell`` or extended diagram.
 One tail, :func:`_certified`, builds each
 leading monomial of the expected diagonal as one key, from one run key
 per row, multiplies ``P @ W @ Q`` in the same layout, with nothing
@@ -56,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import DimensionMismatch, VerificationFailed
-from .partitions import Cell, Partition, subdiagram_shape
+from .partitions import Cell, Partition, _extends_to, subdiagram_shape
 from .polynomials import (
     PACKED_MINUS_ONE,
     PACKED_ONE,
@@ -236,10 +238,10 @@ class _PackedWeights:
         # lam's placed weights, row by row, as far as they were read
         self._grid: list[list[dict[int, int]]] = []
 
-    def placed(self, lam: Partition, row: int, col: int, sign=1) -> dict[int, int]:
-        """The weight of ``lam`` at (row, col), times ``sign``, moved
-        into place."""
-        shape = subdiagram_shape(lam, row, col)
+    def placed(self, parts: tuple, row: int, col: int, sign=1) -> dict[int, int]:
+        """The weight of the partition ``parts`` at (row, col), times
+        ``sign``, moved into place."""
+        shape = subdiagram_shape(parts, row, col)
         terms = (self._anchored if sign > 0 else self._negated).get(shape)
         if terms is None:
             terms = self._anchored.get(shape)
@@ -249,8 +251,8 @@ class _PackedWeights:
                 terms = self._negated[shape] = {k: -c for k, c in terms.items()}
         return self.layout.translate(terms, row - 1, col - 1) if shape else terms
 
-    def minus(self, lam: Partition, row: int, col: int) -> dict[int, int]:
-        return self.placed(lam, row, col, -1)
+    def minus(self, parts: tuple, row: int, col: int) -> dict[int, int]:
+        return self.placed(parts, row, col, -1)
 
     def grid(self, d: int, e: int) -> list[list[dict[int, int]]]:
         """The weights of the d x e rectangle of ``lam`` anchored at
@@ -259,7 +261,7 @@ class _PackedWeights:
         kept.extend([] for _ in range(d - len(kept)))
         for r, row in enumerate(kept[:d], start=1):
             row.extend(
-                self.placed(self._lam, r, c) for c in range(len(row) + 1, e + 1)
+                self.placed(self._lam.parts, r, c) for c in range(len(row) + 1, e + 1)
             )
         return [row[:e] for row in kept[:d]]
 
@@ -353,49 +355,59 @@ def _border(grid: list[list[dict[int, int]]]) -> list[list[dict[int, int]]]:
     return out
 
 
-def _peel_plan(lam: Partition, d: int, e: int):
-    """Plan the peeling of the d x e rectangle down to a single row.
+def _peel_plan(parts: tuple[int, ...], d: int, e: int):
+    """Plan the peeling of the d x e rectangle of the partition ``parts``
+    down to a single row, on part tuples alone.
 
     Returns ``(plan, base, e)``: the ``(smaller, corner)`` steps in
-    peeling order, with ``corner=None`` for a bordering step, then the
-    partition and the rectangle width the plan ends at.
+    peeling order, ``smaller`` a part tuple and ``corner`` a ``(row,
+    col)`` pair, or ``None`` for a bordering step, then the part tuple
+    and the rectangle width the plan ends at.
     """
     plan = []
     while d > 1:
-        for corner in reversed(lam.removable_corners()):
-            smaller = lam.remove_corner(corner)
-            if (d, e) in smaller.extended:
+        # The removable corners, bottom row first.
+        for r in range(len(parts), 0, -1):
+            c = parts[r - 1]
+            if r < len(parts) and parts[r] == c:
+                continue
+            smaller = parts[: r - 1] + (c - 1,) * (c > 1) + parts[r:]
+            if _extends_to(smaller, d, e):
                 # The cell must lie right of the rectangle in one of its
                 # rows, or below it in one of its columns.
-                if (corner.row < d) == (corner.col < e):
+                if (r < d) == (c < e):
                     raise VerificationFailed(
-                        f"removable corner {corner} is not beside the {d}x{e} rectangle"
+                        f"removable corner {Cell(r, c)} is not beside the "
+                        f"{d}x{e} rectangle"
                     )
+                corner = (r, c)
                 break
         else:
             # No single cell can be removed while keeping the rectangle
             # inside the extension; that happens exactly when the partition
             # is a rectangle filling the frame.  Shrink both, then border.
-            if not (lam and lam.is_rectangle()):
+            if not (parts and parts[0] == parts[-1]):
                 raise VerificationFailed(
-                    f"reduction is stuck on {lam!r} with a {d}x{e} rectangle"
+                    f"reduction is stuck on {Partition(parts)!r} with a "
+                    f"{d}x{e} rectangle"
                 )
-            if (d, e) != (len(lam) + 1, lam.parts[0] + 1):
+            if (d, e) != (len(parts) + 1, parts[0] + 1):
                 raise VerificationFailed(
                     f"rectangle {d}x{e} does not frame the "
-                    f"{len(lam)}x{lam.parts[0]} partition"
+                    f"{len(parts)}x{parts[0]} partition"
                 )
             d, e, corner = d - 1, e - 1, None
-            smaller = lam.remove_corner(Cell(d, e))
+            smaller = parts[:-1] + (e - 1,) * (e > 1)
         plan.append((smaller, corner))
-        lam = smaller
-    return plan, lam, e
+        parts = smaller
+    return plan, parts, e
 
 
 def _reduce_rectangle(weights: _PackedWeights, lam: Partition, d: int, e: int):
     """Build the transforms for the d x e rectangle by peeling one cell at
     a time off the partition: plan the peeling down to a single row, then
     replay the plan bottom-up, updating the smaller problem's transforms.
+    Both run on part tuples; ``lam`` is read only for its parts.
 
     The column transform is kept transposed, so a cell peeled below the
     rectangle takes the same step as one peeled beside it, with rows and
@@ -405,7 +417,7 @@ def _reduce_rectangle(weights: _PackedWeights, lam: Partition, d: int, e: int):
     same layout.
     """
     layout = weights.layout
-    plan, lam, e = _peel_plan(lam, d, e)
+    plan, parts, e = _peel_plan(lam.parts, d, e)
     # Weights are read in the smaller partition; the cell next to the
     # peeled one may lie just past its extension, where the weight is 1.
     minus_weight = weights.minus
@@ -415,7 +427,7 @@ def _reduce_rectangle(weights: _PackedWeights, lam: Partition, d: int, e: int):
     U = _identity_grid(1)
     VT = _identity_grid(e)
     for j in range(e - 1):
-        VT[j][e - 1] = minus_weight(lam, 1, j + 1)
+        VT[j][e - 1] = minus_weight(parts, 1, j + 1)
     for smaller, corner in reversed(plan):
         if corner is None:
             U = _border(U)

@@ -396,16 +396,19 @@ def _ref_border(grid):
 
 def ref_reduce_rectangle(lam: Partition, d: int, e: int):
     """(U, VT) of the d x e rectangle: the reduction's own peel plan,
-    replayed with ``Polynomial`` arithmetic and ``weight_at``."""
-    plan, lam, e = _peel_plan(lam, d, e)
+    its part tuples wrapped back into partitions, replayed with
+    ``Polynomial`` arithmetic and ``weight_at``."""
+    plan, parts, e = _peel_plan(lam.parts, d, e)
+    lam = Partition(parts)
     U = [[Polynomial.one()]]
     VT = _ref_identity_grid(e)
     for j in range(e - 1):
         VT[j][e - 1] = -weight_at(lam, 1, j + 1)
-    for smaller, corner in reversed(plan):
+    for parts, corner in reversed(plan):
         if corner is None:
             U, VT = _ref_border(U), _ref_border(VT)
             continue
+        smaller = Partition(parts)
         a, b = corner
         z = Polynomial.variable(corner)
         if a < len(U):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import inspect
 import json
@@ -219,6 +220,62 @@ class TestInductiveAlgorithm:
                 )
         finally:
             sys.setrecursionlimit(limit)
+
+
+class TestTuplePeeling:
+    """The peeling is planned and replayed on part tuples: a reduction
+    builds no partition once its weight set holds its shapes, and leaves
+    no reference cycle behind."""
+
+    def test_first_step_takes_the_top_row_corner(self):
+        # Removing the bottom corner (2,2) of (4,2) would shrink the
+        # frame's third row, so the plan peels (1,4) first.
+        plan, _, _ = snf_module._peel_plan((4, 2), 3, 3)
+        assert plan[0] == ((3, 2), (1, 4))
+
+    @staticmethod
+    def partitions_built(monkeypatch) -> list:
+        """From now on, the parts of every partition built."""
+        built = []
+        post_init = Partition.__post_init__
+
+        def counted(lam):
+            built.append(lam.parts)
+            post_init(lam)
+
+        monkeypatch.setattr(Partition, "__post_init__", counted)
+        return built
+
+    @pytest.mark.parametrize("parts, d, e", [((4, 2), 3, 3), ((1,) * 250, 2, 2)])
+    def test_reduction_builds_no_partition(self, monkeypatch, parts, d, e):
+        lam = Partition(parts)
+        weights = snf_module._weights(lam)
+        # The multivariate layout reads a new shape's weight through a
+        # partition, so a first reduction packs every shape the second reads.
+        first = snf_module._reduce_rectangle(weights, lam, d, e)
+        built = self.partitions_built(monkeypatch)
+        assert snf_module._reduce_rectangle(weights, lam, d, e) == first
+        assert built == []
+
+    def test_reduction_in_z_q_builds_no_partition(self, monkeypatch):
+        # The Z[q] layout counts a shape's weight from its parts, so even
+        # a first reduction builds none.
+        lam = Partition((6, 5, 4, 3, 2, 1))
+        built = self.partitions_built(monkeypatch)
+        weights = snf_module._PackedWeights(lam, _QLayout())
+        snf_module._reduce_rectangle(weights, lam, 4, 4)
+        assert built == []
+
+    def test_reductions_leave_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            snf_inductive(Partition((1,) * 300), 2, 2)
+            assert gc.collect() < 10
+            assert run_selftest(8).ok
+            assert gc.collect() < 500
+        finally:
+            gc.enable()
 
 
 def decoded(layout, grid):
@@ -611,9 +668,9 @@ class TestNegatedOnRead:
                 self.read = {()}
                 made.append(self)
 
-            def minus(self, lam, row, col):
-                self.read.add(subdiagram_shape(lam, row, col))
-                return super().minus(lam, row, col)
+            def minus(self, parts, row, col):
+                self.read.add(subdiagram_shape(parts, row, col))
+                return super().minus(parts, row, col)
 
         monkeypatch.setattr(snf_module, "_PackedWeights", Recorded)
         return made
