@@ -64,7 +64,7 @@ class ExtendedDiagram:
 
     def __contains__(self, cell) -> bool:
         r, c = cell
-        return 1 <= r <= len(self.row_lengths) and 1 <= c <= self.row_lengths[r - 1]
+        return r >= 1 and c >= 1 and _extends_to(self.base.parts, r, c)
 
     def on_border(self, cell) -> bool:
         """Whether ``cell`` lies on the border strip."""
@@ -86,6 +86,19 @@ def _extends_to(parts: tuple[int, ...], row: int, col: int) -> bool:
     if row == 1:
         return col <= (parts[0] if parts else 0) + 1
     return row - 1 <= len(parts) and col <= parts[row - 2] + 1
+
+
+def _removable_corners(parts: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The ``(row, col)`` cells whose removal leaves a partition, top row
+    first: :meth:`Partition.removable_corners` on bare parts."""
+    below = parts[1:] + (0,)
+    return [(r, p) for r, (p, b) in enumerate(zip(parts, below), start=1) if p > b]
+
+
+def _without_corner(parts: tuple[int, ...], row: int) -> tuple[int, ...]:
+    """``parts`` with the removable corner of row ``row`` taken off."""
+    c = parts[row - 1]
+    return parts[: row - 1] + (c - 1,) * (c > 1) + parts[row:]
 
 
 @dataclass(frozen=True)
@@ -190,23 +203,13 @@ class Partition:
         """Cells whose removal leaves a partition, top row first."""
         if not self.parts:
             raise EmptyPartition("the empty partition has no removable corner")
-        corners = []
-        for r, p in enumerate(self.parts, start=1):
-            below = self.part(r + 1)
-            if p > below:
-                corners.append(Cell(r, p))
-        return corners
+        return [Cell(r, c) for r, c in _removable_corners(self.parts)]
 
     def remove_corner(self, cell) -> "Partition":
         cell = Cell(*cell)
-        r, c = cell
-        if not (cell in self and c == self.parts[r - 1] > self.part(r + 1)):
+        if cell not in _removable_corners(self.parts):
             raise ValueError(f"{cell} is not a removable corner of {self!r}")
-        parts = list(self.parts)
-        parts[r - 1] -= 1
-        if parts[r - 1] == 0:
-            parts.pop()
-        return Partition(tuple(parts))
+        return Partition(_without_corner(self.parts, cell.row))
 
 
 def subdiagram_shape(p, row: int, col: int) -> tuple[int, ...]:

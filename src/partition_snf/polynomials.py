@@ -85,20 +85,16 @@ def _shift_error(dr: int, dc: int) -> ValueError:
 _new = object.__new__
 
 
-# Python hashes ints modulo 2**61 - 1, and 2**(16 * 61) is 1 modulo it, so
-# a row's int hash maps column c + 61 onto column c.  Columns 1 to 60 land on
-# distinct bits below the modulus; monomials past them hash their rows' bytes.
-def _hash(rows: tuple[int, ...]) -> int:
-    if rows and max(rows) >> (_FIELD * 60):
-        rows = tuple([r.to_bytes((r.bit_length() + 7) // 8, "little") for r in rows])
-    return hash(rows)
-
-
+# Monomials hash as ``(degree, rows)``.  Python hashes ints modulo
+# 2**61 - 1, and 2**(16 * 61) is 1 modulo it, so a row's hash alone maps
+# column c + 61 onto column c, and runs of one row that end at the same
+# column and differ in length by 61 cells hash alike.  Their degrees
+# differ, which tells them apart.
 def _packed(rows: tuple[int, ...], degree: int) -> "Monomial":
     m = _new(Monomial)
     m._rows = rows
     m._degree = degree
-    m._hash = _hash(rows)
+    m._hash = hash((degree, rows))
     return m
 
 
@@ -147,7 +143,7 @@ class Monomial:
             rows[cell.row - 1] += exp << (_FIELD * (cell.col - 1))
         self._rows = tuple(rows)
         self._degree = degree
-        self._hash = _hash(self._rows)
+        self._hash = hash((degree, self._rows))
 
     @classmethod
     def variable(cls, cell) -> "Monomial":

@@ -58,7 +58,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import DimensionMismatch, VerificationFailed
-from .partitions import Cell, Partition, _extends_to, subdiagram_shape
+from .partitions import Cell, Partition, subdiagram_shape
+from .partitions import _extends_to, _removable_corners, _without_corner
 from .polynomials import (
     PACKED_MINUS_ONE,
     PACKED_ONE,
@@ -366,12 +367,8 @@ def _peel_plan(parts: tuple[int, ...], d: int, e: int):
     """
     plan = []
     while d > 1:
-        # The removable corners, bottom row first.
-        for r in range(len(parts), 0, -1):
-            c = parts[r - 1]
-            if r < len(parts) and parts[r] == c:
-                continue
-            smaller = parts[: r - 1] + (c - 1,) * (c > 1) + parts[r:]
+        for r, c in reversed(_removable_corners(parts)):
+            smaller = _without_corner(parts, r)
             if _extends_to(smaller, d, e):
                 # The cell must lie right of the rectangle in one of its
                 # rows, or below it in one of its columns.
@@ -397,7 +394,7 @@ def _peel_plan(parts: tuple[int, ...], d: int, e: int):
                     f"{len(parts)}x{parts[0]} partition"
                 )
             d, e, corner = d - 1, e - 1, None
-            smaller = parts[:-1] + (e - 1,) * (e > 1)
+            smaller = _without_corner(parts, d)
         plan.append((smaller, corner))
         parts = smaller
     return plan, parts, e
