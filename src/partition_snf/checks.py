@@ -64,14 +64,15 @@ class SelfTestReport:
         return not self.failures
 
 
-def _row_sum(weights: _PackedWeights, lam: Partition, j: int) -> dict[int, int]:
-    """The packed residual of the row relation in column ``j`` of
-    ``lam``'s origin square: its signed row coefficients folded against
-    the column's weights, each placed on its own."""
-    if not 1 <= j <= lam.rank + 1:
-        raise IndexOutOfRange(f"column {j} outside 1..{lam.rank + 1}")
-    column = (weights.placed(lam.parts, i, j) for i in range(1, lam.rank + 2))
-    return fold({}, zip(weights.coefficients(lam.parts), column))
+def _row_sum(weights: _PackedWeights, j: int) -> dict[int, int]:
+    """The packed residual of the row relation in column ``j`` of the
+    origin square of ``weights``: its signed row coefficients folded
+    against the column's kept weights, which places only that column."""
+    n = weights.rank + 1
+    if not 1 <= j <= n:
+        raise IndexOutOfRange(f"column {j} outside 1..{n}")
+    column = (weights.at(i, j) for i in range(1, n + 1))
+    return fold({}, zip(weights.coefficients(weights.parts), column))
 
 
 def alternating_row_sum(lam: Partition, j: int) -> Polynomial:
@@ -82,8 +83,8 @@ def alternating_row_sum(lam: Partition, j: int) -> Polynomial:
     2 <= j <= rank + 1.  The sum is one packed fold on ``lam``'s weight
     set, which refuses ``|lam|`` past the limit first, decoded.
     """
-    weights = _weights(lam)
-    return weights.layout.decode(_row_sum(weights, lam, j))
+    weights = _weights(lam.parts)
+    return weights.layout.decode(_row_sum(weights, j))
 
 
 def _eliminate(layout: PackedLayout, M: list[list[dict[int, int]]]) -> dict[int, int]:
@@ -145,25 +146,22 @@ def run_selftest(max_size: int) -> SelfTestReport:
             report.failures.append(f"{name}: {detail}")
 
     for lam in all_partitions(max_size):
-        n = lam.rank + 1
         # One packed weight set serves every check of lam, and is dropped
         # with it.
-        weights = _weights(lam)
-        layout = weights.layout
+        weights = _weights(lam.parts)
+        n = weights.rank + 1
         square = weights.grid(n, n)
-        diagonal = _leading_keys(layout, lam, n, n)
+        diagonal = _leading_keys(weights, n, n)
 
-        coefficients = weights.coefficients(lam.parts)
-        for j in range(n):
-            residual = fold({}, zip(coefficients, (row[j] for row in square)))
+        for j in range(1, n + 1):
             record(
                 "row-relations",
-                residual == ({diagonal[0]: 1} if j == 0 else {}),
-                f"partition {lam.parts} column {j + 1}",
+                _row_sum(weights, j) == ({diagonal[0]: 1} if j == 1 else {}),
+                f"partition {lam.parts} column {j}",
             )
 
         try:
-            by_rows, by_peeling = _both(weights, lam)
+            by_rows, by_peeling = _both(weights)
         except VerificationFailed as exc:
             # Only the diagonal check needs the certified diagonal.
             record("snf-agreement", False, f"partition {lam.parts}: {exc}")
@@ -181,7 +179,7 @@ def run_selftest(max_size: int) -> SelfTestReport:
             )
 
         try:
-            ok, detail = _eliminate(layout, square) == {sum(diagonal): 1}, ""
+            ok, detail = _eliminate(weights.layout, square) == {sum(diagonal): 1}, ""
         except VerificationFailed as exc:
             ok, detail = False, f": {exc}"
         record("determinant-product", ok, f"partition {lam.parts}{detail}")
@@ -195,7 +193,7 @@ def run_selftest(max_size: int) -> SelfTestReport:
             detail = ""
             if d != n or e != n:
                 try:
-                    _certify_inductive(weights, lam, d, e)
+                    _certify_inductive(weights, d, e)
                 except VerificationFailed as exc:
                     detail = f": {exc}"
             record(

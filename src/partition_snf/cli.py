@@ -202,7 +202,7 @@ def _cmd_recurrence(args):
     lam = args.partition
     # One weight set serves every column; it refuses |lam| past the limit
     # before any coefficient is walked.
-    weights = _weights(lam)
+    weights = _weights(lam.parts)
     naming = _naming_for(lam, args.naming)
     if args.j == "all":
         columns = list(range(1, lam.rank + 2))
@@ -219,7 +219,7 @@ def _cmd_recurrence(args):
     checks = []
     code = 0
     for j in columns:
-        residual = weights.layout.decode(_row_sum(weights, lam, j))
+        residual = weights.layout.decode(_row_sum(weights, j))
         expected = origin_monomial if j == 1 else Polynomial.zero()
         ok = residual == expected
         if not ok:

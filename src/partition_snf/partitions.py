@@ -56,27 +56,29 @@ class ExtendedDiagram:
     lengths of the extension.
 
     Row ``r`` of the extension is contiguous, running from column 1 to
-    ``row_lengths[r-1]``; its cells past ``base.part(r)`` lie on the strip.
+    ``row_lengths[r-1]``; its cells past ``parts[r-1]`` lie on the strip.
+    It holds the parts, not the partition, so the two make no cycle.
     """
 
-    base: "Partition"
+    parts: tuple[int, ...]
     row_lengths: tuple[int, ...]
 
     def __contains__(self, cell) -> bool:
         r, c = cell
-        return r >= 1 and c >= 1 and _extends_to(self.base.parts, r, c)
+        return r >= 1 and c >= 1 and _extends_to(self.parts, r, c)
 
     def on_border(self, cell) -> bool:
         """Whether ``cell`` lies on the border strip."""
-        return cell in self and cell[1] > self.base.part(cell[0])
+        return cell in self and cell[1] > (self.parts + (0,))[cell[0] - 1]
 
     @property
     def border(self) -> frozenset[Cell]:
         """The cells of the border strip, built on each read."""
+        parts = self.parts + (0,)
         return frozenset(
             Cell(r, c)
             for r, length in enumerate(self.row_lengths, start=1)
-            for c in range(self.base.part(r) + 1, length + 1)
+            for c in range(parts[r - 1] + 1, length + 1)
         )
 
 
@@ -86,6 +88,16 @@ def _extends_to(parts: tuple[int, ...], row: int, col: int) -> bool:
     if row == 1:
         return col <= (parts[0] if parts else 0) + 1
     return row - 1 <= len(parts) and col <= parts[row - 2] + 1
+
+
+def _rank(parts: tuple[int, ...]) -> int:
+    """:attr:`Partition.rank` on bare parts: the first ``i`` with ``parts[i] <= i``."""
+    return next((i for i, p in enumerate(parts) if p <= i), len(parts))
+
+
+def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """:meth:`Partition.conjugate` on bare parts: column ``c + 1`` counts parts > c."""
+    return tuple(sum(p > c for p in parts) for c in range(parts[0] if parts else 0))
 
 
 def _removable_corners(parts: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -143,12 +155,7 @@ class Partition:
     @cached_property
     def rank(self) -> int:
         """Side of the largest square of cells anchored at the origin."""
-        k = 0
-        for i, p in enumerate(self.parts, start=1):
-            if p < i:
-                break
-            k = i
-        return k
+        return _rank(self.parts)
 
     def part(self, r: int) -> int:
         """Length of row ``r``, 0 beyond the last row."""
@@ -168,13 +175,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the diagram (column lengths become rows)."""
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for c in range(p):
-                cols[c] += 1
-        return Partition(tuple(cols))
+        return Partition(_conjugate(self.parts))
 
     @cached_property
     def extended(self) -> ExtendedDiagram:
@@ -186,7 +187,7 @@ class Partition:
         column 1.  The empty partition extends to the single cell (1, 1).
         """
         first = self.parts[0] if self.parts else 0
-        return ExtendedDiagram(self, tuple(p + 1 for p in (first,) + self.parts))
+        return ExtendedDiagram(self.parts, tuple(p + 1 for p in (first,) + self.parts))
 
     def subdiagram(self, cell) -> "Partition":
         """Partition formed by the cells weakly southeast of ``cell``.
@@ -194,10 +195,13 @@ class Partition:
         Empty exactly when ``cell`` lies on the border strip.  Raises
         :class:`CellOutOfRange` for cells outside the extended diagram.
         """
-        cell = Cell(*cell)
+        return Partition(self._shape_at(Cell(*cell)))
+
+    def _shape_at(self, cell: Cell) -> tuple[int, ...]:
+        """:meth:`subdiagram` as a tuple of parts."""
         if cell not in self.extended:
             raise CellOutOfRange(f"{cell} is outside the extended diagram of {self!r}")
-        return Partition(subdiagram_shape(self, cell.row, cell.col))
+        return subdiagram_shape(self.parts, cell.row, cell.col)
 
     def removable_corners(self) -> list[Cell]:
         """Cells whose removal leaves a partition, top row first."""
@@ -286,20 +290,22 @@ def boundary_walk_count(p: Partition) -> int:
     return sum(_complement_areas(p.parts))
 
 
+def _parts_of(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of ``remaining`` with parts at most ``cap``, as part
+    tuples in reverse lexicographic order; a closure would be a cycle."""
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(remaining, cap), 0, -1):
+        for rest in _parts_of(remaining - first, first):
+            yield (first,) + rest
+
+
 def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of ``n`` in reverse lexicographic order."""
     if n < 0:
         raise ValueError("size must be nonnegative")
-
-    def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    for shape in rec(n, n):
+    for shape in _parts_of(n, n):
         yield Partition(shape)
 
 

@@ -56,7 +56,7 @@ from struct import unpack
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NameCollision, TooLarge, VerificationFailed
-from .partitions import Cell, Partition, _complement_areas
+from .partitions import Cell, _complement_areas, _rank
 
 __all__ = [
     "Monomial",
@@ -658,16 +658,16 @@ class _QLayout(PackedLayout):
     def __init__(self):
         super().__init__(1)
 
-    def coefficients(self, lam: Partition, transposed=False) -> list[dict[int, int]]:
-        """The signed row coefficients of every index 0..rank of ``lam``,
+    def coefficients(self, parts: tuple, transposed=False) -> list[dict[int, int]]:
+        """The signed row coefficients of every index 0..rank of ``parts``,
         where transposing changes nothing: coefficient ``i`` is ``q^low *
         [lam_i choose i]_q``, the q-weight of the ``i x (lam_i - i)`` box
         counting the walk's sub-arrays by their cells, with ``low = lam_1 +
         ... + lam_i - i(i + 1)/2 - i(lam_i - i)`` the empty one's degree."""
         keys = [{0: 1}]
-        for i in range(1, lam.rank + 1):
-            width = lam.parts[i - 1] - i
-            low = (sum(lam.parts[:i]) - i * (i + 1) // 2 - i * width) * _Q
+        for i in range(1, _rank(parts) + 1):
+            width = parts[i - 1] - i
+            low = (sum(parts[:i]) - i * (i + 1) // 2 - i * width) * _Q
             sign = (-1) ** i
             keys.append({k + low: sign * c for k, c in _q_weight((width,) * i).items()})
         return keys

@@ -86,10 +86,9 @@ def staircase_snf_diagonal(n: int) -> tuple[Polynomial, ...]:
     if n < 1:
         raise ValueError("matrix index must be at least 1")
     _check_degree(comb(n, 2))
-    lam = staircase(n)
-    side = lam.rank + 1
-    weights = _PackedWeights(lam, _QLayout())
-    _, _, diagonal = _certify_inductive(weights, lam, side, side)
+    weights = _PackedWeights(staircase(n).parts, _QLayout())
+    side = weights.rank + 1
+    _, _, diagonal = _certify_inductive(weights, side, side)
     return tuple(map(weights.layout.decode, diagonal))
 
 

@@ -18,8 +18,8 @@ and packs each term straight into a key of a packed layout, as the sum of
 its rows' precomputed run keys; with the runs laid along columns it packs
 the conjugate's coefficients with variables transposed, as the column
 transform needs them.  The multivariate ring is one layout class,
-:class:`_PartitionLayout`, which holds the width rule, one field per
-column of the partition's first row, and the ring's two shape functions:
+:class:`_PartitionLayout`, built from a part tuple: the width rule, one
+field per column of the first part, and two shape functions on tuples,
 the shape memo's weight, read through ``weight_at`` and encoded, and the
 walk of every index.  The weight set of :mod:`~partition_snf.snf` reads
 both from its layout, and the reductions and the self-test read the
@@ -39,7 +39,7 @@ from itertools import combinations_with_replacement
 from operator import getitem
 
 from .errors import IndexOutOfRange
-from .partitions import Partition
+from .partitions import Partition, _rank
 from .polynomials import PackedLayout, Polynomial, _check_degree
 from .weights import weight_at
 
@@ -85,23 +85,23 @@ def _walk(
 
 
 class _PartitionLayout(PackedLayout):
-    """The multivariate ring of ``lam``'s packed path: one field per
-    column of its first row, so every cell of ``lam`` fits."""
+    """The multivariate ring of a partition's packed path, given its
+    parts: one field per column of its first row, so every cell fits."""
 
     __slots__ = ()
 
-    def __init__(self, lam: Partition):
-        super().__init__(lam.part(1))
+    def __init__(self, parts: tuple[int, ...]):
+        super().__init__(parts[0] if parts else 0)
 
     def weight(self, shape: tuple[int, ...]) -> dict[int, int]:
         """The memo's weight of ``shape`` at its own origin, encoded."""
-        return self.encode(weight_at(Partition(shape), 1, 1))
+        return self.encode(weight_at(shape, 1, 1))
 
-    def coefficients(self, lam: Partition, transposed=False) -> list[dict[int, int]]:
-        """The signed row coefficients of every index 0..rank of ``lam``,
+    def coefficients(self, parts: tuple, transposed=False) -> list[dict[int, int]]:
+        """The signed row coefficients of every index 0..rank of ``parts``,
         walked, with variables transposed when ``transposed`` is set."""
         return [
-            _walk(self, lam.parts, i, (-1) ** i, transposed) for i in range(lam.rank + 1)
+            _walk(self, parts, i, (-1) ** i, transposed) for i in range(_rank(parts) + 1)
         ]
 
 
@@ -115,7 +115,7 @@ def row_coefficient(lam: Partition, i: int) -> Polynomial:
     """
     if not 0 <= i <= lam.rank:
         raise IndexOutOfRange(f"index {i} outside 0..{lam.rank}")
-    layout = _PartitionLayout(lam)
+    layout = _PartitionLayout(lam.parts)
     return layout.decode(_walk(layout, lam.parts, i))
 
 
@@ -126,6 +126,6 @@ def row_coefficients(lam: Partition) -> tuple[Polynomial, ...]:
     walked first: past the limit it raises ``TooLarge`` before anything
     is enumerated.
     """
-    layout = _PartitionLayout(lam)
+    layout = _PartitionLayout(lam.parts)
     walked = [_walk(layout, lam.parts, i) for i in range(lam.rank, -1, -1)]
     return tuple(map(layout.decode, reversed(walked)))

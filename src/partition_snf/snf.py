@@ -22,22 +22,17 @@ results share them; transforms that differ are certified pair by pair,
 so a wrong one fails under its own name.
 
 Every reduction runs one pipeline on packed polynomials, in either key
-format.  :class:`_PackedWeights` is the one size check: it refuses a
-partition past the degree limit before any work, then packs each weight
-shape once per reduction, or once per partition in the self-test, and
-shifts it into place.  The replay's updates and the certification's
-``W`` both read these packed shapes; scaling by a peeled cell adds one
-key to each term, and the key arithmetic is the layout-free ``times``
-and ``fold`` of the polynomials module.  Beside the weights, the
-weight set packs a shape's signed row coefficients.  It has no ring
-branch: a layout is its ring, and the weight set calls the layout's
-``weight`` and ``coefficients`` for both.  A negated weight is made on
-its first negated read.  The recurrence's stacked transforms read the
-coefficients from the weight set's memo, the column transform's packed
-with variables transposed.
-The peeling is planned and replayed on part tuples, with ``(row, col)``
-corners, so it builds no ``Partition``, ``Cell`` or extended diagram.
-One tail, :func:`_certified`, builds each
+format, on one weight set, :class:`_PackedWeights`.  It is the one size
+check, refusing a partition past the degree limit before any work, and
+the one holder of the partition below the public functions: it keeps
+the part tuple and the rank, and every private step takes the weight
+set alone, so none can pair it with another partition.  It packs each
+weight shape and each shape's signed row coefficients once, in its
+layout, which is its ring; scaling by a peeled cell adds one key to
+each term, by the layout-free ``times`` and ``fold`` of the
+polynomials module.  The peeling is planned and replayed on part
+tuples, with ``(row, col)`` corners, and nothing below the public
+functions builds a ``Partition``.  One tail, :func:`_certified`, builds each
 leading monomial of the expected diagonal as one key, from one run key
 per row, multiplies ``P @ W @ Q`` in the same layout, with nothing
 re-encoded, compares it with the packed expected form and returns the
@@ -58,8 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import DimensionMismatch, VerificationFailed
-from .partitions import Cell, Partition, subdiagram_shape
-from .partitions import _extends_to, _removable_corners, _without_corner
+from .partitions import Cell, Partition, _conjugate, _extends_to, _rank
+from .partitions import _removable_corners, _without_corner, subdiagram_shape
 from .polynomials import (
     PACKED_MINUS_ONE,
     PACKED_ONE,
@@ -166,28 +161,27 @@ def _certify(
     raise VerificationFailed(f"{algorithm}: {problem}", residual=PolyMatrix(residual))
 
 
-def _leading_keys(layout: PackedLayout, lam: Partition, d: int, e: int) -> list[int]:
-    """Keys of the leading monomials on the diagonal of ``lam``'s d x e
-    rectangle, at (k, k + e - d) for k = 1..d: each the product of the
-    variables southeast of its cell, one run key per row of its
-    sub-diagram.  In Z[q] the key is q^|shape|."""
+def _leading_keys(weights: _PackedWeights, d: int, e: int) -> list[int]:
+    """Keys of the leading monomials on the diagonal of the d x e
+    rectangle of ``weights``, at (k, k + e - d) for k = 1..d: each the
+    product of the variables southeast of its cell, one run key per row
+    of its sub-diagram.  In Z[q] the key is q^|shape|."""
+    run = weights.layout.run
     keys = []
     for k in range(1, d + 1):
         col = k + e - d
-        shape = subdiagram_shape(lam, k, col)
-        keys.append(
-            sum(layout.run(k + r, col - 1, col - 1 + p) for r, p in enumerate(shape))
-        )
+        shape = subdiagram_shape(weights.parts, k, col)
+        keys.append(sum(run(k + r, col - 1, col - 1 + p) for r, p in enumerate(shape)))
     return keys
 
 
-def _certified(weights: _PackedWeights, lam, d, e, P, QT, algorithm):
-    """The tail of every reduction of ``lam``'s d x e rectangle: certify
-    the packed transforms ``P`` and ``QT`` (``Q`` transposed) against the
-    packed weights and the leading monomials, all in the layout of
-    ``weights`` and so in its ring.  Returns the packed diagonal."""
+def _certified(weights: _PackedWeights, d, e, P, QT, algorithm):
+    """The tail of every reduction of the d x e rectangle of ``weights``:
+    certify the packed transforms ``P`` and ``QT`` (``Q`` transposed)
+    against the packed weights and the leading monomials, all in the
+    layout of ``weights`` and so in its ring.  Returns the packed diagonal."""
     layout = weights.layout
-    diagonal = [{key: 1} for key in _leading_keys(layout, lam, d, e)]
+    diagonal = [{key: 1} for key in _leading_keys(weights, d, e)]
     _certify(layout, P, weights.grid(d, e), QT, diagonal, algorithm)
     return diagonal
 
@@ -205,9 +199,10 @@ def _decoded_result(layout: PackedLayout, P, QT, diagonal, algorithm) -> SnfResu
 
 
 class _PackedWeights:
-    """Weights of the positions of ``lam`` and of its smaller partitions,
-    their negations, and the row coefficients of their shapes, packed in
-    one layout.
+    """Weights of the positions of the partition ``parts``, ``lam``, and
+    of its smaller partitions, their negations, and the row coefficients
+    of their shapes, packed in one layout.  It is the engine's one copy
+    of ``lam``, whose rectangles are called the weight set's.
 
     ``W(1,1)`` holds the leading monomial of degree ``|lam|``, so a
     partition past the degree limit raises ``TooLarge`` here, before any
@@ -216,8 +211,8 @@ class _PackedWeights:
     first negated read, if any.  A weight is then moved into place by
     the layout's translation.  Past the extension the shape is empty and
     the weight is 1.  The weights placed in ``lam``'s own rectangles are
-    kept, so every rectangle and check of ``lam`` reads them from one
-    grid.
+    kept by position, so every rectangle and check of ``lam`` reads them
+    from one grid.
 
     A shape's signed row coefficients, anchored at (1,1), or its
     conjugate's with variables transposed, are packed once per shape and
@@ -227,17 +222,18 @@ class _PackedWeights:
     both, and nothing here asks which ring it is.
     """
 
-    def __init__(self, lam: Partition, layout: PackedLayout):
-        _check_degree(lam.size)
+    def __init__(self, parts: tuple[int, ...], layout: PackedLayout):
+        _check_degree(sum(parts))
         self.layout = layout
-        self._lam = lam
+        self.parts = parts
+        self.rank = _rank(parts)
         # shape -> its (1,1)-anchored weight, and minus that weight
         self._anchored = {(): PACKED_ONE}
         self._negated = {(): PACKED_MINUS_ONE}
         # (shape, conjugate) -> signed row coefficients
         self._coefficients: dict[tuple, list[dict[int, int]]] = {}
-        # lam's placed weights, row by row, as far as they were read
-        self._grid: list[list[dict[int, int]]] = []
+        # (row, col) -> lam's placed weight there, once it was read
+        self._kept: dict[tuple[int, int], dict[int, int]] = {}
 
     def placed(self, parts: tuple, row: int, col: int, sign=1) -> dict[int, int]:
         """The weight of the partition ``parts`` at (row, col), times
@@ -255,16 +251,17 @@ class _PackedWeights:
     def minus(self, parts: tuple, row: int, col: int) -> dict[int, int]:
         return self.placed(parts, row, col, -1)
 
+    def at(self, row: int, col: int) -> dict[int, int]:
+        """The weight of ``lam`` at (row, col), placed once and kept."""
+        kept = self._kept.get((row, col))
+        if kept is None:
+            kept = self._kept[row, col] = self.placed(self.parts, row, col)
+        return kept
+
     def grid(self, d: int, e: int) -> list[list[dict[int, int]]]:
         """The weights of the d x e rectangle of ``lam`` anchored at
         (1,1), as new lists of the kept entries."""
-        kept = self._grid
-        kept.extend([] for _ in range(d - len(kept)))
-        for r, row in enumerate(kept[:d], start=1):
-            row.extend(
-                self.placed(self._lam.parts, r, c) for c in range(len(row) + 1, e + 1)
-            )
-        return [row[:e] for row in kept[:d]]
+        return [[self.at(r, c) for c in range(1, e + 1)] for r in range(1, d + 1)]
 
     def coefficients(
         self, shape: tuple[int, ...], conjugate: bool = False
@@ -274,31 +271,31 @@ class _PackedWeights:
         key = (shape, conjugate)
         found = self._coefficients.get(key)
         if found is None:
-            lam = Partition(shape).conjugate() if conjugate else Partition(shape)
-            found = self._coefficients[key] = self.layout.coefficients(lam, conjugate)
+            parts = _conjugate(shape) if conjugate else shape
+            found = self._coefficients[key] = self.layout.coefficients(parts, conjugate)
         return found
 
 
-def _weights(lam: Partition) -> _PackedWeights:
-    """The weights of ``lam``'s positions, read from the shape memo and
-    packed in a layout wide enough for every cell of ``lam``: every
+def _weights(parts: tuple[int, ...]) -> _PackedWeights:
+    """The weights of the partition ``parts``, read from the shape memo
+    and packed in a layout wide enough for every cell of it: every
     weight, every transform entry and every product of them lies inside
     it."""
-    return _PackedWeights(lam, _PartitionLayout(lam))
+    return _PackedWeights(parts, _PartitionLayout(parts))
 
 
-def _stacked_transforms(weights: _PackedWeights, lam: Partition):
-    """The recurrence's transforms of ``lam``'s origin square, packed in
-    the layout of ``weights``: row ``k`` of P holds the signed row
+def _stacked_transforms(weights: _PackedWeights):
+    """The recurrence's transforms of the origin square of ``weights``,
+    packed in its layout: row ``k`` of P holds the signed row
     coefficients of the sub-diagram anchored at (k+1, k+1), moved there;
     Q transposed is the row transform of the conjugate partition with
     variables transposed, whose coefficients the weight set packs
     transposed."""
-    n = lam.rank + 1
+    n = weights.rank + 1
     translate = weights.layout.translate
     P, QT = ([[{}] * n for _ in range(n)] for _ in range(2))
     for k in range(n):
-        shape = subdiagram_shape(lam, k + 1, k + 1)
+        shape = subdiagram_shape(weights.parts, k + 1, k + 1)
         for grid, conjugate in ((P, False), (QT, True)):
             for i, coeff in enumerate(weights.coefficients(shape, conjugate)):
                 grid[k][k + i] = translate(coeff, k, k) if k else coeff
@@ -316,10 +313,10 @@ def snf_recurrence(lam: Partition) -> SnfResult:
     transform of the conjugate partition with variables transposed, then
     transposed.
     """
-    n = lam.rank + 1
-    weights = _weights(lam)
-    P, QT = _stacked_transforms(weights, lam)
-    diagonal = _certified(weights, lam, n, n, P, QT, "recurrence")
+    weights = _weights(lam.parts)
+    n = weights.rank + 1
+    P, QT = _stacked_transforms(weights)
+    diagonal = _certified(weights, n, n, P, QT, "recurrence")
     return _decoded_result(weights.layout, P, QT, diagonal, "recurrence")
 
 
@@ -400,21 +397,21 @@ def _peel_plan(parts: tuple[int, ...], d: int, e: int):
     return plan, parts, e
 
 
-def _reduce_rectangle(weights: _PackedWeights, lam: Partition, d: int, e: int):
-    """Build the transforms for the d x e rectangle by peeling one cell at
-    a time off the partition: plan the peeling down to a single row, then
-    replay the plan bottom-up, updating the smaller problem's transforms.
-    Both run on part tuples; ``lam`` is read only for its parts.
+def _reduce_rectangle(weights: _PackedWeights, d: int, e: int):
+    """Build the transforms for the d x e rectangle of ``weights`` by
+    peeling one cell at a time off its partition: plan the peeling down to
+    a single row, then replay the plan bottom-up, updating the smaller
+    problem's transforms.  Both run on part tuples.
 
     The column transform is kept transposed, so a cell peeled below the
     rectangle takes the same step as one peeled beside it, with rows and
     columns swapped.  The replay runs on packed polynomials in the
-    layout of ``weights``, which must hold every cell of ``lam``.
+    layout of ``weights``, which must hold every cell of the partition.
     Returns U and VT as packed grids, for the caller to certify in the
     same layout.
     """
     layout = weights.layout
-    plan, parts, e = _peel_plan(lam.parts, d, e)
+    plan, parts, e = _peel_plan(weights.parts, d, e)
     # Weights are read in the smaller partition; the cell next to the
     # peeled one may lie just past its extension, where the weight is 1.
     minus_weight = weights.minus
@@ -450,23 +447,23 @@ def snf_inductive(lam: Partition, d: int, e: int) -> SnfResult:
     the sides instead.
     """
     _check_rectangle(lam, d, e, wide=True)
-    weights = _weights(lam)
-    U, VT, diagonal = _certify_inductive(weights, lam, d, e)
+    weights = _weights(lam.parts)
+    U, VT, diagonal = _certify_inductive(weights, d, e)
     return _decoded_result(weights.layout, U, VT, diagonal, "inductive")
 
 
-def _certify_inductive(weights: _PackedWeights, lam: Partition, d: int, e: int):
-    """Reduce ``lam``'s d x e rectangle by peeling and certify the result,
-    all on ``weights``, which may be shared with other rectangles of
-    ``lam`` and may be in either key format.  Returns the packed ``U``,
-    ``VT`` and diagonal, undecoded.
+def _certify_inductive(weights: _PackedWeights, d: int, e: int):
+    """Reduce the d x e rectangle of ``weights`` by peeling and certify
+    the result, all on ``weights``, which may be shared with other
+    rectangles and may be in either key format.  Returns the packed
+    ``U``, ``VT`` and diagonal, undecoded.
 
     The rectangle is the caller's to check: :func:`snf_inductive` checks
     it before building the weights, the self-test takes it from the
     border strip, and the staircase reductions reduce the origin
     square."""
-    U, VT = _reduce_rectangle(weights, lam, d, e)
-    return U, VT, _certified(weights, lam, d, e, U, VT, "inductive")
+    U, VT = _reduce_rectangle(weights, d, e)
+    return U, VT, _certified(weights, d, e, U, VT, "inductive")
 
 
 def snf_both(lam: Partition) -> tuple[SnfResult, SnfResult]:
@@ -482,22 +479,22 @@ def snf_both(lam: Partition) -> tuple[SnfResult, SnfResult]:
     own name; two certified pairs that still differ are returned as they
     are, for the caller to compare.
     """
-    return _both(_weights(lam), lam)
+    return _both(_weights(lam.parts))
 
 
-def _both(weights: _PackedWeights, lam: Partition) -> tuple[SnfResult, SnfResult]:
+def _both(weights: _PackedWeights) -> tuple[SnfResult, SnfResult]:
     """:func:`snf_both` on ``weights``, which may be shared with the
-    other rectangles of ``lam``."""
-    n = lam.rank + 1
+    other rectangles of its partition."""
+    n = weights.rank + 1
     layout = weights.layout
-    P, QT = _stacked_transforms(weights, lam)
-    U, VT = _reduce_rectangle(weights, lam, n, n)
-    diagonal = _certified(weights, lam, n, n, P, QT, "recurrence")
+    P, QT = _stacked_transforms(weights)
+    U, VT = _reduce_rectangle(weights, n, n)
+    diagonal = _certified(weights, n, n, P, QT, "recurrence")
     by_rows = _decoded_result(layout, P, QT, diagonal, "recurrence")
     if U == P and VT == QT:
         return by_rows, replace(by_rows, algorithm="inductive")
     # The diagonal depends on the rectangle alone.
-    _certified(weights, lam, n, n, U, VT, "inductive")
+    _certified(weights, n, n, U, VT, "inductive")
     return by_rows, _decoded_result(layout, U, VT, diagonal, "inductive")
 
 

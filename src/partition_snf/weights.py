@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DimensionMismatch, InternalGeometryError, InvalidRectangle
-from .partitions import Cell, Partition, subdiagram_shape
+from .partitions import Cell, Partition, _rank, subdiagram_shape
 from .polynomials import (
     Monomial,
     Polynomial,
@@ -55,8 +55,8 @@ def _relative_weight(shape: tuple[int, ...]) -> Polynomial:
     return poly
 
 
-def weight_at(lam: Partition, row: int, col: int) -> Polynomial:
-    """Weight of an arbitrary positive position.
+def weight_at(lam, row: int, col: int) -> Polynomial:
+    """Weight of any positive position of ``lam``, a partition or its parts.
 
     Total extension of :func:`weight_polynomial`: any position outside the
     diagram has an empty sub-diagram and weight 1, whether or not it lies
@@ -72,7 +72,7 @@ def weight_at(lam: Partition, row: int, col: int) -> Polynomial:
 def weight_polynomial(lam: Partition, cell) -> Polynomial:
     """Weight of a cell of the extended diagram; 1 on the border strip."""
     cell = Cell(*cell)
-    lam.subdiagram(cell)  # raises CellOutOfRange outside the extended diagram
+    lam._shape_at(cell)  # raises CellOutOfRange outside the extended diagram
     return weight_at(lam, cell.row, cell.col)
 
 
@@ -80,7 +80,7 @@ def leading_monomial(lam: Partition, cell) -> Polynomial:
     """Product of all variables southeast of ``cell``; the unique top-degree
     term of the cell's weight.  Equals 1 on the border strip."""
     cell = Cell(*cell)
-    shape = lam.subdiagram(cell).parts
+    shape = lam._shape_at(cell)  # raises CellOutOfRange outside the extended diagram
     return Polynomial.from_monomial(
         Monomial.skew(shape).translate(cell.row - 1, cell.col - 1)
     )
@@ -191,7 +191,7 @@ def square_matrix(lam: Partition, cell) -> PolyMatrix:
     :class:`InternalGeometryError` rather than bad input.
     """
     cell = Cell(*cell)
-    side = lam.subdiagram(cell).rank + 1
+    side = _rank(lam._shape_at(cell)) + 1
     corner = Cell(cell.row + side - 1, cell.col + side - 1)
     if not lam.extended.on_border(corner):
         raise InternalGeometryError(

@@ -27,6 +27,7 @@ from partition_snf import (
     subdiagram_shape,
     weight_at,
 )
+from partition_snf.partitions import _rank
 from partition_snf.polynomials import PackedLayout
 from partition_snf.snf import _peel_plan
 
@@ -396,19 +397,17 @@ def _ref_border(grid):
 
 def ref_reduce_rectangle(lam: Partition, d: int, e: int):
     """(U, VT) of the d x e rectangle: the reduction's own peel plan,
-    its part tuples wrapped back into partitions, replayed with
-    ``Polynomial`` arithmetic and ``weight_at``."""
+    replayed on its part tuples with ``Polynomial`` arithmetic and
+    ``weight_at``."""
     plan, parts, e = _peel_plan(lam.parts, d, e)
-    lam = Partition(parts)
     U = [[Polynomial.one()]]
     VT = _ref_identity_grid(e)
     for j in range(e - 1):
-        VT[j][e - 1] = -weight_at(lam, 1, j + 1)
-    for parts, corner in reversed(plan):
+        VT[j][e - 1] = -weight_at(parts, 1, j + 1)
+    for smaller, corner in reversed(plan):
         if corner is None:
             U, VT = _ref_border(U), _ref_border(VT)
             continue
-        smaller = Partition(parts)
         a, b = corner
         z = Polynomial.variable(corner)
         if a < len(U):
@@ -426,8 +425,8 @@ def tamper_inductive(monkeypatch, field: str) -> None:
     before certification sees it."""
     reduce = snf_module._reduce_rectangle
 
-    def tampered(weights, lam, d, e):
-        U, VT = reduce(weights, lam, d, e)
+    def tampered(weights, d, e):
+        U, VT = reduce(weights, d, e)
         if field == "P":
             U = snf_module._identity_grid(len(U))
         else:
@@ -475,8 +474,9 @@ class ZLayout(PackedLayout):
     def weight(self, shape) -> dict[int, int]:
         return {0: boundary_walk_count(Partition(shape))}
 
-    def coefficients(self, lam: Partition, transposed=False) -> list[dict[int, int]]:
-        return [{0: (-1) ** i * comb(lam.part(i), i)} for i in range(lam.rank + 1)]
+    def coefficients(self, parts: tuple, transposed=False) -> list[dict[int, int]]:
+        lengths = (0,) + parts  # lengths[i] is lam_i, and C(0, 0) = 1
+        return [{0: (-1) ** i * comb(lengths[i], i)} for i in range(_rank(parts) + 1)]
 
 
 def wide_border_rectangles(lam: Partition) -> list[tuple[int, int]]:
@@ -490,12 +490,12 @@ def z_image_certified(lam: Partition) -> int:
     identity, its determinant is 1, and every border rectangle at least
     as wide as tall certifies.  Returns the number of those rectangles."""
     n = lam.rank + 1
-    weights = snf_module._PackedWeights(lam, ZLayout())
-    by_rows, by_peeling = snf_module._both(weights, lam)
+    weights = snf_module._PackedWeights(lam.parts, ZLayout())
+    by_rows, by_peeling = snf_module._both(weights)
     assert by_rows.agrees_with(by_peeling), lam
     assert by_rows.diagonal == (Polynomial.one(),) * n, lam
     assert checks_module._eliminate(weights.layout, weights.grid(n, n)) == {0: 1}, lam
     wide = wide_border_rectangles(lam)
     for d, e in wide:
-        snf_module._certify_inductive(weights, lam, d, e)
+        snf_module._certify_inductive(weights, d, e)
     return len(wide)

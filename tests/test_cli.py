@@ -250,7 +250,7 @@ class TestSnfCommand:
         # Both algorithms share one certification, reported as the
         # recurrence's, which is the one that runs first.
         monkeypatch.setattr(
-            "partition_snf.snf._leading_keys", lambda layout, lam, d, e: [0] * d
+            "partition_snf.snf._leading_keys", lambda weights, d, e: [0] * d
         )
         code, out, err = run_cli(capsys, "snf", "3,2")
         assert code == 2

@@ -176,10 +176,10 @@ class TestReductionInZq:
         for lam in all_partitions(9):
             side = lam.rank + 1
             multivariate = snf_inductive(lam, side, side)
-            weights = snf_module._PackedWeights(lam, _QLayout())
+            weights = snf_module._PackedWeights(lam.parts, _QLayout())
             in_q = snf_module._decoded_result(
                 weights.layout,
-                *snf_module._certify_inductive(weights, lam, side, side),
+                *snf_module._certify_inductive(weights, side, side),
                 "inductive",
             )
             assert in_q.P.entries == collapsed(multivariate.P), lam
@@ -189,9 +189,9 @@ class TestReductionInZq:
     def test_q_coefficients_are_the_collapsed_walk(self):
         q = _QLayout()
         for lam in all_partitions(12):
-            layout = _PartitionLayout(lam)
+            layout = _PartitionLayout(lam.parts)
             for conjugate in (False, True):
-                oriented = lam.conjugate() if conjugate else lam
+                oriented = (lam.conjugate() if conjugate else lam).parts
                 walked = layout.coefficients(oriented, conjugate)
                 closed = q.coefficients(oriented, conjugate)
                 assert [q.decode(c) for c in closed] == [
@@ -203,8 +203,8 @@ class TestReductionInZq:
         # replay the q-weights; both are certified in Z[q] and agree.
         for n in range(1, 21):
             lam = staircase(n)
-            weights = snf_module._PackedWeights(lam, _QLayout())
-            by_rows, by_peeling = snf_module._both(weights, lam)
+            weights = snf_module._PackedWeights(lam.parts, _QLayout())
+            by_rows, by_peeling = snf_module._both(weights)
             assert by_rows.agrees_with(by_peeling), n
             assert by_rows.P is by_peeling.P, n
             assert by_rows.diagonal == tuple(map(q_power, expected_snf_exponents(n))), n
@@ -213,8 +213,8 @@ class TestReductionInZq:
     def test_a_tampered_transform_fails_certification(self, monkeypatch, field):
         reduce = snf_module._reduce_rectangle
 
-        def tampered(weights, lam, d, e):
-            U, VT = reduce(weights, lam, d, e)
+        def tampered(weights, d, e):
+            U, VT = reduce(weights, d, e)
             if field == "P":
                 return _identity_grid(len(U)), VT
             return U, _identity_grid(len(VT))

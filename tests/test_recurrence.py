@@ -174,7 +174,7 @@ class TestPackedWalk:
 
     def test_decodes_to_the_cell_by_cell_oracle(self):
         for lam in all_partitions(12):
-            weights = snf_module._weights(lam)
+            weights = snf_module._weights(lam.parts)
             decode = weights.layout.decode
             mu = lam.conjugate()
             rows = weights.coefficients(lam.parts)
@@ -196,7 +196,7 @@ class TestPackedWalk:
             return walk(layout, parts, i, sign, transposed)
 
         monkeypatch.setattr(recurrence_module, "_walk", counted)
-        weights = snf_module._weights(BIG)
+        weights = snf_module._weights(BIG.parts)
         for _ in range(2):
             assert weights.coefficients(BIG.parts) is weights.coefficients(BIG.parts)
             weights.coefficients(BIG.parts, True)

@@ -223,9 +223,10 @@ class TestInductiveAlgorithm:
 
 
 class TestTuplePeeling:
-    """The peeling is planned and replayed on part tuples: a reduction
-    builds no partition once its weight set holds its shapes, and leaves
-    no reference cycle behind."""
+    """The peeling is planned and replayed on part tuples: a reduction,
+    even the first on a fresh weight set, builds no partition, the
+    selftest builds only those it walks, and none leaves a reference
+    cycle behind."""
 
     def test_first_step_takes_the_top_row_corner(self):
         # Removing the bottom corner (2,2) of (4,2) would shrink the
@@ -248,23 +249,22 @@ class TestTuplePeeling:
 
     @pytest.mark.parametrize("parts, d, e", [((4, 2), 3, 3), ((1,) * 250, 2, 2)])
     def test_reduction_builds_no_partition(self, monkeypatch, parts, d, e):
-        lam = Partition(parts)
-        weights = snf_module._weights(lam)
-        # The multivariate layout reads a new shape's weight through a
-        # partition, so a first reduction packs every shape the second reads.
-        first = snf_module._reduce_rectangle(weights, lam, d, e)
         built = self.partitions_built(monkeypatch)
-        assert snf_module._reduce_rectangle(weights, lam, d, e) == first
+        weights = snf_module._weights(parts)
+        snf_module._reduce_rectangle(weights, d, e)
         assert built == []
 
     def test_reduction_in_z_q_builds_no_partition(self, monkeypatch):
-        # The Z[q] layout counts a shape's weight from its parts, so even
-        # a first reduction builds none.
-        lam = Partition((6, 5, 4, 3, 2, 1))
         built = self.partitions_built(monkeypatch)
-        weights = snf_module._PackedWeights(lam, _QLayout())
-        snf_module._reduce_rectangle(weights, lam, 4, 4)
+        weights = snf_module._PackedWeights((6, 5, 4, 3, 2, 1), _QLayout())
+        snf_module._reduce_rectangle(weights, 4, 4)
         assert built == []
+
+    def test_selftest_builds_only_the_partitions_it_walks(self, monkeypatch):
+        walked = [lam.parts for lam in all_partitions(12)]
+        built = self.partitions_built(monkeypatch)
+        assert run_selftest(12).ok
+        assert built == walked and len(walked) == 272
 
     def test_reductions_leave_no_reference_cycles(self):
         gc.collect()
@@ -273,7 +273,7 @@ class TestTuplePeeling:
             snf_inductive(Partition((1,) * 300), 2, 2)
             assert gc.collect() < 10
             assert run_selftest(8).ok
-            assert gc.collect() < 500
+            assert gc.collect() < 10
         finally:
             gc.enable()
 
@@ -285,8 +285,8 @@ def decoded(layout, grid):
 
 def decoded_replay(lam: Partition, d: int, e: int):
     """(U, VT) of the packed replay, decoded into polynomial grids."""
-    weights = snf_module._weights(lam)
-    grids = snf_module._reduce_rectangle(weights, lam, d, e)
+    weights = snf_module._weights(lam.parts)
+    grids = snf_module._reduce_rectangle(weights, d, e)
     return tuple(decoded(weights.layout, grid) for grid in grids)
 
 
@@ -314,7 +314,7 @@ class TestPackedReplay:
 
 
 def decoded_weight_grid(lam: Partition, d: int, e: int):
-    weights = snf_module._weights(lam)
+    weights = snf_module._weights(lam.parts)
     return tuple(map(tuple, decoded(weights.layout, weights.grid(d, e))))
 
 
@@ -443,7 +443,7 @@ class TestVerify:
 def packed_factors(lam: Partition, P, W, Q):
     """``lam``'s layout and the packed P, W and Q transposed, as the
     reductions hand them to ``_certify``."""
-    layout = snf_module._weights(lam).layout
+    layout = snf_module._weights(lam.parts).layout
 
     def packed(rows):
         return [[layout.encode(p) for p in row] for row in rows]
@@ -455,7 +455,7 @@ class TestCertify:
     def test_structural_failure_carries_residual(self):
         # The product matches, so only the transform shape is wrong; the
         # residual is still attached, as an all-zero matrix.
-        layout = snf_module._weights(Partition()).layout
+        layout = snf_module._weights(()).layout
         minus_one = [[layout.encode(-Polynomial.one())]]
         one = [[layout.encode(Polynomial.one())]]
         with pytest.raises(VerificationFailed, match="not upper unitriangular") as info:
@@ -494,7 +494,7 @@ class TestCertify:
 
     def test_selftest_reports_failed_certification(self, monkeypatch):
         monkeypatch.setattr(
-            snf_module, "_leading_keys", lambda layout, lam, d, e: [0] * d
+            snf_module, "_leading_keys", lambda weights, d, e: [0] * d
         )
         report = run_selftest(3)
         assert not report.ok
@@ -584,7 +584,7 @@ class TestDegreeLimit:
             lambda: snf_recurrence(lam),
             lambda: snf_inductive(lam, side, side),
             lambda: snf_both(lam),
-            lambda: snf_module._PackedWeights(lam, _QLayout()),
+            lambda: snf_module._PackedWeights(lam.parts, _QLayout()),
         ):
             with pytest.raises(TooLarge, match=f"degree {sum(parts)} exceeds the limit"):
                 reduce()
@@ -597,8 +597,8 @@ class TestSelftest:
         # another route would pass them silently.
         reduce = snf_module._reduce_rectangle
 
-        def tampered(weights, lam, d, e):
-            U, VT = reduce(weights, lam, d, e)
+        def tampered(weights, d, e):
+            U, VT = reduce(weights, d, e)
             return U, VT if d == e else snf_module._identity_grid(len(VT))
 
         monkeypatch.setattr(snf_module, "_reduce_rectangle", tampered)
@@ -627,8 +627,8 @@ class TestSelftest:
         anchored = recurrence_module._PartitionLayout.weight
 
         class CountedWeights(packed_weights):
-            def __init__(self, lam, layout):
-                super().__init__(lam, layout)
+            def __init__(self, parts, layout):
+                super().__init__(parts, layout)
                 asked.append([])
 
         def counted(layout, shape):
@@ -663,8 +663,8 @@ class TestNegatedOnRead:
         made = []
 
         class Recorded(packed_weights):
-            def __init__(self, lam, layout):
-                super().__init__(lam, layout)
+            def __init__(self, parts, layout):
+                super().__init__(parts, layout)
                 self.read = {()}
                 made.append(self)
 
@@ -702,8 +702,8 @@ class TestSelftestReadsPackedCoefficients:
         clean = run_selftest(6).counts
         walk = recurrence_module._PartitionLayout.coefficients
 
-        def tampered(layout, lam, transposed=False):
-            keys = walk(layout, lam, transposed)
+        def tampered(layout, parts, transposed=False):
+            keys = walk(layout, parts, transposed)
             if len(keys) > 1 and not transposed:
                 keys[1] = {**keys[1], layout.run(1, 0, 1): -1}
             return keys
@@ -721,7 +721,7 @@ class TestSelftestReadsPackedCoefficients:
 
     def test_one_grid_per_partition(self):
         lam = Partition((4, 3, 1))
-        weights = snf_module._weights(lam)
+        weights = snf_module._weights(lam.parts)
         square = weights.grid(3, 3)
         wide = weights.grid(2, 5)
         assert all(a is b for a, b in zip(square[0], wide[0]))
@@ -729,11 +729,17 @@ class TestSelftestReadsPackedCoefficients:
         square[0][0] = {}
         assert weights.grid(1, 1) == [[weights.grid(3, 3)[0][0]]] != [[{}]]
 
+    def test_a_row_sum_places_only_its_column(self):
+        weights = snf_module._weights((4, 3, 1))
+        checks_module._row_sum(weights, 3)
+        assert sorted(weights._kept) == [(1, 3), (2, 3), (3, 3)]
+        assert weights.grid(3, 3)[1][2] is weights.at(2, 3)
+
 
 class TestDeterminant:
     def test_packed_elimination_equals_cofactor_expansion(self):
         for lam in all_partitions(10):
-            weights = snf_module._weights(lam)
+            weights = snf_module._weights(lam.parts)
             side = lam.rank + 1
             got = checks_module._eliminate(weights.layout, weights.grid(side, side))
             W = square_matrix(lam, Cell(1, 1))
