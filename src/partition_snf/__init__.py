@@ -12,7 +12,6 @@ from .checks import SelfTestReport, alternating_row_sum, determinant, run_selfte
 from .errors import (
     CellOutOfRange,
     DimensionMismatch,
-    EmptyPartition,
     IndexOutOfRange,
     InternalGeometryError,
     InvalidRectangle,

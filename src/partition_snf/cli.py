@@ -37,7 +37,7 @@ from .qcatalan import (
     render_q,
     staircase_snf_diagonal,
 )
-from .recurrence import row_coefficients
+from .recurrence import row_coefficients  # noqa: F401  (the benchmark tracer patches it here)
 from .snf import SnfResult, _weights, snf_both, snf_inductive, snf_recurrence
 from .snf import verify_snf  # noqa: F401  (the benchmark tracer patches it here)
 from .weights import clear_weight_cache, leading_monomial, weight_polynomial
@@ -200,8 +200,9 @@ def _cmd_snf(args):
 
 def _cmd_recurrence(args):
     lam = args.partition
-    # One weight set serves every column; it refuses |lam| past the limit
-    # before any coefficient is walked.
+    # One weight set serves the coefficients and every column; it refuses
+    # |lam| past the limit before any coefficient is walked, and walks
+    # each one once.
     weights = _weights(lam.parts)
     naming = _naming_for(lam, args.naming)
     if args.j == "all":
@@ -211,7 +212,11 @@ def _cmd_recurrence(args):
             columns = [int(args.j)]
         except ValueError:
             raise _UsageError(f"--j must be an integer or 'all', got {args.j!r}")
-    coefficients = row_coefficients(lam)
+    # The weight set's coefficients are signed: index i carries (-1)^i.
+    coefficients = [
+        weights.layout.decode({k: (-1) ** i * c for k, c in signed.items()})
+        for i, signed in enumerate(weights.coefficients(lam.parts))
+    ]
     lines = [f"partition: {lam}"]
     for i, coeff in enumerate(coefficients):
         lines.append(f"coefficient[{i}] = {render(coeff, naming)}")

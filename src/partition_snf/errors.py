@@ -17,10 +17,6 @@ class NotDecreasing(PartitionSnfError, ValueError):
     """Partition parts must be weakly decreasing."""
 
 
-class EmptyPartition(PartitionSnfError, ValueError):
-    """Operation requires a non-empty partition."""
-
-
 class CellOutOfRange(PartitionSnfError, ValueError):
     """Cell lies outside the extended diagram."""
 

@@ -20,13 +20,7 @@ from itertools import islice
 from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import (
-    CellOutOfRange,
-    EmptyPartition,
-    NonPositive,
-    NotDecreasing,
-    ParseError,
-)
+from .errors import CellOutOfRange, NonPositive, NotDecreasing, ParseError
 
 __all__ = [
     "Cell",
@@ -101,8 +95,8 @@ def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _removable_corners(parts: tuple[int, ...]) -> list[tuple[int, int]]:
-    """The ``(row, col)`` cells whose removal leaves a partition, top row
-    first: :meth:`Partition.removable_corners` on bare parts."""
+    """The ``(row, col)`` cells of the partition ``parts`` whose removal
+    leaves a partition, top row first."""
     below = parts[1:] + (0,)
     return [(r, p) for r, (p, b) in enumerate(zip(parts, below), start=1) if p > b]
 
@@ -117,7 +111,7 @@ def _without_corner(parts: tuple[int, ...], row: int) -> tuple[int, ...]:
 class Partition:
     """Immutable weakly decreasing sequence of positive parts.
 
-    The empty tuple is the empty partition.  All derived data (size, rank,
+    The empty tuple is the empty partition.  All derived data (the rank,
     the extended diagram) is computed from ``parts``, never stored
     separately.
     """
@@ -149,17 +143,9 @@ class Partition:
         return ",".join(str(p) for p in self.parts)
 
     @cached_property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @cached_property
     def rank(self) -> int:
         """Side of the largest square of cells anchored at the origin."""
         return _rank(self.parts)
-
-    def part(self, r: int) -> int:
-        """Length of row ``r``, 0 beyond the last row."""
-        return self.parts[r - 1] if 1 <= r <= len(self.parts) else 0
 
     def __contains__(self, cell) -> bool:
         r, c = cell
@@ -189,27 +175,17 @@ class Partition:
         first = self.parts[0] if self.parts else 0
         return ExtendedDiagram(self.parts, tuple(p + 1 for p in (first,) + self.parts))
 
-    def subdiagram(self, cell) -> "Partition":
-        """Partition formed by the cells weakly southeast of ``cell``.
-
-        Empty exactly when ``cell`` lies on the border strip.  Raises
-        :class:`CellOutOfRange` for cells outside the extended diagram.
-        """
-        return Partition(self._shape_at(Cell(*cell)))
-
     def _shape_at(self, cell: Cell) -> tuple[int, ...]:
-        """:meth:`subdiagram` as a tuple of parts."""
+        """The parts of the cells weakly southeast of ``cell``: empty
+        exactly when ``cell`` lies on the border strip.  Raises
+        :class:`CellOutOfRange` for cells outside the extended diagram."""
         if cell not in self.extended:
             raise CellOutOfRange(f"{cell} is outside the extended diagram of {self!r}")
         return subdiagram_shape(self.parts, cell.row, cell.col)
 
-    def removable_corners(self) -> list[Cell]:
-        """Cells whose removal leaves a partition, top row first."""
-        if not self.parts:
-            raise EmptyPartition("the empty partition has no removable corner")
-        return [Cell(r, c) for r, c in _removable_corners(self.parts)]
-
     def remove_corner(self, cell) -> "Partition":
+        """``self`` without the removable corner ``cell``.  The engine peels
+        with :func:`_without_corner`; the benchmark tracer patches this."""
         cell = Cell(*cell)
         if cell not in _removable_corners(self.parts):
             raise ValueError(f"{cell} is not a removable corner of {self!r}")

@@ -146,10 +146,6 @@ class Monomial:
         self._hash = hash((degree, self._rows))
 
     @classmethod
-    def variable(cls, cell) -> "Monomial":
-        return cls(((Cell(*cell), 1),))
-
-    @classmethod
     def skew(cls, outer: Sequence[int], inner: Sequence[int] = ()) -> "Monomial":
         """One variable on each cell of the skew diagram ``outer/inner``,
         both anchored at (1,1): row ``r`` covers columns
@@ -274,10 +270,6 @@ class Polynomial:
     @classmethod
     def constant(cls, value: int) -> "Polynomial":
         return cls({Monomial(): int(value)})
-
-    @classmethod
-    def variable(cls, cell) -> "Polynomial":
-        return cls({Monomial.variable(cell): 1})
 
     @classmethod
     def from_monomial(cls, mono: Monomial, coeff: int = 1) -> "Polynomial":
@@ -576,8 +568,9 @@ class PackedLayout:
         return dict(zip(keys, terms.values()))
 
     def variable(self, cell: Cell) -> int:
-        """The key of the variable on ``cell``, for :func:`times`."""
-        return 1 | 1 << (_FIELD + (cell[0] - 1) * self.stride + (cell[1] - 1) * _FIELD)
+        """The key of the variable on ``cell``, for :func:`times`: the
+        run of that one cell."""
+        return self.run(cell[0], cell[1] - 1, cell[1])
 
     def run(self, line: int, start: int, stop: int, transposed: bool = False) -> int:
         """The key of the product of the variables on columns ``start + 1
@@ -678,9 +671,6 @@ class _QLayout(PackedLayout):
             key = mono._degree * _Q
             terms[key] = terms.get(key, 0) + coeff
         return {k: c for k, c in terms.items() if c}
-
-    def variable(self, cell: Cell) -> int:
-        return _Q
 
     def run(self, line: int, start: int, stop: int, transposed: bool = False) -> int:
         return (stop - start) * _Q

@@ -15,7 +15,6 @@ same shapes recur across cells and across whole reduction runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import DimensionMismatch, InternalGeometryError, InvalidRectangle
 from .partitions import Cell, Partition, _rank, subdiagram_shape
@@ -113,10 +112,6 @@ class PolyMatrix:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "origin", Cell(*self.origin))
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable], origin=Cell(1, 1)) -> "PolyMatrix":
-        return cls(tuple(tuple(row) for row in rows), origin=Cell(*origin))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -124,15 +119,6 @@ class PolyMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0])
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            tuple(
-                tuple(self.entries[i][j] for i in range(self.rows))
-                for j in range(self.cols)
-            ),
-            origin=Cell(self.origin.col, self.origin.row),
-        )
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
@@ -146,9 +132,6 @@ class PolyMatrix:
         return PolyMatrix(
             tuple(tuple(map(layout.decode, row)) for row in packed_product(*packed))
         )
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
 
     def to_json(self) -> dict:
         return {

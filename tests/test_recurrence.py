@@ -42,7 +42,7 @@ def fixed_monomial(lam: Partition, i: int) -> Polynomial:
         *(
             Cell(a, b)
             for a in range(1, i + 1)
-            for b in range(lam.part(i) - i + a + 1, lam.part(a) + 1)
+            for b in range(lam.parts[i - 1] - i + a + 1, lam.parts[a - 1] + 1)
         )
     )
 
@@ -127,7 +127,7 @@ class TestFixedCells:
                 *(
                     Cell(a, b)
                     for a in range(1, rho + 1)
-                    for b in range(a + 1, lam.part(a) + 1)
+                    for b in range(a + 1, lam.parts[a - 1] + 1)
                 )
             )
             assert fixed_monomial(lam, rho) == expected

@@ -61,6 +61,7 @@ from helpers import (
     ref_reduce_rectangle,
     staircase_matrix,
     tamper_inductive,
+    variable,
     wide_border_rectangles,
     z_image_certified,
 )
@@ -411,21 +412,21 @@ class TestVerify:
         good = snf_recurrence(LAM)
         rows = [list(row) for row in good.P.entries]
         rows[1][0] = Polynomial.one()
-        ok, residual = verify_snf(W, dataclasses.replace(good, P=PolyMatrix.from_rows(rows)))
+        ok, residual = verify_snf(W, dataclasses.replace(good, P=PolyMatrix(rows)))
         assert not ok
         assert isinstance(residual, PolyMatrix)
-        assert not residual.is_zero()
+        assert any(map(any, residual.entries))
 
     def test_layout_is_sized_over_the_diagonal(self):
         # x[1,9] is wider than every entry of P, W and Q, so a layout sized
         # over those alone could not encode it.
         W = square_matrix(LAM, Cell(1, 1))
         good = snf_recurrence(LAM)
-        wide = Polynomial.variable((1, 9))
+        wide = variable((1, 9))
         bad = dataclasses.replace(good, diagonal=(good.diagonal[0], wide, good.diagonal[2]))
         ok, residual = verify_snf(W, bad)
         assert not ok
-        assert residual.entries[1][1] == Polynomial.variable((2, 2)) - wide
+        assert residual.entries[1][1] == variable((2, 2)) - wide
 
     def test_dimension_mismatch(self):
         W = square_matrix(LAM, Cell(1, 1))
@@ -461,7 +462,7 @@ class TestCertify:
         with pytest.raises(VerificationFailed, match="not upper unitriangular") as info:
             snf_module._certify(layout, minus_one, one, minus_one, one[0], "test")
         assert isinstance(info.value.residual, PolyMatrix)
-        assert info.value.residual.is_zero()
+        assert not any(map(any, info.value.residual.entries))
 
     def test_product_failure_carries_residual(self):
         W = square_matrix(LAM, Cell(1, 1))
@@ -480,15 +481,17 @@ class TestCertify:
         # factors minus the expected form.
         good = snf_inductive(LAM, d, e)
         layout, *factors = packed_factors(LAM, good.P, rect_weight_matrix(LAM, d, e), good.Q)
-        tampered = layout.decode(factors[factor][i][j]) + Polynomial.variable((2, 2))
+        tampered = layout.decode(factors[factor][i][j]) + variable((2, 2))
         factors[factor][i][j] = layout.encode(tampered)
         with pytest.raises(VerificationFailed, match="differs") as info:
             snf_module._certify(layout, *factors, list(map(layout.encode, good.diagonal)), "test")
         P, W, QT = (decoded(layout, grid) for grid in factors)
         product = naive_matrix_product(naive_matrix_product(P, W), tuple(zip(*QT)))
-        expected = PolyMatrix.from_rows(
-            [good.diagonal[i] if j == e - d + i else 0 for j in range(e)]
-            for i in range(d)
+        expected = PolyMatrix(
+            tuple(
+                tuple(good.diagonal[i] if j == e - d + i else 0 for j in range(e))
+                for i in range(d)
+            )
         )
         assert info.value.residual == difference(PolyMatrix(product), expected)
 
@@ -746,7 +749,7 @@ class TestDeterminant:
             assert weights.layout.decode(got) == cofactor_determinant(W), lam
 
     def test_trivial(self):
-        assert determinant(PolyMatrix.from_rows([[1]])) == 1
+        assert determinant(PolyMatrix(((1,),))) == 1
 
     def test_origin_square_3_2(self):
         W = square_matrix(LAM, Cell(1, 1))
@@ -791,15 +794,15 @@ class TestDeterminant:
         assert determinant(identity(9)) == 1
 
     def test_antisymmetry_small(self):
-        x = Polynomial.variable(Cell(1, 1))
-        y = Polynomial.variable(Cell(2, 2))
-        M = PolyMatrix.from_rows([[0, x], [y, 0]])
+        x = variable(Cell(1, 1))
+        y = variable(Cell(2, 2))
+        M = PolyMatrix(((0, x), (y, 0)))
         assert cofactor_determinant(M) == -(x * y)
 
     def test_zero_pivot_fails(self):
-        x = Polynomial.variable(Cell(1, 1))
-        y = Polynomial.variable(Cell(2, 2))
-        M = PolyMatrix.from_rows([[0, x], [y, 0]])
+        x = variable(Cell(1, 1))
+        y = variable(Cell(2, 2))
+        M = PolyMatrix(((0, x), (y, 0)))
         with pytest.raises(VerificationFailed, match=r"\(2,2\) is not one term: 0"):
             determinant(M)
 
@@ -829,8 +832,7 @@ def test_public_surface_is_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert package == [
-        "Cell", "CellOutOfRange", "DimensionMismatch", "EmptyPartition",
-        "ExtendedDiagram", "IndexOutOfRange", "InternalGeometryError",
+        "Cell", "CellOutOfRange", "DimensionMismatch", "ExtendedDiagram", "IndexOutOfRange", "InternalGeometryError",
         "InvalidRectangle", "Monomial", "NameCollision", "NonPositive",
         "NotDecreasing", "NotSquare", "ParseError", "Partition",
         "PartitionSnfError", "PolyMatrix", "Polynomial", "SelfTestReport",
@@ -853,15 +855,14 @@ def test_public_surface_is_pinned():
         return sorted(names)
 
     assert public(Monomial) == [
-        "degree", "is_one", "pairs", "skew", "translate", "transpose", "variable",
+        "degree", "is_one", "pairs", "skew", "translate", "transpose",
     ]
     assert public(Polynomial) == [
         "constant", "degree", "from_monomial", "is_zero", "items", "one",
-        "skew_sum", "translate", "transpose_variables", "variable", "zero",
+        "skew_sum", "translate", "transpose_variables", "zero",
     ]
     assert public(PolyMatrix) == [
-        "cols", "entries", "from_json", "from_rows", "is_zero", "origin",
-        "rows", "to_json", "transpose",
+        "cols", "entries", "from_json", "origin", "rows", "to_json",
     ]
     assert public(SnfResult) == [
         "P", "Q", "agrees_with", "algorithm", "diagonal", "to_json",

@@ -76,7 +76,7 @@ class TestWeightPolynomial:
     def test_at_ones_counts_subpartitions(self):
         for lam in (LAM, BIG):
             for cell in sorted(extended_cells(lam.extended)):
-                expected = sum(1 for _ in subpartitions(lam.subdiagram(cell)))
+                expected = sum(1 for _ in subpartitions(Partition(lam._shape_at(cell))))
                 assert evaluate_at_ones(weight_polynomial(lam, cell)) == expected
 
     def test_cached_matches_direct(self):
@@ -115,7 +115,7 @@ class TestLeadingMonomial:
                 assert dict(p.items())[mono] == 1
                 top = [m for m, _ in p.items() if m.degree == p.degree]
                 assert top == [mono]
-                assert mono.degree == lam.subdiagram(cell).size
+                assert mono.degree == sum(lam._shape_at(cell))
 
 
 class TestSquareMatrix:
@@ -148,7 +148,7 @@ class TestSquareMatrix:
         for lam in all_partitions(8):
             for cell in sorted(extended_cells(lam.extended)):
                 M = square_matrix(lam, cell)
-                assert M.rows == lam.subdiagram(cell).rank + 1
+                assert M.rows == Partition(lam._shape_at(cell)).rank + 1
 
     def test_out_of_range(self):
         with pytest.raises(CellOutOfRange):
@@ -194,14 +194,8 @@ class TestPolyMatrix:
 
     def test_subtraction_and_zero(self):
         W = square_matrix(LAM, Cell(1, 1))
-        assert difference(W, W).is_zero()
-        assert not difference(W, identity(3)).is_zero()
-
-    def test_transpose(self):
-        W = rect_weight_matrix(LAM, 2, 3)
-        T = W.transpose()
-        assert (T.rows, T.cols) == (3, 2)
-        assert T.entries[2][0] == W.entries[0][2]
+        assert not any(map(any, difference(W, W).entries))
+        assert any(map(any, difference(W, identity(3)).entries))
 
     def test_json_round_trip(self):
         W = square_matrix(LAM, Cell(2, 2))
@@ -210,10 +204,10 @@ class TestPolyMatrix:
 
     def test_ragged_rejected(self):
         with pytest.raises(DimensionMismatch):
-            PolyMatrix.from_rows([[1, 2], [3]])
+            PolyMatrix(((1, 2), (3,)))
 
     def test_int_coercion(self):
-        M = PolyMatrix.from_rows([[1, 0], [0, 1]])
+        M = PolyMatrix(((1, 0), (0, 1)))
         assert M.entries[0][0] == Polynomial.one()
 
     def test_entries_track_origin_cells(self):
