@@ -12,7 +12,11 @@ against the columns of its origin square, the determinant eliminates on
 that square and is compared with one key, the sum of the leading
 monomials' keys, and the origin square and every border rectangle reduce
 and certify on it.  The border results are certified in packed form and
-never decoded, and no check does ``Polynomial`` arithmetic.  The public
+never decoded, and no check does ``Polynomial`` arithmetic.  A run
+keeps the certified transforms of each rectangle below its largest size,
+so that a replay on a partition one cell larger starts from them; they
+are dropped once the walk has passed every partition that reads them.
+The public
 :func:`alternating_row_sum` folds the same packed coefficients against
 one column of a partition's weight set, and decodes the residual.
 """
@@ -135,6 +139,19 @@ def run_selftest(max_size: int) -> SelfTestReport:
     being the expected leading monomials; the determinant oracle against
     the diagonal product; and a certified reduction for every border
     rectangle that is at least as wide as tall.
+
+    A peel step removes one cell and keeps the rectangle on the border
+    strip, so the first state of a replay that keeps the first part is a
+    rectangle of a partition one size smaller, already certified in this
+    run.  The run keeps the certified packed ``(U, VT)`` of each origin
+    square and wide border rectangle by ``(parts, d, e)``, in blocks by
+    size and first part, and a partition's replays start from the block
+    one size smaller with its first part: the same layout stride, so the
+    keys are read as they are.  Transforms that fail certification are
+    never kept, nor are those of the largest size, which nothing reads.
+    Partitions come by size, then by first part descending, so a block
+    is dropped as soon as the walk has passed the partitions that read
+    it, and at most two sizes' blocks are held.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
@@ -145,10 +162,22 @@ def run_selftest(max_size: int) -> SelfTestReport:
         if not ok:
             report.failures.append(f"{name}: {detail}")
 
+    # (size, first part) -> {(parts, d, e): certified packed (U, VT)}
+    starts: dict[tuple[int, int], dict] = {}
     for lam in all_partitions(max_size):
+        size, first = sum(lam.parts), lam.parts[0] if lam.parts else 0
+        # Keep the blocks that lam or a later partition reads.
+        starts = {
+            (s, f): kept
+            for (s, f), kept in starts.items()
+            if s == size or (s == size - 1 and f <= first)
+        }
         # One packed weight set serves every check of lam, and is dropped
         # with it.
         weights = _weights(lam.parts)
+        weights.starts = starts.get((size - 1, first), {})
+        if size < max_size:
+            weights.new_starts = starts.setdefault((size, first), {})
         n = weights.rank + 1
         square = weights.grid(n, n)
         diagonal = _leading_keys(weights, n, n)

@@ -41,6 +41,16 @@ a failing check.  :func:`_decoded_result` is the one decode, once per
 result.  The self-test's border rectangles stop after the tail and
 decode nothing.
 
+The peeling removes one cell per step, as the paper's induction on
+``|lam|`` does, so the self-test, which walks partitions by size, can
+start each replay from the certified transforms of a state one cell
+smaller.  A weight set carries two maps for it, which only the
+self-test fills: ``starts``, read by :func:`_peel_plan` and
+:func:`_reduce_rectangle`, and ``new_starts``, where the set's own
+transforms are kept once :func:`_certified` has passed.  Every
+reduction is still certified in full, and the public reductions start
+from the single row.
+
 The multivariate reductions pack in the partition's layout of
 :mod:`~partition_snf.recurrence`, wide enough for every cell of the
 partition.  The staircase reductions of :mod:`~partition_snf.qcatalan`
@@ -234,6 +244,12 @@ class _PackedWeights:
         self._coefficients: dict[tuple, list[dict[int, int]]] = {}
         # (row, col) -> lam's placed weight there, once it was read
         self._kept: dict[tuple[int, int], dict[int, int]] = {}
+        # (parts, d, e) -> certified packed (U, VT) that a replay may
+        # start from, all at this layout's stride; and where this set's
+        # own certified transforms are kept for such replays, or None.
+        # Only the self-test fills them.
+        self.starts: dict = {}
+        self.new_starts: dict | None = None
 
     def placed(self, parts: tuple, row: int, col: int, sign=1) -> dict[int, int]:
         """The weight of the partition ``parts`` at (row, col), times
@@ -353,17 +369,18 @@ def _border(grid: list[list[dict[int, int]]]) -> list[list[dict[int, int]]]:
     return out
 
 
-def _peel_plan(parts: tuple[int, ...], d: int, e: int):
+def _peel_plan(parts: tuple[int, ...], d: int, e: int, known=()):
     """Plan the peeling of the d x e rectangle of the partition ``parts``
-    down to a single row, on part tuples alone.
+    down to a single row, or to the first state ``(parts, d, e)`` found
+    in ``known``, on part tuples alone.
 
-    Returns ``(plan, base, e)``: the ``(smaller, corner)`` steps in
+    Returns ``(plan, parts, d, e)``: the ``(smaller, corner)`` steps in
     peeling order, ``smaller`` a part tuple and ``corner`` a ``(row,
-    col)`` pair, or ``None`` for a bordering step, then the part tuple
-    and the rectangle width the plan ends at.
+    col)`` pair, or ``None`` for a bordering step, then the state the
+    plan ends at.
     """
     plan = []
-    while d > 1:
+    while d > 1 and (parts, d, e) not in known:
         for r, c in reversed(_removable_corners(parts)):
             smaller = _without_corner(parts, r)
             if _extends_to(smaller, d, e):
@@ -394,14 +411,20 @@ def _peel_plan(parts: tuple[int, ...], d: int, e: int):
             smaller = _without_corner(parts, d)
         plan.append((smaller, corner))
         parts = smaller
-    return plan, parts, e
+    return plan, parts, d, e
 
 
 def _reduce_rectangle(weights: _PackedWeights, d: int, e: int):
     """Build the transforms for the d x e rectangle of ``weights`` by
     peeling one cell at a time off its partition: plan the peeling down to
-    a single row, then replay the plan bottom-up, updating the smaller
-    problem's transforms.  Both run on part tuples.
+    a single row, or to a state in ``weights.starts``, then replay the
+    plan bottom-up, updating the smaller problem's transforms.  Both run
+    on part tuples.
+
+    A replay from a state in ``weights.starts`` starts from row copies
+    of its certified transforms, as each step writes rows in place.
+    Those were replayed from the same plan in the same stride, so the
+    result is the one a replay from the single row gives.
 
     The column transform is kept transposed, so a cell peeled below the
     rectangle takes the same step as one peeled beside it, with rows and
@@ -411,17 +434,21 @@ def _reduce_rectangle(weights: _PackedWeights, d: int, e: int):
     same layout.
     """
     layout = weights.layout
-    plan, parts, e = _peel_plan(weights.parts, d, e)
+    plan, parts, d, e = _peel_plan(weights.parts, d, e, weights.starts)
     # Weights are read in the smaller partition; the cell next to the
     # peeled one may lie just past its extension, where the weight is 1.
     minus_weight = weights.minus
 
-    # A single row ends in a border cell with weight 1, so subtracting
-    # weight-many copies of the last column clears all the others.
-    U = _identity_grid(1)
-    VT = _identity_grid(e)
-    for j in range(e - 1):
-        VT[j][e - 1] = minus_weight(parts, 1, j + 1)
+    start = weights.starts.get((parts, d, e))
+    if start is not None:
+        U, VT = ([row[:] for row in grid] for grid in start)
+    else:
+        # A single row ends in a border cell with weight 1, so subtracting
+        # weight-many copies of the last column clears all the others.
+        U = _identity_grid(1)
+        VT = _identity_grid(e)
+        for j in range(e - 1):
+            VT[j][e - 1] = minus_weight(parts, 1, j + 1)
     for smaller, corner in reversed(plan):
         if corner is None:
             U = _border(U)
@@ -463,7 +490,17 @@ def _certify_inductive(weights: _PackedWeights, d: int, e: int):
     border strip, and the staircase reductions reduce the origin
     square."""
     U, VT = _reduce_rectangle(weights, d, e)
-    return U, VT, _certified(weights, d, e, U, VT, "inductive")
+    diagonal = _certified(weights, d, e, U, VT, "inductive")
+    _keep_start(weights, d, e, U, VT)
+    return U, VT, diagonal
+
+
+def _keep_start(weights: _PackedWeights, d: int, e: int, U, VT) -> None:
+    """Keep the certified transforms of the d x e rectangle of
+    ``weights`` in ``weights.new_starts``, if it is set, for replays of
+    larger partitions to start from."""
+    if weights.new_starts is not None:
+        weights.new_starts[weights.parts, d, e] = U, VT
 
 
 def snf_both(lam: Partition) -> tuple[SnfResult, SnfResult]:
@@ -492,9 +529,11 @@ def _both(weights: _PackedWeights) -> tuple[SnfResult, SnfResult]:
     diagonal = _certified(weights, n, n, P, QT, "recurrence")
     by_rows = _decoded_result(layout, P, QT, diagonal, "recurrence")
     if U == P and VT == QT:
+        _keep_start(weights, n, n, U, VT)
         return by_rows, replace(by_rows, algorithm="inductive")
     # The diagonal depends on the rectangle alone.
     _certified(weights, n, n, U, VT, "inductive")
+    _keep_start(weights, n, n, U, VT)
     return by_rows, _decoded_result(layout, U, VT, diagonal, "inductive")
 
 

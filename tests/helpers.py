@@ -405,7 +405,7 @@ def ref_reduce_rectangle(lam: Partition, d: int, e: int):
     """(U, VT) of the d x e rectangle: the reduction's own peel plan,
     replayed on its part tuples with ``Polynomial`` arithmetic and
     ``weight_at``."""
-    plan, parts, e = _peel_plan(lam.parts, d, e)
+    plan, parts, _, e = _peel_plan(lam.parts, d, e)
     U = [[Polynomial.one()]]
     VT = _ref_identity_grid(e)
     for j in range(e - 1):

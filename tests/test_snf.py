@@ -3,10 +3,13 @@ import gc
 import hashlib
 import inspect
 import json
+import os
 import random
+import subprocess
 import sys
 import types
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,7 @@ from partition_snf import (
     VerificationFailed,
     all_partitions,
     alternating_row_sum,
+    clear_weight_cache,
     determinant,
     leading_monomial,
     rect_weight_matrix,
@@ -232,7 +236,7 @@ class TestTuplePeeling:
     def test_first_step_takes_the_top_row_corner(self):
         # Removing the bottom corner (2,2) of (4,2) would shrink the
         # frame's third row, so the plan peels (1,4) first.
-        plan, _, _ = snf_module._peel_plan((4, 2), 3, 3)
+        plan, _, _, _ = snf_module._peel_plan((4, 2), 3, 3)
         assert plan[0] == ((3, 2), (1, 4))
 
     @staticmethod
@@ -645,6 +649,121 @@ class TestSelftest:
         assert run_selftest(8).ok
         assert len(asked) == len(list(all_partitions(8))) == 67
         assert all(len(shapes) == len(set(shapes)) for shapes in asked)
+
+
+class TestPeelStarts:
+    """The self-test starts each rectangle's replay from the certified
+    transforms of a state one cell smaller, and keeps only those."""
+
+    @staticmethod
+    def replay_steps(monkeypatch) -> list:
+        """From now on, the number of steps of every peel plan made."""
+        steps = []
+        plan = snf_module._peel_plan
+
+        def counted(*args):
+            found = plan(*args)
+            steps.append(len(found[0]))
+            return found
+
+        monkeypatch.setattr(snf_module, "_peel_plan", counted)
+        return steps
+
+    def test_a_started_replay_is_the_replay_from_the_single_row(self, monkeypatch):
+        reduce = snf_module._reduce_rectangle
+        replayed = []
+
+        def recorded(weights, d, e):
+            _, *state = snf_module._peel_plan(weights.parts, d, e, weights.starts)
+            U, VT = reduce(weights, d, e)
+            started = tuple(state) in weights.starts
+            replayed.append((weights.parts, d, e, started, [U, VT]))
+            return U, VT
+
+        monkeypatch.setattr(snf_module, "_reduce_rectangle", recorded)
+        partitions = list(all_partitions(10))
+        assert run_selftest(10).ok
+        # Every origin square and wide border rectangle, once.
+        assert len(replayed) == sum(len(wide_border_rectangles(lam)) for lam in partitions)
+        assert sum(started for *_, started, _ in replayed) > len(replayed) // 2
+        for parts, d, e, _, grids in replayed:
+            fresh = snf_module._weights(parts)
+            assert grids == list(reduce(fresh, d, e)), (parts, d, e)
+
+    def test_selftest_replays_each_state_about_once(self, monkeypatch):
+        steps = self.replay_steps(monkeypatch)
+        certified = []
+        certify = snf_module._certify
+
+        def counted(*args):
+            certified.append(args[-1])
+            certify(*args)
+
+        monkeypatch.setattr(snf_module, "_certify", counted)
+        assert run_selftest(12).total == 3053
+        # 1,211 wide border rectangles and 272 origin squares, each still
+        # certified; a replay from the single row took 9,608 steps.
+        assert len(steps) == len(certified) == 1483
+        assert sum(steps) <= 2000
+
+    def test_failed_transforms_start_no_replay(self, monkeypatch):
+        # In a clean run, replays of partitions of size 4 start from the
+        # 2x3 rectangle of (2, 1).
+        reduce = snf_module._reduce_rectangle
+        state = ((2, 1), 2, 3)
+        started = []
+
+        def seen(weights, d, e):
+            _, *end = snf_module._peel_plan(weights.parts, d, e, weights.starts)
+            if tuple(end) == state and state in weights.starts:
+                started.append(weights.parts)
+            return reduce(weights, d, e)
+
+        monkeypatch.setattr(snf_module, "_reduce_rectangle", seen)
+        assert run_selftest(6).ok
+        assert any(sum(parts) == 4 for parts in started)
+
+        def tampered(weights, d, e):
+            U, VT = reduce(weights, d, e)
+            if (weights.parts, d, e) == state:
+                VT = snf_module._identity_grid(len(VT))
+            return U, VT
+
+        monkeypatch.setattr(snf_module, "_reduce_rectangle", tampered)
+        report = run_selftest(6)
+        assert report.failures == [
+            "border-rectangles: partition (2, 1) rectangle 2x3: inductive: "
+            "product differs from the expected diagonal form"
+        ]
+
+    def test_repeated_runs_hold_no_more_memory(self):
+        # The kept transforms are dropped with the run, and the shape memo
+        # is emptied before each run.  A fresh interpreter, because
+        # tracemalloc does not count objects that were freed before it
+        # started and are reused, and earlier tests leave many.
+        code = (
+            "import gc, tracemalloc\n"
+            "from partition_snf import clear_weight_cache, run_selftest\n"
+            "tracemalloc.start()\n"
+            "for _ in range(3):\n"
+            "    clear_weight_cache()\n"
+            "    assert run_selftest(10).ok\n"
+            "    gc.collect()\n"
+            "    print(tracemalloc.get_traced_memory()[0])\n"
+        )
+        src = str(Path(partition_snf.__file__).resolve().parents[1])
+        child = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert child.returncode == 0, child.stderr
+        first, _, third = map(int, child.stdout.split())
+        # About 640 kB is traced after each run, 3 kB more after the
+        # third than after the first.
+        assert abs(third - first) <= 8 * 1024, (first, third)
 
 
 class TestZImage:
