@@ -148,7 +148,8 @@ def run_selftest(max_size: int) -> SelfTestReport:
     size and first part, and a partition's replays start from the block
     one size smaller with its first part: the same layout stride, so the
     keys are read as they are.  Transforms that fail certification are
-    never kept, nor are those of the largest size, which nothing reads.
+    never kept, nor are those of the largest size or of single rows,
+    which nothing reads.
     Partitions come by size, then by first part descending, so a block
     is dropped as soon as the walk has passed the partitions that read
     it, and at most two sizes' blocks are held.

@@ -11,13 +11,23 @@ Output is deterministic.  ``main`` parses the partition once and, under
 ``--format json``, wraps each command's result in the one envelope:
 ``command``, ``input`` (the parsed arguments, in declaration order),
 ``result`` and, for every command but ``weights``, ``verified``.
+
+The envelope holds the polynomials and results themselves, and
+:func:`_json_chunks` writes it as exactly the bytes of
+``json.dumps(envelope, indent=2)``: each polynomial is rendered once,
+from its sorted terms, by ``polynomials._polynomial_json``, and a
+polynomial that both algorithms' blocks share is written twice from
+that one rendering.  The whole output is built before any of it is
+written, so a command that runs out of memory prints nothing on
+standard output.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 from .checks import CHECK_NAMES, _row_sum, run_selftest
 from .checks import alternating_row_sum  # noqa: F401  (the benchmark tracer patches it here)
@@ -26,8 +36,8 @@ from .partitions import Cell, Partition, parse_partition
 from .polynomials import (
     Monomial,
     Polynomial,
+    _polynomial_json,
     letter_naming,
-    polynomial_to_json,
     render,
 )
 from .qcatalan import (
@@ -127,28 +137,28 @@ def _cmd_weights(args):
             poly = weight_polynomial(lam, cell)
             text = render(poly, naming)
             lines.append(f"({r},{c}) {text}")
-            # Only --format json prints the payload, as in _snf_block: on
-            # large grids its terms cost more than the text.
             if args.format == "json":
                 cells_payload.append(
                     {
                         "cell": [r, c],
                         "border": ext.on_border(cell),
                         "text": text,
-                        "polynomial": polynomial_to_json(poly),
+                        "polynomial": poly,
                     }
                 )
     return lines, {"row_lengths": list(ext.row_lengths), "cells": cells_payload}, 0
 
 
-def _snf_block(result: SnfResult, naming, fmt: str) -> tuple[list[str], dict | None]:
-    """The text lines or the JSON of one result, whichever ``fmt`` asks
-    for; the other is left empty, since rendering either one costs more
-    than the reduction on long inputs."""
+def _snf_block(
+    result: SnfResult, naming, fmt: str
+) -> tuple[list[str], SnfResult | None]:
+    """The text lines of one result, or under ``--format json`` the result
+    itself, for the writer to render; rendering text costs more than the
+    reduction on long inputs."""
     # Reductions return only certified results; a failure raises
     # VerificationFailed, which main turns into exit code 2.
     if fmt == "json":
-        return [], result.to_json()
+        return [], result
     lines = [
         f"algorithm: {result.algorithm}",
         "verified: true",
@@ -179,8 +189,10 @@ def _cmd_snf(args):
             peeling_lines = [f"algorithm: {by_peeling.algorithm}", *rows_lines[1:]]
             peeling_json = None
         else:
+            # The second block holds the first one's polynomials, which
+            # the writer renders once.
             peeling_lines = []
-            peeling_json = {**rows_json, "algorithm": by_peeling.algorithm}
+            peeling_json = replace(rows_json, algorithm=by_peeling.algorithm)
         lines += rows_lines + peeling_lines
         lines.append(f"agree: {'true' if agree else 'false'}")
         result = {"recurrence": rows_json, "inductive": peeling_json, "agree": agree}
@@ -236,13 +248,13 @@ def _cmd_recurrence(args):
         checks.append(
             {
                 "j": j,
-                "residual": polynomial_to_json(residual),
-                "expected": polynomial_to_json(expected),
+                "residual": residual,
+                "expected": expected,
                 "ok": ok,
             }
         )
     result = {
-        "coefficients": [polynomial_to_json(c) for c in coefficients],
+        "coefficients": coefficients,
         "checks": checks,
     }
     return lines, result, code
@@ -302,6 +314,64 @@ def _cmd_selftest(args):
     return lines, result, 0 if report.ok else 2
 
 
+def _as_is(value):
+    return value
+
+
+def _json_chunks(value) -> list[str]:
+    """``json.dumps(value, indent=2)``, as a list of strings to write.
+
+    ``value`` is built of dicts with string keys, lists, tuples, strings,
+    ints, booleans, ``None``, polynomials and results.  Each
+    polynomial is rendered once per nesting depth, however often it
+    occurs, by :func:`~partition_snf.polynomials._polynomial_json`.
+    """
+    chunks: list[str] = []
+    rendered: dict[tuple[int, int], str] = {}
+
+    def put(value, level: int) -> None:
+        if isinstance(value, str):
+            chunks.append(encode_basestring_ascii(value))
+        elif value is None or isinstance(value, bool):
+            chunks.append("null" if value is None else "true" if value else "false")
+        elif isinstance(value, int):
+            chunks.append(int.__repr__(value))
+        elif isinstance(value, Polynomial):
+            key = id(value), level
+            if key not in rendered:
+                rendered[key] = _polynomial_json(value, level)
+            chunks.append(rendered[key])
+        elif isinstance(value, SnfResult):
+            put(value._json(_as_is), level)
+        elif isinstance(value, dict):
+            if not value:
+                chunks.append("{}")
+                return
+            inner = "\n" + "  " * (level + 1)
+            sep = "{" + inner
+            for key, item in value.items():
+                chunks.append(sep + encode_basestring_ascii(key) + ": ")
+                put(item, level + 1)
+                sep = "," + inner
+            chunks.append("\n" + "  " * level + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                chunks.append("[]")
+                return
+            inner = "\n" + "  " * (level + 1)
+            sep = "[" + inner
+            for item in value:
+                chunks.append(sep)
+                put(item, level + 1)
+                sep = "," + inner
+            chunks.append("\n" + "  " * level + "]")
+        else:
+            raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+    put(value, 0)
+    return chunks
+
+
 _DISPATCH = {
     "weights": _cmd_weights,
     "snf": _cmd_snf,
@@ -322,22 +392,23 @@ def main(argv=None) -> int:
             echo["partition"] = list(args.partition)
         lines, result, code = _DISPATCH[args.command](args)
         # Building and writing the output can run out of memory too, so
-        # they stay inside this try.
+        # they stay inside this try.  The output is built in full before
+        # any of it is written.
         if args.format == "text":
-            output = "\n".join(lines)
+            text = "\n".join(lines)
+            chunks = [text] if text.endswith("\n") else [text, "\n"]
         else:
             envelope = {"command": args.command, "input": echo, "result": result}
             if args.command != "weights":  # a weight grid has nothing to verify
                 envelope["verified"] = code == 0
-            output = json.dumps(envelope, indent=2)
-        if not output.endswith("\n"):
-            output += "\n"
+            chunks = _json_chunks(envelope)
+            chunks.append("\n")
         if not args.out:
-            sys.stdout.write(output)
+            sys.stdout.writelines(chunks)
             return code
         try:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(output)
+                handle.writelines(chunks)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

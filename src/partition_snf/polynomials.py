@@ -776,6 +776,23 @@ def polynomial_to_json(poly: Polynomial) -> list:
     ]
 
 
+def _polynomial_json(poly: Polynomial, level: int) -> str:
+    """``json.dumps(polynomial_to_json(poly), indent=2)`` as it reads
+    nested ``level`` lists or dicts deep, built from the sorted terms with
+    one template per term and per ``[row, col, exp]`` triple."""
+    if not poly._terms:
+        return "[]"
+    n0, n1, n2, n3, n4 = ("\n" + "  " * (level + k) for k in range(5))
+    triple = f"[{n4}%d,{n4}%d,{n4}%d{n3}]"
+    term = f'{{{n2}"coeff": "%s",{n2}"monomial": %s{n1}}}'
+    sep = "," + n3
+    terms = []
+    for (_, rows), coeff in _sorted_terms(poly):
+        body = sep.join([triple % tuple(t) for t in _nonzero(rows)])
+        terms.append(term % (coeff, f"[{n3}{body}{n2}]" if body else "[]"))
+    return f"[{n1}" + f",{n1}".join(terms) + f"{n0}]"
+
+
 def polynomial_from_json(data: list) -> Polynomial:
     terms: dict[Monomial, int] = {}
     for item in data:

@@ -113,10 +113,14 @@ class SnfResult:
         )
 
     def to_json(self) -> dict:
+        return self._json(polynomial_to_json)
+
+    def _json(self, leaf) -> dict:
+        """The JSON fields, with ``leaf`` applied to each polynomial."""
         return {
-            "diagonal": [polynomial_to_json(p) for p in self.diagonal],
-            "P": self.P.to_json(),
-            "Q": self.Q.to_json(),
+            "diagonal": [leaf(p) for p in self.diagonal],
+            "P": self.P._json(leaf),
+            "Q": self.Q._json(leaf),
             "verified": True,
             "algorithm": self.algorithm,
         }
@@ -498,8 +502,14 @@ def _certify_inductive(weights: _PackedWeights, d: int, e: int):
 def _keep_start(weights: _PackedWeights, d: int, e: int, U, VT) -> None:
     """Keep the certified transforms of the d x e rectangle of
     ``weights`` in ``weights.new_starts``, if it is set, for replays of
-    larger partitions to start from."""
-    if weights.new_starts is not None:
+    larger partitions to start from.
+
+    Single rows are not kept, as no replay reads them.  A replay reads
+    states of partitions one cell smaller with the same first part, and a
+    plan that ends at a single row either starts there, on its own
+    partition, or gets there by a bordering step, which shortens the
+    first part."""
+    if weights.new_starts is not None and d > 1:
         weights.new_starts[weights.parts, d, e] = U, VT
 
 

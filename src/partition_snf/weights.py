@@ -134,13 +134,15 @@ class PolyMatrix:
         )
 
     def to_json(self) -> dict:
+        return self._json(polynomial_to_json)
+
+    def _json(self, leaf) -> dict:
+        """The JSON fields, with ``leaf`` applied to each entry."""
         return {
             "rows": self.rows,
             "cols": self.cols,
             "origin": [self.origin.row, self.origin.col],
-            "entries": [
-                [polynomial_to_json(e) for e in row] for row in self.entries
-            ],
+            "entries": [[leaf(e) for e in row] for row in self.entries],
         }
 
     @classmethod

@@ -10,11 +10,18 @@ import pytest
 
 import partition_snf
 import partition_snf.cli as cli_module
+import partition_snf.polynomials as polynomials_module
 import partition_snf.recurrence as recurrence_module
+import partition_snf.snf as snf_module
+import partition_snf.weights as weights_module
 from partition_snf import (
+    Cell,
     Partition,
+    Polynomial,
     SnfResult,
     polynomial_from_json,
+    polynomial_to_json,
+    weight_polynomial,
 )
 from partition_snf.cli import main
 from partition_snf.polynomials import PackedLayout
@@ -96,10 +103,10 @@ class TestWeightsCommand:
         assert "26" in err
 
     def test_text_builds_no_json(self, capsys, monkeypatch):
-        def no_json(poly):
+        def no_json(poly, level):
             raise AssertionError("JSON built under --format text")
 
-        monkeypatch.setattr(cli_module, "polynomial_to_json", no_json)
+        monkeypatch.setattr(cli_module, "_polynomial_json", no_json)
         code, out, _ = run_cli(capsys, "weights", "3,2", "--naming", "letters")
         assert code == 0
         assert parse_weight_lines(out) == LETTER_GRID_3_2
@@ -225,10 +232,10 @@ class TestSnfCommand:
         [("snf", "3,2"), ("snf", "3,2", "--algorithm", "inductive", "--rect", "2", "3")],
     )
     def test_text_builds_no_json(self, capsys, monkeypatch, argv):
-        def no_json(self):
+        def no_json(self, leaf):
             raise AssertionError("JSON built under --format text")
 
-        monkeypatch.setattr(SnfResult, "to_json", no_json)
+        monkeypatch.setattr(SnfResult, "_json", no_json)
         code, out, _ = run_cli(capsys, *argv, "--naming", "letters")
         assert code == 0
         assert "verified: true" in out
@@ -396,11 +403,19 @@ class TestDegreeLimit:
         assert done.stderr.splitlines() == ["error: out of memory"]
 
     def test_out_of_memory_in_the_json_encoder_is_one_line(self, capsys, monkeypatch):
-        def exhausted(*args, **kwargs):
-            raise MemoryError
+        # The third polynomial fails to render, after two have been; the
+        # output is built in full before any of it is written.
+        render, calls = cli_module._polynomial_json, []
 
-        monkeypatch.setattr(cli_module.json, "dumps", exhausted)
+        def exhausted(poly, level):
+            calls.append(level)
+            if len(calls) == 3:
+                raise MemoryError
+            return render(poly, level)
+
+        monkeypatch.setattr(cli_module, "_polynomial_json", exhausted)
         code, out, err = run_cli(capsys, "recurrence", "3,2", "--format", "json")
+        assert len(calls) == 3
         assert (code, out) == (1, "")
         assert err.splitlines() == ["error: out of memory"]
 
@@ -591,3 +606,111 @@ class TestOutput:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "bogus")
         assert code == 1
+
+
+def to_json_tree(value):
+    """The envelope as plain JSON data, each result and polynomial through
+    its public ``to_json``: what the writer's bytes are pinned against."""
+    if isinstance(value, Polynomial):
+        return polynomial_to_json(value)
+    if isinstance(value, SnfResult):
+        return value.to_json()
+    if isinstance(value, dict):
+        return {key: to_json_tree(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json_tree(item) for item in value]
+    return value
+
+
+class TestJsonWriter:
+    """``--format json`` writes ``json.dumps(envelope, indent=2)`` and a
+    newline, byte for byte, rendering each polynomial once."""
+
+    @staticmethod
+    def pinned(monkeypatch) -> list[str]:
+        """From now on, ``json.dumps`` of each envelope's ``to_json`` tree."""
+        writer, dumped = cli_module._json_chunks, []
+
+        def both(envelope):
+            dumped.append(json.dumps(to_json_tree(envelope), indent=2) + "\n")
+            return writer(envelope)
+
+        monkeypatch.setattr(cli_module, "_json_chunks", both)
+        return dumped
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("snf", "10,9,8,7,6,5,4,3,2,1"),
+            ("snf", "5,4,1", "--algorithm", "recurrence", "--naming", "letters"),
+            ("snf", "4,4,2,1", "--algorithm", "inductive", "--rect", "3", "5"),
+            ("snf", "3,2", "--algorithm", "inductive", "--rect", "2", "3"),
+            ("snf", ""),
+            ("weights", "4,4,2,1"),
+            ("weights", ""),
+            ("recurrence", "10,9,8,7,6,5,4,3,2,1", "--j", "all"),
+            ("qcatalan", "12"),
+            ("selftest", "8"),
+        ],
+    )
+    def test_bytes_are_json_dumps(self, capsys, monkeypatch, argv):
+        dumped = self.pinned(monkeypatch)
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert [out] == dumped
+
+    def test_disagreeing_blocks_are_json_dumps(self, capsys, monkeypatch):
+        tamper_inductive(monkeypatch, "P")
+        accept_every_certification(monkeypatch)
+        dumped = self.pinned(monkeypatch)
+        code, out, _ = run_cli(capsys, "snf", "3,2", "--format", "json")
+        assert code == 2
+        assert [out] == dumped
+
+    def test_one_polynomial_at_two_depths(self):
+        # Renderings are kept by object and depth, so one polynomial
+        # nested at two depths is rendered at each.
+        p = weight_polynomial(Partition((3, 2)), Cell(1, 1))
+        value = {"p": p, "deeper": [p, {"p": p}], "empty": {}, "none": None, "é": True}
+        text = "".join(cli_module._json_chunks(value))
+        assert text == json.dumps(to_json_tree(value), indent=2)
+
+    def test_each_polynomial_rendered_once(self, capsys, monkeypatch):
+        def no_tree(poly):
+            raise AssertionError("polynomial_to_json called")
+
+        for module in (polynomials_module, snf_module, weights_module):
+            monkeypatch.setattr(module, "polynomial_to_json", no_tree)
+        render, rendered = cli_module._polynomial_json, []
+
+        def counted(poly, level):
+            rendered.append(id(poly))
+            return render(poly, level)
+
+        monkeypatch.setattr(cli_module, "_polynomial_json", counted)
+        both, results = cli_module.snf_both, []
+
+        def kept(lam):
+            results.extend(both(lam))
+            return results
+
+        monkeypatch.setattr(cli_module, "snf_both", kept)
+        code, out, _ = run_cli(
+            capsys, "snf", "10,9,8,7,6,5,4,3,2,1", "--format", "json"
+        )
+        assert code == 0
+        by_rows = results[0]
+        polynomials = {
+            id(p)
+            for p in (
+                *by_rows.diagonal,
+                *(p for row in by_rows.P.entries for p in row),
+                *(p for row in by_rows.Q.entries for p in row),
+            )
+        }
+        # Both blocks are written from the one rendering of each.
+        assert len(rendered) == len(set(rendered))
+        assert set(rendered) == polynomials
+        result = json.loads(out)["result"]
+        assert result["recurrence"] == {**result["inductive"], "algorithm": "recurrence"}

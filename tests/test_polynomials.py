@@ -26,6 +26,7 @@ from partition_snf import (
 )
 from partition_snf.polynomials import (
     PackedLayout,
+    _polynomial_json,
     _QLayout,
     _term_key,
     fold,
@@ -808,7 +809,32 @@ class TestRender:
         assert render(variable(Cell(1, 2))) == "x[1,2]"
 
 
+# Signed coefficients past 2**64, on monomials over up to 20 rows.
+JSON_ENTRY = st.one_of(
+    st.just(Polynomial.zero()),
+    st.just(Polynomial.one()),
+    st.lists(
+        st.tuples(PAIRS, st.integers(-(2**80), 2**80)), min_size=1, max_size=5
+    ).map(sum_of_terms),
+)
+
+
 class TestJson:
+    @given(JSON_ENTRY, st.integers(0, 12))
+    @example(Polynomial.zero(), 0)
+    @example(Polynomial.constant(-(2**70)), 3)
+    @example(sum_of_terms([([((1, 1), 3), ((4, 2), 2)], 2**65), ([], -1)]), 12)
+    @settings(max_examples=150)
+    def test_text_is_the_indented_dump(self, p, level):
+        # The rendering of p nested level lists deep is the slice of the
+        # indented dump between the openings and the closings.
+        nested = polynomial_to_json(p)
+        for _ in range(level):
+            nested = [nested]
+        opening = "".join("[\n" + "  " * k for k in range(1, level + 1))
+        closing = "".join("\n" + "  " * k + "]" for k in reversed(range(level)))
+        assert json.dumps(nested, indent=2) == opening + _polynomial_json(p, level) + closing
+
     def test_round_trip_grid_entry(self):
         p = poly(LAM, "abcde+bcde+bce+cde+ce+de+c+e+1")
         assert polynomial_from_json(polynomial_to_json(p)) == p

@@ -706,6 +706,30 @@ class TestPeelStarts:
         assert len(steps) == len(certified) == 1483
         assert sum(steps) <= 2000
 
+    def test_selftest_keeps_only_starts_it_reads(self, monkeypatch):
+        # A plan ends at a single row on its own partition or after a
+        # bordering step, which shortens the first part, so no replay
+        # reads a 1 x e entry, and none is kept.
+        keep, plan = snf_module._keep_start, snf_module._peel_plan
+        kept, read = set(), set()
+
+        def keeping(weights, d, e, U, VT):
+            keep(weights, d, e, U, VT)
+            if (weights.parts, d, e) in (weights.new_starts or {}):
+                kept.add((weights.parts, d, e))
+
+        def reading(parts, d, e, known=()):
+            found = plan(parts, d, e, known)
+            if tuple(found[1:]) in known:
+                read.add(tuple(found[1:]))
+            return found
+
+        monkeypatch.setattr(snf_module, "_keep_start", keeping)
+        monkeypatch.setattr(snf_module, "_peel_plan", reading)
+        assert run_selftest(12).total == 3053
+        assert kept == read
+        assert len(kept) == 812
+
     def test_failed_transforms_start_no_replay(self, monkeypatch):
         # In a clean run, replays of partitions of size 4 start from the
         # 2x3 rectangle of (2, 1).
