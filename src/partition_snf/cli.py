@@ -12,22 +12,21 @@ Output is deterministic.  ``main`` parses the partition once and, under
 ``command``, ``input`` (the parsed arguments, in declaration order),
 ``result`` and, for every command but ``weights``, ``verified``.
 
-The envelope holds the polynomials and results themselves, and
-:func:`_json_chunks` writes it as exactly the bytes of
-``json.dumps(envelope, indent=2)``: each polynomial is rendered once,
-from its sorted terms, by ``polynomials._polynomial_json``, and a
-polynomial that both algorithms' blocks share is written twice from
-that one rendering.  The whole output is built before any of it is
-written, so a command that runs out of memory prints nothing on
-standard output.
+The envelope holds the polynomials and results themselves.
+:func:`_json_chunks` lays it out with ``json.dumps(envelope, indent=2)``
+and fills each polynomial's place with its rendering by
+``polynomials._polynomial_json``, from its sorted terms, once per
+polynomial and depth: the blocks of two agreeing algorithms share their
+polynomials, so those are rendered once.  The whole output is built
+before any of it is written, so a command that runs out of memory
+prints nothing on standard output.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from dataclasses import replace
-from json.encoder import encode_basestring_ascii
 
 from .checks import CHECK_NAMES, _row_sum, run_selftest
 from .checks import alternating_row_sum  # noqa: F401  (the benchmark tracer patches it here)
@@ -149,17 +148,12 @@ def _cmd_weights(args):
     return lines, {"row_lengths": list(ext.row_lengths), "cells": cells_payload}, 0
 
 
-def _snf_block(
-    result: SnfResult, naming, fmt: str
-) -> tuple[list[str], SnfResult | None]:
-    """The text lines of one result, or under ``--format json`` the result
-    itself, for the writer to render; rendering text costs more than the
-    reduction on long inputs."""
+def _snf_lines(result: SnfResult, naming) -> list[str]:
+    """The text lines of one result; rendering them costs more than the
+    reduction on long inputs, so ``--format json`` never calls this."""
     # Reductions return only certified results; a failure raises
     # VerificationFailed, which main turns into exit code 2.
-    if fmt == "json":
-        return [], result
-    lines = [
+    return [
         f"algorithm: {result.algorithm}",
         "verified: true",
         "diagonal: " + " | ".join(render(p, naming) for p in result.diagonal),
@@ -168,7 +162,6 @@ def _snf_block(
         "Q:",
         *_matrix_lines(result.Q, naming),
     ]
-    return lines, None
 
 
 def _cmd_snf(args):
@@ -176,26 +169,24 @@ def _cmd_snf(args):
     naming = _naming_for(lam, args.naming)
     if args.rect is not None and args.algorithm != "inductive":
         raise _UsageError("--rect requires --algorithm inductive")
+    text = args.format == "text"
     lines = [f"partition: {lam}"]
     if args.algorithm == "both":
+        # Agreeing results share their transforms and diagonal, which the
+        # JSON writer renders once.
         by_rows, by_peeling = snf_both(lam)
         agree = by_rows.agrees_with(by_peeling)
-        rows_lines, rows_json = _snf_block(by_rows, naming, args.format)
-        if not agree:
-            peeling_lines, peeling_json = _snf_block(by_peeling, naming, args.format)
-        elif rows_json is None:
-            # Equal results print alike but for their algorithm line, so
-            # the shared transforms and diagonal are rendered once.
-            peeling_lines = [f"algorithm: {by_peeling.algorithm}", *rows_lines[1:]]
-            peeling_json = None
-        else:
-            # The second block holds the first one's polynomials, which
-            # the writer renders once.
-            peeling_lines = []
-            peeling_json = replace(rows_json, algorithm=by_peeling.algorithm)
-        lines += rows_lines + peeling_lines
-        lines.append(f"agree: {'true' if agree else 'false'}")
-        result = {"recurrence": rows_json, "inductive": peeling_json, "agree": agree}
+        if text:
+            rows_lines = _snf_lines(by_rows, naming)
+            # Equal results print alike but for their algorithm line.
+            peeling_lines = (
+                [f"algorithm: {by_peeling.algorithm}", *rows_lines[1:]]
+                if agree
+                else _snf_lines(by_peeling, naming)
+            )
+            lines += rows_lines + peeling_lines
+            lines.append(f"agree: {'true' if agree else 'false'}")
+        result = {"recurrence": by_rows, "inductive": by_peeling, "agree": agree}
         return lines, result, 0 if agree else 2
     if args.algorithm == "recurrence":
         reduced = snf_recurrence(lam)
@@ -206,8 +197,9 @@ def _cmd_snf(args):
     else:
         side = lam.rank + 1
         reduced = snf_inductive(lam, side, side)
-    block, result = _snf_block(reduced, naming, args.format)
-    return lines + block, result, 0
+    if text:
+        lines += _snf_lines(reduced, naming)
+    return lines, reduced, 0
 
 
 def _cmd_recurrence(args):
@@ -321,54 +313,33 @@ def _as_is(value):
 def _json_chunks(value) -> list[str]:
     """``json.dumps(value, indent=2)``, as a list of strings to write.
 
-    ``value`` is built of dicts with string keys, lists, tuples, strings,
-    ints, booleans, ``None``, polynomials and results.  Each
-    polynomial is rendered once per nesting depth, however often it
-    occurs, by :func:`~partition_snf.polynomials._polynomial_json`.
+    ``value`` is built of what ``json`` writes, polynomials and results.
+    ``json`` lays it out with the string ``"\\x00"`` in each polynomial's
+    place, in document order; each hole is then filled by
+    :func:`~partition_snf.polynomials._polynomial_json` at the depth its
+    line's indent gives, once per polynomial and depth.
     """
-    chunks: list[str] = []
+    polynomials: list[Polynomial] = []
+
+    def hole(value):
+        if isinstance(value, Polynomial):
+            polynomials.append(value)
+            return "\x00"
+        if isinstance(value, SnfResult):
+            return value._json(_as_is)
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+    pieces = json.dumps(value, indent=2, default=hole).split('"\\u0000"')
+    if len(pieces) != len(polynomials) + 1:
+        raise ValueError("a string in the output reads as a polynomial's hole")
+    chunks = [pieces[0]]
     rendered: dict[tuple[int, int], str] = {}
-
-    def put(value, level: int) -> None:
-        if isinstance(value, str):
-            chunks.append(encode_basestring_ascii(value))
-        elif value is None or isinstance(value, bool):
-            chunks.append("null" if value is None else "true" if value else "false")
-        elif isinstance(value, int):
-            chunks.append(int.__repr__(value))
-        elif isinstance(value, Polynomial):
-            key = id(value), level
-            if key not in rendered:
-                rendered[key] = _polynomial_json(value, level)
-            chunks.append(rendered[key])
-        elif isinstance(value, SnfResult):
-            put(value._json(_as_is), level)
-        elif isinstance(value, dict):
-            if not value:
-                chunks.append("{}")
-                return
-            inner = "\n" + "  " * (level + 1)
-            sep = "{" + inner
-            for key, item in value.items():
-                chunks.append(sep + encode_basestring_ascii(key) + ": ")
-                put(item, level + 1)
-                sep = "," + inner
-            chunks.append("\n" + "  " * level + "}")
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                chunks.append("[]")
-                return
-            inner = "\n" + "  " * (level + 1)
-            sep = "[" + inner
-            for item in value:
-                chunks.append(sep)
-                put(item, level + 1)
-                sep = "," + inner
-            chunks.append("\n" + "  " * level + "]")
-        else:
-            raise TypeError(f"cannot write {type(value).__name__} as JSON")
-
-    put(value, 0)
+    for poly, before, after in zip(polynomials, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        key = id(poly), (len(line) - len(line.lstrip(" "))) // 2
+        if key not in rendered:
+            rendered[key] = _polynomial_json(poly, key[1])
+        chunks += (rendered[key], after)
     return chunks
 
 

@@ -14,13 +14,14 @@ parts, and the strip's cell set is built only when ``border`` is read.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from operator import add
+from operator import add, index
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import CellOutOfRange, NonPositive, NotDecreasing, ParseError
+from .errors import CellOutOfRange, NonPositive, NotDecreasing, ParseError, TooLarge
 
 __all__ = [
     "Cell",
@@ -119,7 +120,7 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(map(index, self.parts))
         object.__setattr__(self, "parts", parts)
         for p in parts:
             if p <= 0:
@@ -209,6 +210,11 @@ def subdiagram_shape(p, row: int, col: int) -> tuple[int, ...]:
     return tuple(shape)
 
 
+# An optional sign and ASCII digits, leading zeros apart; ``int`` alone
+# would also take underscores and other scripts' digits.
+_PART = re.compile(r"([+-]?)0*([0-9]+)")
+
+
 def parse_partition(text: str) -> Partition:
     """Parse comma-separated parts; the empty string is the empty partition."""
     text = text.strip()
@@ -217,10 +223,16 @@ def parse_partition(text: str) -> Partition:
     parts = []
     for token in text.split(","):
         token = token.strip()
+        match = _PART.fullmatch(token)
+        if match is None:
+            raise ParseError(f"not an integer part: {token!r}")
+        sign, digits = match.groups()
         try:
-            parts.append(int(token))
-        except ValueError:
-            raise ParseError(f"not an integer part: {token!r}") from None
+            parts.append(int(sign + digits))
+        except ValueError:  # past int's digit limit
+            raise TooLarge(
+                f"a part of {len(digits)} digits exceeds the limit on monomial degree"
+            ) from None
     return Partition(tuple(parts))
 
 

@@ -177,10 +177,6 @@ class Monomial:
     def degree(self) -> int:
         return self._degree
 
-    @property
-    def is_one(self) -> bool:
-        return not self._rows
-
     def __mul__(self, other) -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
@@ -206,14 +202,6 @@ class Monomial:
         if dc:
             rows = tuple(x << (_FIELD * dc) for x in rows)
         return _packed((0,) * dr + rows, self._degree)
-
-    def transpose(self) -> "Monomial":
-        """Cell (r, c) moved to (c, r); the degree is unchanged."""
-        decoded = list(map(_fields, self._rows))
-        rows = [0] * max(map(len, decoded), default=0)
-        for r, c, exp in _nonzero(decoded):
-            rows[c - 1] += exp << (_FIELD * (r - 1))
-        return _packed(tuple(rows), self._degree)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self._rows == other._rows
@@ -425,9 +413,6 @@ class Polynomial:
         if not (dr or dc):
             return self
         return _polynomial({m.translate(dr, dc): c for m, c in self._terms.items()})
-
-    def transpose_variables(self) -> "Polynomial":
-        return _polynomial({m.transpose(): c for m, c in self._terms.items()})
 
     # -- comparisons -----------------------------------------------------------
 

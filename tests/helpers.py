@@ -42,6 +42,13 @@ def variable(cell) -> Polynomial:
     return Polynomial.from_monomial(from_cells((cell,)))
 
 
+def transpose_variables(p: Polynomial) -> Polynomial:
+    """``p`` with each variable of cell (r, c) replaced by that of (c, r)."""
+    return Polynomial(
+        {Monomial([(Cell(c, r), e) for (r, c), e in m.pairs]): k for m, k in p.items()}
+    )
+
+
 def evaluate_at_ones(p: Polynomial) -> int:
     """Value with every variable set to 1, i.e. the coefficient sum."""
     return sum(coeff for _, coeff in p.items())
@@ -229,10 +236,6 @@ def ref_translate(a: tuple, dr: int, dc: int) -> tuple:
     if any(r < 1 or c < 1 for (r, c), _ in out):
         raise ValueError("translation moved a cell out of range")
     return out
-
-
-def ref_transpose(a: tuple) -> tuple:
-    return tuple(sorted(((c, r), e) for (r, c), e in a))
 
 
 def ref_degree(a: tuple) -> int:

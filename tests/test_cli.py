@@ -7,6 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import partition_snf
 import partition_snf.cli as cli_module
@@ -16,11 +18,15 @@ import partition_snf.snf as snf_module
 import partition_snf.weights as weights_module
 from partition_snf import (
     Cell,
+    Monomial,
     Partition,
     Polynomial,
     SnfResult,
     polynomial_from_json,
     polynomial_to_json,
+    snf_both,
+    snf_inductive,
+    snf_recurrence,
     weight_polynomial,
 )
 from partition_snf.cli import main
@@ -129,27 +135,49 @@ class TestSnfCommand:
     def test_agreeing_results_render_once(self, capsys, monkeypatch, fmt):
         # Agreeing results differ only in their algorithm, so the shared
         # block is rendered once; differing ones are rendered apart.
-        block, calls = cli_module._snf_block, []
+        lines, calls = cli_module._snf_lines, []
 
-        def counted(result, naming, fmt):
+        def counted(result, naming):
             calls.append(result.algorithm)
-            return block(result, naming, fmt)
+            return lines(result, naming)
 
-        monkeypatch.setattr(cli_module, "_snf_block", counted)
+        monkeypatch.setattr(cli_module, "_snf_lines", counted)
+        writer, envelopes = cli_module._json_chunks, []
+
+        def kept(envelope):
+            envelopes.append(envelope)
+            return writer(envelope)
+
+        monkeypatch.setattr(cli_module, "_json_chunks", kept)
+
+        def shared(field):
+            blocks = envelopes[-1]["result"]
+            return getattr(blocks["recurrence"], field) is getattr(
+                blocks["inductive"], field
+            )
+
         code, out, _ = run_cli(capsys, "snf", "3,2", "--format", fmt)
-        assert (code, calls) == (0, ["recurrence"])
         if fmt == "json":
+            # The envelope holds the one P, Q and diagonal of both blocks;
+            # TestJsonWriter::test_each_polynomial_rendered_once pins that
+            # the writer renders each of their polynomials once.
+            assert (code, calls) == (0, [])
+            assert all(map(shared, ("P", "Q", "diagonal")))
             result = json.loads(out)["result"]
             assert [result[name]["algorithm"] for name in ("recurrence", "inductive")] == [
                 "recurrence", "inductive"
             ]
         else:
+            assert (code, calls) == (0, ["recurrence"])
             assert "algorithm: recurrence" in out and "algorithm: inductive" in out
         calls.clear()
         tamper_inductive(monkeypatch, "P")
         accept_every_certification(monkeypatch)
         code, _, _ = run_cli(capsys, "snf", "3,2", "--format", fmt)
-        assert (code, calls) == (2, ["recurrence", "inductive"])
+        if fmt == "json":
+            assert (code, calls, shared("P")) == (2, [], False)
+        else:
+            assert (code, calls) == (2, ["recurrence", "inductive"])
 
     @pytest.mark.parametrize("field", ["P", "Q"])
     def test_disagreeing_transforms(self, capsys, monkeypatch, field):
@@ -164,6 +192,16 @@ class TestSnfCommand:
         code, out, _ = run_cli(capsys, "snf", "3,2", "--naming", "letters")
         assert code == 2
         assert "agree: false" in out
+
+    @pytest.mark.parametrize(
+        "part, message",
+        [("1_0", "not an integer part"), ("9" * 5000, "exceeds the limit")],
+    )
+    def test_bad_part_is_one_short_line(self, capsys, part, message):
+        code, out, err = run_cli(capsys, "snf", part)
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert message in line and len(line) < 80
 
     def test_empty_partition(self, capsys):
         code, out, _ = run_cli(capsys, "snf", "", "--algorithm", "recurrence")
@@ -593,6 +631,29 @@ class TestOutput:
         envelope = json.loads(target.read_text(encoding="utf-8"))
         assert envelope["command"] == "weights"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("snf", "5,4,1"),
+            ("snf", "5,4,1", "--algorithm", "recurrence", "--naming", "letters"),
+            ("snf", "5,4,1", "--algorithm", "inductive", "--rect", "2", "5"),
+            ("weights", "3,2", "--naming", "letters"),
+            ("recurrence", "5,4,1", "--j", "all"),
+            ("qcatalan", "6"),
+            ("selftest", "4"),
+        ],
+    )
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv, fmt):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        target = tmp_path / "out"
+        code, printed, err = run_cli(
+            capsys, *argv, "--format", fmt, "--out", str(target)
+        )
+        assert (code, printed, err) == (0, "", "")
+        assert target.read_bytes() == out.encode("utf-8")
+
     def test_out_write_error_exits_1(self, capsys, tmp_path):
         target = tmp_path / "missing" / "grid.json"
         code, out, err = run_cli(
@@ -620,6 +681,62 @@ def to_json_tree(value):
     if isinstance(value, (list, tuple)):
         return [to_json_tree(item) for item in value]
     return value
+
+
+# Keys and strings with spaces, quotes, backslashes, non-ASCII characters
+# and every control character but NUL, the writer's hole for a polynomial.
+JSON_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(' "\\/\x01\x1f\x7f\n\t\u00e9\u2028\U0001d11e'),
+        st.characters(exclude_characters="\x00"),
+    ),
+    max_size=6,
+)
+JSON_POLYNOMIAL = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(st.tuples(st.integers(1, 5), st.integers(1, 9)), st.integers(1, 4)),
+            max_size=3,
+        ),
+        st.integers(-(2**70), 2**70),
+    ),
+    max_size=3,
+).map(
+    lambda terms: sum(
+        (Polynomial.from_monomial(Monomial(a), c) for a, c in terms), Polynomial.zero()
+    )
+)
+RESULTS = (
+    *snf_both(Partition((3, 2))),
+    snf_recurrence(Partition(())),
+    snf_inductive(Partition((3, 2)), 2, 3),
+)
+
+
+@st.composite
+def json_values(draw):
+    """Nested dicts, lists and tuples of JSON scalars, results and a few
+    polynomials, each of which may occur at several depths."""
+    pool = draw(st.lists(JSON_POLYNOMIAL, min_size=1, max_size=3))
+    leaves = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        JSON_TEXT,
+        st.sampled_from(pool),
+        st.sampled_from(RESULTS),
+    )
+    return draw(
+        st.recursive(
+            leaves,
+            lambda inner: st.one_of(
+                st.lists(inner, max_size=4),
+                st.lists(inner, max_size=4).map(tuple),
+                st.dictionaries(JSON_TEXT, inner, max_size=4),
+            ),
+            max_leaves=16,
+        )
+    )
 
 
 class TestJsonWriter:
@@ -675,6 +792,27 @@ class TestJsonWriter:
         value = {"p": p, "deeper": [p, {"p": p}], "empty": {}, "none": None, "é": True}
         text = "".join(cli_module._json_chunks(value))
         assert text == json.dumps(to_json_tree(value), indent=2)
+
+    @given(json_values())
+    @settings(max_examples=150, deadline=None)
+    def test_writes_json_dumps(self, value):
+        text = "".join(cli_module._json_chunks(value))
+        assert text == json.dumps(to_json_tree(value), indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"s": "\x00", "p": Polynomial.one()},
+            ["\x00"],
+            {"\x00": 1},
+            [Polynomial.zero(), 'a"\x00'],
+        ],
+    )
+    def test_a_string_read_as_a_hole_raises(self, value):
+        # A string written as a polynomial's hole would put that polynomial
+        # in the wrong place; the writer refuses instead.
+        with pytest.raises(ValueError):
+            cli_module._json_chunks(value)
 
     def test_each_polynomial_rendered_once(self, capsys, monkeypatch):
         def no_tree(poly):

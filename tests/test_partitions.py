@@ -8,6 +8,7 @@ from partition_snf import (
     NotDecreasing,
     ParseError,
     Partition,
+    TooLarge,
     all_partitions,
     boundary_walk_count,
     parse_partition,
@@ -44,6 +45,27 @@ class TestParse:
             parse_partition("0")
         with pytest.raises(NonPositive):
             parse_partition("3,-1")
+
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0663,2", "3,\uff12", "1e3", "0x3", "3.0"])
+    def test_accepts_only_ascii_decimal_parts(self, text):
+        # int() alone reads underscores and other scripts' digits.
+        with pytest.raises(ParseError):
+            parse_partition(text)
+
+    def test_sign_and_leading_zeros(self):
+        assert parse_partition("+3, 02") == Partition((3, 2))
+        assert parse_partition("0" * 5000 + "1") == Partition((1,))
+
+    def test_part_past_the_digit_limit_is_too_large(self):
+        with pytest.raises(TooLarge, match="exceeds the limit") as caught:
+            parse_partition("9" * 5000)
+        assert len(str(caught.value)) < 80
+
+    @pytest.mark.parametrize("parts", [(2.5, 1), ("3", "2"), (3.0,), (None,)])
+    def test_parts_must_be_integers(self, parts):
+        with pytest.raises(TypeError):
+            Partition(parts)
 
 
 class TestRank:

@@ -998,11 +998,11 @@ def test_public_surface_is_pinned():
         return sorted(names)
 
     assert public(Monomial) == [
-        "degree", "is_one", "pairs", "skew", "translate", "transpose",
+        "degree", "pairs", "skew", "translate",
     ]
     assert public(Polynomial) == [
         "constant", "degree", "from_monomial", "is_zero", "items", "one",
-        "skew_sum", "translate", "transpose_variables", "zero",
+        "skew_sum", "translate", "zero",
     ]
     assert public(PolyMatrix) == [
         "cols", "entries", "from_json", "origin", "rows", "to_json",
