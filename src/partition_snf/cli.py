@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .checks import CHECK_NAMES, _row_sum, run_selftest
@@ -375,7 +376,13 @@ def main(argv=None) -> int:
             chunks = _json_chunks(envelope)
             chunks.append("\n")
         if not args.out:
-            sys.stdout.writelines(chunks)
+            try:
+                sys.stdout.writelines(chunks)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # The reader is gone; the flush at exit goes to the null device.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return 1
             return code
         try:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
@@ -384,13 +391,10 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         return code
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
-    except PartitionSnfError as exc:
+    except (_UsageError, PartitionSnfError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (MemoryError, SystemError):

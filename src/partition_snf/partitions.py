@@ -225,7 +225,11 @@ def parse_partition(text: str) -> Partition:
         token = token.strip()
         match = _PART.fullmatch(token)
         if match is None:
-            raise ParseError(f"not an integer part: {token!r}")
+            # A long token is cut short, so the error stays one short line.
+            shown = repr(token)
+            if len(shown) > 22:
+                shown = f"{shown[:21]}... ({len(token)} characters)"
+            raise ParseError(f"not an integer part: {shown}")
         sign, digits = match.groups()
         try:
             parts.append(int(sign + digits))

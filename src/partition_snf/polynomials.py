@@ -519,8 +519,8 @@ class PackedLayout:
 
     A key holds the total degree in its lowest 16-bit field, then row
     ``r`` of the monomial at bit ``16 + (r - 1) * stride``, where
-    ``stride`` is ``width`` fields.  Only encoding, decoding, translation,
-    variable keys and run keys depend on the stride.  Multiplying two
+    ``stride`` is ``width`` fields.  Only encoding, decoding, translation
+    and run keys depend on the stride.  Multiplying two
     monomials adds their keys at any stride, so :func:`times`,
     :func:`fold` and :func:`packed_product` take no layout.  No field carries while the
     total degree stays at most 65535, and those functions raise
@@ -551,11 +551,6 @@ class PackedLayout:
         ]
         self._monomials.update(zip(keys, terms))
         return dict(zip(keys, terms.values()))
-
-    def variable(self, cell: Cell) -> int:
-        """The key of the variable on ``cell``, for :func:`times`: the
-        run of that one cell."""
-        return self.run(cell[0], cell[1] - 1, cell[1])
 
     def run(self, line: int, start: int, stop: int, transposed: bool = False) -> int:
         """The key of the product of the variables on columns ``start + 1

@@ -46,8 +46,8 @@ The peeling removes one cell per step, as the paper's induction on
 start each replay from the certified transforms of a state one cell
 smaller.  A weight set carries two maps for it, which only the
 self-test fills: ``starts``, read by :func:`_peel_plan` and
-:func:`_reduce_rectangle`, and ``new_starts``, where the set's own
-transforms are kept once :func:`_certified` has passed.  Every
+:func:`_reduce_rectangle`, and ``new_starts``, where :func:`_certified`
+keeps each pair of the set's own transforms that it passes.  Every
 reduction is still certified in full, and the public reductions start
 from the single row.
 
@@ -193,10 +193,18 @@ def _certified(weights: _PackedWeights, d, e, P, QT, algorithm):
     """The tail of every reduction of the d x e rectangle of ``weights``:
     certify the packed transforms ``P`` and ``QT`` (``Q`` transposed)
     against the packed weights and the leading monomials, all in the
-    layout of ``weights`` and so in its ring.  Returns the packed diagonal."""
+    layout of ``weights`` and so in its ring.  Returns the packed diagonal.
+
+    Each pair that passes is kept in ``weights.new_starts``, if set, for
+    replays to start from.  On a square it is the only correct pair (LDU
+    uniqueness), so a replay from it is the replay from the single row."""
     layout = weights.layout
     diagonal = [{key: 1} for key in _leading_keys(weights, d, e)]
     _certify(layout, P, weights.grid(d, e), QT, diagonal, algorithm)
+    # No replay reads a single row: a plan ends at one on its own
+    # partition, or after a bordering step, which shortens the first part.
+    if weights.new_starts is not None and d > 1:
+        weights.new_starts[weights.parts, d, e] = P, QT
     return diagonal
 
 
@@ -267,9 +275,6 @@ class _PackedWeights:
             if sign < 0:
                 terms = self._negated[shape] = {k: -c for k, c in terms.items()}
         return self.layout.translate(terms, row - 1, col - 1) if shape else terms
-
-    def minus(self, parts: tuple, row: int, col: int) -> dict[int, int]:
-        return self.placed(parts, row, col, -1)
 
     def at(self, row: int, col: int) -> dict[int, int]:
         """The weight of ``lam`` at (row, col), placed once and kept."""
@@ -441,7 +446,7 @@ def _reduce_rectangle(weights: _PackedWeights, d: int, e: int):
     plan, parts, d, e = _peel_plan(weights.parts, d, e, weights.starts)
     # Weights are read in the smaller partition; the cell next to the
     # peeled one may lie just past its extension, where the weight is 1.
-    minus_weight = weights.minus
+    placed = weights.placed
 
     start = weights.starts.get((parts, d, e))
     if start is not None:
@@ -452,19 +457,19 @@ def _reduce_rectangle(weights: _PackedWeights, d: int, e: int):
         U = _identity_grid(1)
         VT = _identity_grid(e)
         for j in range(e - 1):
-            VT[j][e - 1] = minus_weight(parts, 1, j + 1)
+            VT[j][e - 1] = placed(parts, 1, j + 1, -1)
     for smaller, corner in reversed(plan):
         if corner is None:
             U = _border(U)
             VT = _border(VT)
             continue
         a, b = corner
-        z = layout.variable(corner)
+        z = layout.run(a, b - 1, b)
         if a < len(U):
-            updates = [minus_weight(smaller, i + 1, b + 1) for i in range(a)]
+            updates = [placed(smaller, i + 1, b + 1, -1) for i in range(a)]
             _peel_step(U, a, z, updates)
         else:
-            updates = [minus_weight(smaller, a + 1, j + 1) for j in range(b)]
+            updates = [placed(smaller, a + 1, j + 1, -1) for j in range(b)]
             _peel_step(VT, b, z, updates)
     return U, VT
 
@@ -487,30 +492,14 @@ def _certify_inductive(weights: _PackedWeights, d: int, e: int):
     """Reduce the d x e rectangle of ``weights`` by peeling and certify
     the result, all on ``weights``, which may be shared with other
     rectangles and may be in either key format.  Returns the packed
-    ``U``, ``VT`` and diagonal, undecoded.
+    ``U``, ``VT`` and diagonal, undecoded, kept by :func:`_certified`.
 
     The rectangle is the caller's to check: :func:`snf_inductive` checks
     it before building the weights, the self-test takes it from the
     border strip, and the staircase reductions reduce the origin
     square."""
     U, VT = _reduce_rectangle(weights, d, e)
-    diagonal = _certified(weights, d, e, U, VT, "inductive")
-    _keep_start(weights, d, e, U, VT)
-    return U, VT, diagonal
-
-
-def _keep_start(weights: _PackedWeights, d: int, e: int, U, VT) -> None:
-    """Keep the certified transforms of the d x e rectangle of
-    ``weights`` in ``weights.new_starts``, if it is set, for replays of
-    larger partitions to start from.
-
-    Single rows are not kept, as no replay reads them.  A replay reads
-    states of partitions one cell smaller with the same first part, and a
-    plan that ends at a single row either starts there, on its own
-    partition, or gets there by a bordering step, which shortens the
-    first part."""
-    if weights.new_starts is not None and d > 1:
-        weights.new_starts[weights.parts, d, e] = U, VT
+    return U, VT, _certified(weights, d, e, U, VT, "inductive")
 
 
 def snf_both(lam: Partition) -> tuple[SnfResult, SnfResult]:
@@ -533,18 +522,18 @@ def _both(weights: _PackedWeights) -> tuple[SnfResult, SnfResult]:
     """:func:`snf_both` on ``weights``, which may be shared with the
     other rectangles of its partition."""
     n = weights.rank + 1
-    layout = weights.layout
     P, QT = _stacked_transforms(weights)
     U, VT = _reduce_rectangle(weights, n, n)
-    diagonal = _certified(weights, n, n, P, QT, "recurrence")
-    by_rows = _decoded_result(layout, P, QT, diagonal, "recurrence")
     if U == P and VT == QT:
-        _keep_start(weights, n, n, U, VT)
+        # Keep the replay's grids, whose rows share entries with its start.
+        P, QT = U, VT
+    diagonal = _certified(weights, n, n, P, QT, "recurrence")
+    by_rows = _decoded_result(weights.layout, P, QT, diagonal, "recurrence")
+    if P is U:
         return by_rows, replace(by_rows, algorithm="inductive")
     # The diagonal depends on the rectangle alone.
     _certified(weights, n, n, U, VT, "inductive")
-    _keep_start(weights, n, n, U, VT)
-    return by_rows, _decoded_result(layout, U, VT, diagonal, "inductive")
+    return by_rows, _decoded_result(weights.layout, U, VT, diagonal, "inductive")
 
 
 def verify_snf(W: PolyMatrix, result: SnfResult):

@@ -44,16 +44,6 @@ def clear_weight_cache() -> None:
     _SHAPE_CACHE.clear()
 
 
-def _relative_weight(shape: tuple[int, ...]) -> Polynomial:
-    """Weight of a nonempty shape anchored at (1,1), memoized by shape."""
-    hit = _SHAPE_CACHE.get(shape)
-    if hit is not None:
-        return hit
-    poly = Polynomial.skew_sum(shape)
-    _SHAPE_CACHE[shape] = poly
-    return poly
-
-
 def weight_at(lam, row: int, col: int) -> Polynomial:
     """Weight of any positive position of ``lam``, a partition or its parts.
 
@@ -65,7 +55,10 @@ def weight_at(lam, row: int, col: int) -> Polynomial:
     shape = subdiagram_shape(lam, row, col)
     if not shape:
         return Polynomial.one()
-    return _relative_weight(shape).translate(row - 1, col - 1)
+    anchored = _SHAPE_CACHE.get(shape)
+    if anchored is None:
+        anchored = _SHAPE_CACHE[shape] = Polynomial.skew_sum(shape)
+    return anchored.translate(row - 1, col - 1)
 
 
 def weight_polynomial(lam: Partition, cell) -> Polynomial:

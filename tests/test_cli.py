@@ -195,7 +195,12 @@ class TestSnfCommand:
 
     @pytest.mark.parametrize(
         "part, message",
-        [("1_0", "not an integer part"), ("9" * 5000, "exceeds the limit")],
+        [
+            ("1_0", "not an integer part"),
+            ("9" * 5000, "exceeds the limit"),
+            ("x" * 5000, "not an integer part"),
+            ("\x01" * 30, "not an integer part"),
+        ],
     )
     def test_bad_part_is_one_short_line(self, capsys, part, message):
         code, out, err = run_cli(capsys, "snf", part)
@@ -369,6 +374,33 @@ def _capped_cli(argv, cap: int) -> subprocess.CompletedProcess:
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("snf", "10,9,8,7,6,5,4,3,2,1"),
+            ("snf", "10,9,8,7,6,5,4,3,2,1", "--format", "json"),
+            ("weights", "8,8,8,8,8,8"),
+        ],
+    )
+    def test_exits_1_without_a_traceback(self, argv):
+        # The reader is gone before the first byte is written, so the
+        # writes fail however much of the output a pipe would hold.
+        src = str(Path(partition_snf.__file__).resolve().parents[1])
+        child = subprocess.Popen(
+            [sys.executable, "-m", "partition_snf", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 1, err
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert len(err.splitlines()) <= 1
 
 
 class TestDegreeLimit:

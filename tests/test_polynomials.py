@@ -457,8 +457,8 @@ class TestPackedLayout:
     @pytest.mark.parametrize("width", [1, 3, 263])
     def test_variable_key_is_the_encoded_variable(self, width):
         layout = PackedLayout(width)
-        for cell in {(1, 1), (1, width), (2, 1), (5, width), (9, (width + 1) // 2)}:
-            assert {layout.variable(cell): 1} == layout.encode(variable(cell))
+        for r, c in {(1, 1), (1, width), (2, 1), (5, width), (9, (width + 1) // 2)}:
+            assert {layout.run(r, c - 1, c): 1} == layout.encode(variable((r, c)))
 
     @pytest.mark.parametrize("shift", [(0, 0), (0, 3), (2, 0), (4, 1), (1, 7)])
     def test_translate_matches_polynomial_translate(self, shift):
@@ -497,7 +497,7 @@ class TestPackedLayout:
 
     def test_times_degree_guard(self):
         layout = PackedLayout(1)
-        x = layout.variable(Cell(1, 1))
+        x = layout.run(1, 0, 1)
         top = times(layout.encode(x_power(65534)), x)
         assert layout.decode(top) == x_power(65535)
         with pytest.raises(TooLarge):
@@ -561,7 +561,7 @@ class TestQLayout:
         layout, plain = _QLayout(), PackedLayout(1)
         for k in (0, 1, 7, 65535):
             assert layout.encode(x_power(k)) == plain.encode(x_power(k))
-        assert layout.variable(Cell(3, 5)) == plain.variable(Cell(1, 1))
+        assert layout.run(3, 4, 5) == plain.run(1, 0, 1)
         assert layout.encode(poly(LAM, "ab-de+c")) == plain.encode(x_power(1))
 
     def test_translate_is_the_identity(self):

@@ -710,13 +710,13 @@ class TestPeelStarts:
         # A plan ends at a single row on its own partition or after a
         # bordering step, which shortens the first part, so no replay
         # reads a 1 x e entry, and none is kept.
-        keep, plan = snf_module._keep_start, snf_module._peel_plan
-        kept, read = set(), set()
+        packed_weights, plan = snf_module._PackedWeights, snf_module._peel_plan
+        made, read = [], set()
 
-        def keeping(weights, d, e, U, VT):
-            keep(weights, d, e, U, VT)
-            if (weights.parts, d, e) in (weights.new_starts or {}):
-                kept.add((weights.parts, d, e))
+        class Recorded(packed_weights):
+            def __init__(self, parts, layout):
+                super().__init__(parts, layout)
+                made.append(self)
 
         def reading(parts, d, e, known=()):
             found = plan(parts, d, e, known)
@@ -724,11 +724,56 @@ class TestPeelStarts:
                 read.add(tuple(found[1:]))
             return found
 
-        monkeypatch.setattr(snf_module, "_keep_start", keeping)
+        monkeypatch.setattr(snf_module, "_PackedWeights", Recorded)
         monkeypatch.setattr(snf_module, "_peel_plan", reading)
         assert run_selftest(12).total == 3053
+        kept = set().union(*(w.new_starts for w in made if w.new_starts is not None))
         assert kept == read
         assert len(kept) == 812
+
+    def test_only_certified_pairs_are_kept(self, monkeypatch):
+        # Each pair is checked as it is kept, so keeping one before its
+        # certification has passed fails too.
+        certify, packed_weights = snf_module._certify, snf_module._PackedWeights
+        passed, kept, made = {}, [], []
+
+        def recorded(layout, P, W, QT, diagonal, algorithm):
+            certify(layout, P, W, QT, diagonal, algorithm)
+            passed[id(P), id(QT)] = P, QT
+
+        class Checked:
+            def __init__(self, block):
+                self.block = block
+
+            def __setitem__(self, state, pair):
+                assert (id(pair[0]), id(pair[1])) in passed, state
+                kept.append(state)
+                self.block[state] = pair
+
+        class Watched(packed_weights):
+            def __init__(self, parts, layout):
+                super().__init__(parts, layout)
+                made.append(self)
+
+            @property
+            def new_starts(self):
+                return self._new_starts
+
+            @new_starts.setter
+            def new_starts(self, block):
+                self._new_starts = None if block is None else Checked(block)
+
+        monkeypatch.setattr(snf_module, "_certify", recorded)
+        monkeypatch.setattr(snf_module, "_PackedWeights", Watched)
+        assert run_selftest(10).ok
+        assert kept
+        made.clear()
+        lam = Partition((5, 3, 3, 1))
+        snf_inductive(lam, 2, 6)
+        snf_recurrence(lam)
+        snf_both(lam)
+        assert len(made) == 3
+        assert all(w.new_starts is None for w in made)
 
     def test_failed_transforms_start_no_replay(self, monkeypatch):
         # In a clean run, replays of partitions of size 4 start from the
@@ -814,9 +859,10 @@ class TestNegatedOnRead:
                 self.read = {()}
                 made.append(self)
 
-            def minus(self, parts, row, col):
-                self.read.add(subdiagram_shape(parts, row, col))
-                return super().minus(parts, row, col)
+            def placed(self, parts, row, col, sign=1):
+                if sign < 0:
+                    self.read.add(subdiagram_shape(parts, row, col))
+                return super().placed(parts, row, col, sign)
 
         monkeypatch.setattr(snf_module, "_PackedWeights", Recorded)
         return made
