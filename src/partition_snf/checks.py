@@ -24,6 +24,7 @@ one column of a partition's weight set, and decodes the residual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import IndexOutOfRange, NotSquare, VerificationFailed
 from .partitions import Cell, Partition, all_partitions
@@ -31,8 +32,10 @@ from .polynomials import (
     PACKED_ONE,
     PackedLayout,
     Polynomial,
-    fold,
+    _kernels,
+    _top,
     pack_matrices,
+    packed_product,
     quotient,
     render,
 )
@@ -70,13 +73,13 @@ class SelfTestReport:
 
 def _row_sum(weights: _PackedWeights, j: int) -> dict[int, int]:
     """The packed residual of the row relation in column ``j`` of the
-    origin square of ``weights``: its signed row coefficients folded
-    against the column's kept weights, which places only that column."""
+    origin square of ``weights``: the row of its signed row coefficients
+    times the column's kept weights, which places only that column."""
     n = weights.rank + 1
     if not 1 <= j <= n:
         raise IndexOutOfRange(f"column {j} outside 1..{n}")
-    column = (weights.at(i, j) for i in range(1, n + 1))
-    return fold({}, zip(weights.coefficients(weights.parts), column))
+    column = [[weights.at(i, j)] for i in range(1, n + 1)]
+    return packed_product([weights.coefficients(weights.parts)], column)[0][0]
 
 
 def alternating_row_sum(lam: Partition, j: int) -> Polynomial:
@@ -105,10 +108,14 @@ def _eliminate(layout: PackedLayout, M: list[list[dict[int, int]]]) -> dict[int,
                 f"{render(layout.decode(pivot))}"
             )
         minus = [{key: -c for key, c in entry.items()} for entry in M[k][:k]]
+        # One degree check per round: it multiplies entries of the rows
+        # above the pivot by entries of the pivot's row.  Past that bound
+        # the round runs the public fold, which checks each pair.
+        _, mul = _kernels(_top(chain.from_iterable(M[:k])) + _top(M[k]))
         # Rows are replaced, never changed.
         for i, row in enumerate(M[:k]):
             M[i] = [
-                quotient(fold({}, ((pivot, a), (row[k], b))), previous)
+                quotient(mul({}, ((pivot, a), (row[k], b))), previous)
                 for a, b in zip(row, minus)
             ]
         previous = pivot

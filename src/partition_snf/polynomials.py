@@ -25,7 +25,13 @@ arithmetic takes no layout: :func:`times` scales by one monomial,
 :func:`quotient` divides exactly by one term, :func:`fold` is the one
 multiply-accumulate, and :func:`packed_product` folds each row of a
 chain against each column.  :func:`pack_matrices` encodes polynomial
-matrices in a layout as wide as their widest row.
+matrices in a layout as wide as their widest row.  The degree limit is
+checked once per product, peel step or elimination round, from the top
+degrees of the factors on each side, each read in one pass over their
+keys; only past that bound are the pairs checked one by one, by the
+public :func:`fold` and :func:`times`, so :class:`TooLarge` is raised
+exactly where a check on every pair of entries would raise it.  Below
+the bound the same loops run unchecked, as ``_fold`` and ``_times``.
 The reductions pack their weight shapes, replay their peeling and
 certify ``P @ W @ Q`` in one layout fixed by the partition.
 :meth:`Polynomial.skew_sum` builds a weight, the sum of the skew
@@ -51,6 +57,7 @@ decoded for the sort, so each monomial is decoded once per output.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import add
 from struct import unpack
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -447,23 +454,34 @@ _ONE = Polynomial({Monomial(): 1})
 _degree_field = _MASK.__and__
 
 
-def _top(terms: dict[int, int]) -> int:
-    """Top total degree of a packed polynomial, 0 for zero."""
-    return max(map(_degree_field, terms), default=0)
+def _top(polys: Iterable[dict[int, int]]) -> int:
+    """Top total degree of the packed polynomials ``polys``, 0 when all
+    are zero: one pass over their keys."""
+    return max(map(_degree_field, chain.from_iterable(polys)), default=0)
 
 
 def _check_degree(degree: int) -> None:
-    # A packed product passes its factors' summed top degrees, as
+    # A pair of packed factors passes its summed top degrees, as
     # Monomial.__mul__ checks them, so it fails exactly where the unpacked
-    # one would have; a reduction's weights pass the partition's size.
+    # product would have; a reduction's weights pass the partition's size.
+    # A product or step passes nothing itself: it compares the summed top
+    # degrees of all its factors on each side with the limit, and only
+    # past that does each pair come here, through fold and times.
     if degree > _MAX_DEGREE:
         raise _degree_error(degree)
 
 
-def times(terms: dict[int, int], key: int) -> dict[int, int]:
-    """Packed ``terms`` multiplied by the monomial with key ``key``."""
-    _check_degree(_top(terms) + (key & _MASK))
+def _times(terms: dict[int, int], key: int) -> dict[int, int]:
+    """:func:`times` with no degree check."""
     return {k + key: c for k, c in terms.items()}
+
+
+def times(terms: dict[int, int], key: int) -> dict[int, int]:
+    """Packed ``terms`` multiplied by the monomial with key ``key``;
+    raises :class:`TooLarge` when the product's degree would pass the
+    limit."""
+    _check_degree(_top((terms,)) + (key & _MASK))
+    return _times(terms, key)
 
 
 def quotient(terms: dict[int, int], divisor: dict[int, int]) -> dict[int, int]:
@@ -481,16 +499,11 @@ def quotient(terms: dict[int, int], divisor: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def fold(base: dict[int, int], products) -> dict[int, int]:
-    """``base`` plus the sum of ``a * b`` over the ``(a, b)`` pairs of
-    packed polynomials in ``products``: the one multiply-accumulate of the
-    packed path.  A term product is one key addition, and terms that
-    cancel are removed.  ``base`` is never changed; it is returned itself
-    when every pair has a zero side."""
+def _fold(base: dict[int, int], products) -> dict[int, int]:
+    """:func:`fold` with no degree check: the one multiply loop."""
     acc = None
     for a, b in products:
         if a and b:
-            _check_degree(_top(a) + _top(b))
             if acc is None:
                 acc = dict(base)
                 get = acc.get
@@ -503,6 +516,29 @@ def fold(base: dict[int, int], products) -> dict[int, int]:
                     else:
                         del acc[key]
     return base if acc is None else acc
+
+
+def fold(base: dict[int, int], products) -> dict[int, int]:
+    """``base`` plus the sum of ``a * b`` over the ``(a, b)`` pairs of
+    packed polynomials in ``products``: the one multiply-accumulate of the
+    packed path.  A term product is one key addition, and terms that
+    cancel are removed.  ``base`` is never changed; it is returned itself
+    when every pair has a zero side.  Before anything is multiplied,
+    each pair with no zero side is checked: :class:`TooLarge` is raised
+    when its top degrees sum past the limit."""
+    products = [(a, b) for a, b in products if a and b]
+    for a, b in products:
+        _check_degree(_top((a,)) + _top((b,)))
+    return _fold(base, products)
+
+
+def _kernels(bound: int):
+    """``(times, fold)`` for one product or step whose factors' top
+    degrees, summed across the two sides, are at most ``bound``: the
+    unchecked kernels within the limit; past it the public functions,
+    which check each pair and so raise :class:`TooLarge` exactly where a
+    check on every pair would."""
+    return (times, fold) if bound > _MAX_DEGREE else (_times, _fold)
 
 
 # The packed 1 and -1 of every layout: the empty monomial's key is 0 at
@@ -523,8 +559,10 @@ class PackedLayout:
     and run keys depend on the stride.  Multiplying two
     monomials adds their keys at any stride, so :func:`times`,
     :func:`fold` and :func:`packed_product` take no layout.  No field carries while the
-    total degree stays at most 65535, and those functions raise
-    :class:`TooLarge` before a product could pass it.  Every monomial
+    total degree stays at most 65535.  Those functions raise
+    :class:`TooLarge` before a product could pass it, checking the
+    factors' top degrees once per product and each pair only past that
+    bound.  Every monomial
     encoded is remembered, so decoding hands back the monomials encoded
     and rebuilds only keys the layout has not seen.
     """
@@ -669,12 +707,18 @@ def packed_product(
     as the widest row anywhere in the chain.
 
     A product never widens a row, so the intermediate products stay
-    packed.  Each entry is one :func:`fold` of a row against a column.
+    packed.  Each entry is one fold of a row against a column.  The
+    degree limit is checked once per product, from the top degrees of
+    its two factors; only a product past that bound folds through
+    :func:`fold`, which checks each pair.
     """
     rows = factors[0]
     for right in factors[1:]:
         cols = list(zip(*right))
-        rows = [[fold({}, zip(row, col)) for col in cols] for row in rows]
+        _, mul = _kernels(
+            _top(chain.from_iterable(rows)) + _top(chain.from_iterable(right))
+        )
+        rows = [[mul({}, zip(row, col)) for col in cols] for row in rows]
     return rows
 
 

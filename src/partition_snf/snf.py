@@ -39,7 +39,8 @@ re-encoded, compares it with the packed expected form and returns the
 packed diagonal; the product is decoded only to build the residual of
 a failing check.  :func:`_decoded_result` is the one decode, once per
 result.  The self-test's border rectangles stop after the tail and
-decode nothing.
+decode nothing.  The degree limit is checked once per peel step, by
+:func:`_peel_step`, and once per product of the tail.
 
 The peeling removes one cell per step, as the paper's induction on
 ``|lam|`` does, so the self-test, which walks partitions by size, can
@@ -61,6 +62,7 @@ reductions and tail run in Z[q].
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .errors import DimensionMismatch, VerificationFailed
 from .partitions import Cell, Partition, _conjugate, _extends_to, _rank
@@ -71,11 +73,12 @@ from .polynomials import (
     PackedLayout,
     Polynomial,
     _check_degree,
-    fold,
+    _fold,
+    _kernels,
+    _top,
     pack_matrices,
     packed_product,
     polynomial_to_json,
-    times,
 )
 from .recurrence import _PartitionLayout
 from .recurrence import row_coefficients  # noqa: F401  (the benchmark tracer patches it here)
@@ -168,8 +171,9 @@ def _certify(
         problem = "product differs from the expected diagonal form"
     else:
         return
+    # The residual adds -1 times the expected form, of degree 0: unchecked.
     residual = [
-        [layout.decode(fold(c, ((e, PACKED_MINUS_ONE),))) for c, e in zip(*pair)]
+        [layout.decode(_fold(c, ((e, PACKED_MINUS_ONE),))) for c, e in zip(*pair)]
         for pair in zip(computed, expected)
     ]
     raise VerificationFailed(f"{algorithm}: {problem}", residual=PolyMatrix(residual))
@@ -359,12 +363,20 @@ def _peel_step(
     column transform: the cell, whose key is ``z``, multiplies the first
     ``a`` diagonal entries, so scale those rows right of column ``a``,
     then fold in ``updates`` (minus the smaller partition's weights beside
-    the cell)."""
+    the cell).
+
+    The degree limit is checked once per step, against the top degree of
+    ``grid`` plus the larger of the cell's, 1, and the updates': every
+    product is an entry of ``grid`` times one of them, as the ``a``
+    updates meet only the columns left of ``a``, which the scaling leaves
+    as they were.  Only a step past that bound runs the public ``times``
+    and ``fold``, which check each pair, so it raises where they would."""
+    scale, mul = _kernels(_top(chain.from_iterable(grid)) + max(1, _top(updates)))
     for row in grid[:a]:
         for j in range(a, len(row)):
-            row[j] = times(row[j], z)
+            row[j] = scale(row[j], z)
     for row in grid:
-        row[a] = fold(row[a], zip(row, updates))
+        row[a] = mul(row[a], zip(row, updates))
 
 
 def _border(grid: list[list[dict[int, int]]]) -> list[list[dict[int, int]]]:
@@ -374,7 +386,8 @@ def _border(grid: list[list[dict[int, int]]]) -> list[list[dict[int, int]]]:
     out = _identity_grid(n + 1)
     for r, row in enumerate(grid):
         out[r][:n] = row
-        out[r][n] = fold({}, ((entry, PACKED_MINUS_ONE) for entry in row))
+        # No degree check: the other factor, -1, has degree 0.
+        out[r][n] = _fold({}, ((entry, PACKED_MINUS_ONE) for entry in row))
     return out
 
 

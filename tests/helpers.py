@@ -103,6 +103,12 @@ def q_power(k: int) -> Polynomial:
     return q_poly((0,) * k + (1,))
 
 
+def x_power(e: int) -> Polynomial:
+    """The monomial x[1,1]^e, built directly, without q_power's
+    coefficient tuple, so that degrees near the limit stay cheap."""
+    return Polynomial.from_monomial(Monomial({Cell(1, 1): e}))
+
+
 def substitute_uniform(p: Polynomial) -> Polynomial:
     """``p`` with every variable sent to x[1,1]: each term's total degree
     becomes the exponent of x[1,1], and terms of equal degree add up.
@@ -365,6 +371,25 @@ def naive_matrix_product(left, right) -> tuple:
         )
         for row in left
     )
+
+
+def ref_chain_raises(factors) -> bool:
+    """Whether the chain product of ``factors``, polynomial matrices given
+    as rows, raises :class:`TooLarge` under a degree check on every pair:
+    at some level, an entry of a row of the product so far and the entry
+    of a column of the next factor it meets are both nonzero, and their
+    top degrees sum past 65535."""
+    rows = factors[0]
+    for right in factors[1:]:
+        if any(
+            a and b and a.degree + b.degree > 65535
+            for row in rows
+            for col in zip(*right)
+            for a, b in zip(row, col)
+        ):
+            return True
+        rows = naive_matrix_product(rows, right)
+    return False
 
 
 # -- polynomial peeling replay -------------------------------------------

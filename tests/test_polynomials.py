@@ -1,9 +1,10 @@
 import json
 import random
+from functools import reduce
 from operator import lshift
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from partition_snf import (
@@ -43,6 +44,7 @@ from helpers import (
     poly,
     q_poly,
     q_power,
+    ref_chain_raises,
     ref_degree,
     ref_monomial,
     ref_mul,
@@ -53,6 +55,7 @@ from helpers import (
     subpartitions,
     substitute_uniform,
     variable,
+    x_power,
 )
 
 LAM = Partition((3, 2))
@@ -309,10 +312,6 @@ ENTRY = st.one_of(
 )
 
 
-def x_power(e: int) -> Polynomial:
-    return Polynomial.from_monomial(Monomial({Cell(1, 1): e}))
-
-
 @st.composite
 def operands(draw):
     m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
@@ -414,6 +413,78 @@ class TestMatrixProduct:
         assert got == ((x_power(25537),),)
         got = chain_product([[zero, x]], [[x_power(65535)], [x]])
         assert got == ((x_power(2),),)
+
+
+# Powers of x[1,1] about 65535, about half of it, or small, so that sums
+# of two or three top degrees fall on both sides of the limit.
+NEAR_LIMIT = st.one_of(
+    st.integers(0, 2), st.integers(32766, 32769), st.integers(65533, 65535)
+)
+NEAR_LIMIT_ENTRY = st.one_of(
+    st.just(Polynomial.zero()),
+    st.lists(
+        st.tuples(NEAR_LIMIT, st.sampled_from((-1, 1))), min_size=1, max_size=3
+    ).map(lambda terms: sum((c * x_power(e) for e, c in terms), Polynomial.zero())),
+)
+
+
+@st.composite
+def near_limit_chains(draw):
+    # Two or three factors, entries drawn as in chain_operands(): a small
+    # pool with random negation, so sums cancel, and zeros in about half
+    # the entries, so that high degrees often meet only zeros.
+    dims = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(3, 4)))]
+    pool = draw(st.lists(NEAR_LIMIT_ENTRY, min_size=1, max_size=4))
+    entry = st.one_of(
+        st.just(Polynomial.zero()),
+        st.tuples(st.sampled_from(pool), st.booleans()).map(
+            lambda pair: -pair[0] if pair[1] else pair[0]
+        ),
+    )
+
+    def matrix(rows, cols):
+        row = st.lists(entry, min_size=cols, max_size=cols)
+        return st.lists(row, min_size=rows, max_size=rows)
+
+    return [draw(matrix(rows, cols)) for rows, cols in zip(dims, dims[1:])]
+
+
+class TestDegreeGuardParity:
+    """``packed_product`` checks the limit once per level, from its
+    factors' top degrees, and raises exactly where a check on every pair
+    of nonzero entries would."""
+
+    @given(near_limit_chains())
+    @settings(max_examples=300, deadline=None)
+    # Past the bound from the factors' top degrees, yet no pair of
+    # nonzero entries passes the limit.
+    @example(
+        [[[x_power(65535), Polynomial.zero()]], [[Polynomial.zero()], [x_power(1)]]]
+    )
+    # The first product cancels its top term down to 2x, so the second
+    # level passes with x^65534, and raises one degree higher.
+    @example(
+        [
+            [[x_power(1), x_power(1)]],
+            [[x_power(65534) + 1], [1 - x_power(65534)]],
+            [[x_power(65534)]],
+        ]
+    )
+    @example(
+        [
+            [[x_power(1), x_power(1)]],
+            [[x_power(65534) + 1], [1 - x_power(65534)]],
+            [[x_power(65535)]],
+        ]
+    )
+    def test_raises_where_the_pair_reference_does(self, factors):
+        raises = ref_chain_raises(factors)
+        event(f"raises: {raises}")
+        if raises:
+            with pytest.raises(TooLarge):
+                chain_product(*factors)
+        else:
+            assert chain_product(*factors) == reduce(naive_matrix_product, factors)
 
 
 # Monomials given row by row, each row a list of exponents, either a few

@@ -67,6 +67,7 @@ from helpers import (
     tamper_inductive,
     variable,
     wide_border_rectangles,
+    x_power,
     z_image_certified,
 )
 
@@ -595,6 +596,72 @@ class TestDegreeLimit:
         ):
             with pytest.raises(TooLarge, match=f"degree {sum(parts)} exceeds the limit"):
                 reduce()
+
+
+class TestDegreeCheckPerStep:
+    """A peel step and an elimination round check the degree limit once,
+    and raise exactly where a check on every pair of entries raises: a
+    pair one degree higher raises, the same pair one degree lower gives
+    the product, and a high degree facing only zeros raises nothing."""
+
+    layout = PackedLayout(1)
+
+    def packed(self, rows):
+        encode = self.layout.encode
+        return [[encode(Polynomial.zero() + p) for p in row] for row in rows]
+
+    def decoded(self, grid):
+        return [[self.layout.decode(entry) for entry in row] for row in grid]
+
+    def peel(self, rows, update):
+        # The cell is x, peeled beside the first row: the step scales
+        # row 1 right of column 1 by x, then adds column 1 times update.
+        grid = self.packed(rows)
+        (updates,) = self.packed([[update]])
+        snf_module._peel_step(grid, 1, self.layout.run(1, 0, 1), updates)
+        return self.decoded(grid)
+
+    def test_peel_step_scaling(self):
+        x = x_power(1)
+        with pytest.raises(TooLarge):
+            self.peel([[1, x_power(65535)], [x_power(2), 1]], x)
+        got = self.peel([[1, x_power(65534)], [x_power(2), 1]], x)
+        assert got == [[1, x_power(65535) + x], [x_power(2), 1 + x_power(3)]]
+
+    def test_peel_step_update(self):
+        x = x_power(1)
+        with pytest.raises(TooLarge):
+            self.peel([[1, 1], [x_power(2), 1]], x_power(65534))
+        got = self.peel([[1, 1], [x_power(2), 1]], x_power(65533))
+        assert got == [[1, x + x_power(65533)], [x_power(2), 1 + x_power(65535)]]
+
+    def test_peel_step_high_degree_facing_zeros(self):
+        # The step's bound is past the limit, but x^65535 is only a base.
+        x3 = x_power(3)
+        got = self.peel([[1, x_power(2)], [0, x_power(65535)]], x3)
+        assert got == [[1, 2 * x3], [0, x_power(65535)]]
+
+    def eliminate(self, rows):
+        packed = checks_module._eliminate(self.layout, self.packed(rows))
+        return self.layout.decode(packed)
+
+    def test_elimination_pivot_product(self):
+        # det [[a, b], [c, p]] = p a - b c, eliminating from the pivot p.
+        with pytest.raises(TooLarge):
+            self.eliminate([[x_power(25536), 0], [1, x_power(40000)]])
+        got = self.eliminate([[x_power(25535), 0], [1, x_power(40000)]])
+        assert got == x_power(65535)
+
+    def test_elimination_pivot_row_product(self):
+        x = x_power(1)
+        with pytest.raises(TooLarge):
+            self.eliminate([[x, x_power(65535)], [x, x]])
+        got = self.eliminate([[x, x_power(65534)], [x, x]])
+        assert got == x_power(2) - x_power(65535)
+
+    def test_elimination_high_degree_facing_zeros(self):
+        x = x_power(1)
+        assert self.eliminate([[x, x_power(65535)], [0, x]]) == x_power(2)
 
 
 class TestSelftest:
