@@ -108,9 +108,7 @@ def _eliminate(layout: PackedLayout, M: list[list[dict[int, int]]]) -> dict[int,
                 f"{render(layout.decode(pivot))}"
             )
         minus = [{key: -c for key, c in entry.items()} for entry in M[k][:k]]
-        # One degree check per round: it multiplies entries of the rows
-        # above the pivot by entries of the pivot's row.  Past that bound
-        # the round runs the public fold, which checks each pair.
+        # One degree check per round: rows above the pivot times its row.
         _, mul = _kernels(_top(chain.from_iterable(M[:k])) + _top(M[k]))
         # Rows are replaced, never changed.
         for i, row in enumerate(M[:k]):

@@ -18,8 +18,8 @@ transposition, and cells are built only where they are handed out.
 The heavy loops run on a second, flatter packing.  A
 :class:`PackedLayout` is only the key format: it encodes each whole
 monomial as a single int, the total degree in the lowest 16-bit field
-and then each row at a fixed stride, and decodes keys back, handing back
-the monomials it encoded.  A polynomial becomes a ``{key: coeff}`` dict
+and then each row at a fixed stride, decodes keys back, and holds
+nothing but its stride.  A polynomial becomes a ``{key: coeff}`` dict
 and a monomial product one integer addition at any stride, so the key
 arithmetic takes no layout: :func:`times` scales by one monomial,
 :func:`quotient` divides exactly by one term, :func:`fold` is the one
@@ -462,11 +462,7 @@ def _top(polys: Iterable[dict[int, int]]) -> int:
 
 def _check_degree(degree: int) -> None:
     # A pair of packed factors passes its summed top degrees, as
-    # Monomial.__mul__ checks them, so it fails exactly where the unpacked
-    # product would have; a reduction's weights pass the partition's size.
-    # A product or step passes nothing itself: it compares the summed top
-    # degrees of all its factors on each side with the limit, and only
-    # past that does each pair come here, through fold and times.
+    # Monomial.__mul__ checks them; a weight set passes its partition's size.
     if degree > _MAX_DEGREE:
         raise _degree_error(degree)
 
@@ -533,11 +529,8 @@ def fold(base: dict[int, int], products) -> dict[int, int]:
 
 
 def _kernels(bound: int):
-    """``(times, fold)`` for one product or step whose factors' top
-    degrees, summed across the two sides, are at most ``bound``: the
-    unchecked kernels within the limit; past it the public functions,
-    which check each pair and so raise :class:`TooLarge` exactly where a
-    check on every pair would."""
+    """``(times, fold)`` for factors whose top degrees sum to ``bound``:
+    unchecked within the degree limit, the public checked ones past it."""
     return (times, fold) if bound > _MAX_DEGREE else (_times, _fold)
 
 
@@ -556,39 +549,31 @@ class PackedLayout:
     A key holds the total degree in its lowest 16-bit field, then row
     ``r`` of the monomial at bit ``16 + (r - 1) * stride``, where
     ``stride`` is ``width`` fields.  Only encoding, decoding, translation
-    and run keys depend on the stride.  Multiplying two
-    monomials adds their keys at any stride, so :func:`times`,
-    :func:`fold` and :func:`packed_product` take no layout.  No field carries while the
-    total degree stays at most 65535.  Those functions raise
-    :class:`TooLarge` before a product could pass it, checking the
-    factors' top degrees once per product and each pair only past that
-    bound.  Every monomial
-    encoded is remembered, so decoding hands back the monomials encoded
-    and rebuilds only keys the layout has not seen.
+    and run keys depend on the stride, and the stride is all a layout
+    holds.  Multiplying two monomials adds their keys at any stride, so
+    :func:`times`, :func:`fold` and :func:`packed_product` take no
+    layout.  No field carries while the total degree stays at most 65535,
+    which those functions check.
     """
 
-    __slots__ = ("stride", "_monomials")
+    __slots__ = ("stride",)
 
     def __init__(self, width: int):
         self.stride = _FIELD * max(1, width)
-        self._monomials: dict[int, Monomial] = {}
 
     def encode(self, poly: Polynomial) -> dict[int, int]:
         # The rows' bytes at a fixed step, read as one int: linear in the
         # row count, where a sum of shifted rows would be quadratic.
         step = self.stride // 8
-        terms = poly._terms
-        keys = [
+        return {
             int.from_bytes(
                 b"".join([row.to_bytes(step, "little") for row in mono._rows]),
                 "little",
             )
             << _FIELD
-            | mono._degree
-            for mono in terms
-        ]
-        self._monomials.update(zip(keys, terms))
-        return dict(zip(keys, terms.values()))
+            | mono._degree: coeff
+            for mono, coeff in poly._terms.items()
+        }
 
     def run(self, line: int, start: int, stop: int, transposed: bool = False) -> int:
         """The key of the product of the variables on columns ``start + 1
@@ -603,20 +588,18 @@ class PackedLayout:
     def decode(self, terms: dict[int, int]) -> Polynomial:
         if not terms:
             return _ZERO
-        known = self._monomials.get
-        return _polynomial({known(k) or self._monomial(k): c for k, c in terms.items()})
-
-    def _monomial(self, key: int) -> Monomial:
-        # Cut the rows out of the key's bytes: linear in its width.
-        body = key >> _FIELD
-        data = body.to_bytes((body.bit_length() + 7) // 8, "little")
         step = self.stride // 8
-        rows = tuple(
-            int.from_bytes(data[i : i + step], "little")
-            for i in range(0, len(data), step)
-        )
-        mono = self._monomials[key] = _packed(rows, key & _MASK)
-        return mono
+        out = {}
+        for key, coeff in terms.items():
+            # Cut the rows out of the key's bytes: linear in its width.
+            body = key >> _FIELD
+            data = body.to_bytes((body.bit_length() + 7) // 8, "little")
+            rows = tuple(
+                int.from_bytes(data[i : i + step], "little")
+                for i in range(0, len(data), step)
+            )
+            out[_packed(rows, key & _MASK)] = coeff
+        return _polynomial(out)
 
     def translate(self, terms: dict[int, int], dr: int, dc: int) -> dict[int, int]:
         """Every cell moved down ``dr`` rows and right ``dc`` columns, both
@@ -707,10 +690,8 @@ def packed_product(
     as the widest row anywhere in the chain.
 
     A product never widens a row, so the intermediate products stay
-    packed.  Each entry is one fold of a row against a column.  The
-    degree limit is checked once per product, from the top degrees of
-    its two factors; only a product past that bound folds through
-    :func:`fold`, which checks each pair.
+    packed.  Each entry is one fold of a row against a column.  Each
+    product checks the degree limit once, from its two factors.
     """
     rows = factors[0]
     for right in factors[1:]:
@@ -726,17 +707,15 @@ def pack_matrices(
     *matrices: Sequence[Sequence[Polynomial]],
 ) -> tuple[PackedLayout, list[list[list[dict[int, int]]]]]:
     """A layout as wide as the widest row of any term of ``matrices``, each
-    given as rows of polynomials, and the matrices packed in it; every
-    distinct entry is encoded once."""
-    distinct = {id(poly): poly for matrix in matrices for row in matrix for poly in row}
+    given as rows of polynomials, and the matrices packed in it, entry by
+    entry."""
+    entries = [poly for matrix in matrices for row in matrix for poly in row]
     widest = max(
-        (r for poly in distinct.values() for mono in poly._terms for r in mono._rows),
-        default=0,
+        (r for poly in entries for mono in poly._terms for r in mono._rows), default=0
     )
     layout = PackedLayout(-(-widest.bit_length() // _FIELD))
-    encoded = {ident: layout.encode(poly) for ident, poly in distinct.items()}
     return layout, [
-        [[encoded[id(poly)] for poly in row] for row in matrix] for matrix in matrices
+        [[layout.encode(poly) for poly in row] for row in matrix] for matrix in matrices
     ]
 
 

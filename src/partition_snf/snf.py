@@ -226,19 +226,18 @@ def _decoded_result(layout: PackedLayout, P, QT, diagonal, algorithm) -> SnfResu
 
 class _PackedWeights:
     """Weights of the positions of the partition ``parts``, ``lam``, and
-    of its smaller partitions, their negations, and the row coefficients
-    of their shapes, packed in one layout.  It is the engine's one copy
-    of ``lam``, whose rectangles are called the weight set's.
+    of its smaller partitions, and the row coefficients of their shapes,
+    packed in one layout.  It is the engine's one copy of ``lam``, whose
+    rectangles are called the weight set's.
 
     ``W(1,1)`` holds the leading monomial of degree ``|lam|``, so a
     partition past the degree limit raises ``TooLarge`` here, before any
     reduction work.  A nonempty shape's weight anchored at (1,1) is
-    packed once per shape, and negated in packed form on the shape's
-    first negated read, if any.  A weight is then moved into place by
-    the layout's translation.  Past the extension the shape is empty and
-    the weight is 1.  The weights placed in ``lam``'s own rectangles are
-    kept by position, so every rectangle and check of ``lam`` reads them
-    from one grid.
+    packed once per shape; each read moves it into place by the layout's
+    translation, negated when the read asks for it.  Past the extension
+    the shape is empty and the weight is 1.  The weights placed in
+    ``lam``'s own rectangles are kept by position, so every rectangle and
+    check of ``lam`` reads them from one grid.
 
     A shape's signed row coefficients, anchored at (1,1), or its
     conjugate's with variables transposed, are packed once per shape and
@@ -253,9 +252,8 @@ class _PackedWeights:
         self.layout = layout
         self.parts = parts
         self.rank = _rank(parts)
-        # shape -> its (1,1)-anchored weight, and minus that weight
-        self._anchored = {(): PACKED_ONE}
-        self._negated = {(): PACKED_MINUS_ONE}
+        # nonempty shape -> its (1,1)-anchored weight
+        self._anchored: dict[tuple, dict[int, int]] = {}
         # (shape, conjugate) -> signed row coefficients
         self._coefficients: dict[tuple, list[dict[int, int]]] = {}
         # (row, col) -> lam's placed weight there, once it was read
@@ -271,14 +269,14 @@ class _PackedWeights:
         """The weight of the partition ``parts`` at (row, col), times
         ``sign``, moved into place."""
         shape = subdiagram_shape(parts, row, col)
-        terms = (self._anchored if sign > 0 else self._negated).get(shape)
+        if not shape:
+            return PACKED_ONE if sign > 0 else PACKED_MINUS_ONE
+        terms = self._anchored.get(shape)
         if terms is None:
-            terms = self._anchored.get(shape)
-            if terms is None:
-                terms = self._anchored[shape] = self.layout.weight(shape)
-            if sign < 0:
-                terms = self._negated[shape] = {k: -c for k, c in terms.items()}
-        return self.layout.translate(terms, row - 1, col - 1) if shape else terms
+            terms = self._anchored[shape] = self.layout.weight(shape)
+        if sign < 0:
+            terms = {k: -c for k, c in terms.items()}
+        return self.layout.translate(terms, row - 1, col - 1)
 
     def at(self, row: int, col: int) -> dict[int, int]:
         """The weight of ``lam`` at (row, col), placed once and kept."""
@@ -365,12 +363,8 @@ def _peel_step(
     then fold in ``updates`` (minus the smaller partition's weights beside
     the cell).
 
-    The degree limit is checked once per step, against the top degree of
-    ``grid`` plus the larger of the cell's, 1, and the updates': every
-    product is an entry of ``grid`` times one of them, as the ``a``
-    updates meet only the columns left of ``a``, which the scaling leaves
-    as they were.  Only a step past that bound runs the public ``times``
-    and ``fold``, which check each pair, so it raises where they would."""
+    The step checks the degree limit once: each product is an entry of
+    ``grid`` times the cell, or an unscaled entry times an update."""
     scale, mul = _kernels(_top(chain.from_iterable(grid)) + max(1, _top(updates)))
     for row in grid[:a]:
         for j in range(a, len(row)):

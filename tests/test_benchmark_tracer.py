@@ -1,14 +1,18 @@
 """The benchmark tracer in ``perfbench/`` patches library names by module
-attribute; a name it patches must stay bound where it looks it up, and
-every patch must come off again."""
+attribute; a name it patches must stay bound where it looks it up, every
+patch must come off again, and an import kept only for it says so."""
 
+import ast
 from pathlib import Path
 
 import pytest
 
 from partition_snf import Partition, cli, snf
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+LIBRARY = ROOT / "src" / "partition_snf"
+TRACER_ONLY = "# noqa: F401  (the benchmark tracer patches it here)"
 
 
 @pytest.fixture
@@ -49,3 +53,41 @@ def test_reductions_look_weights_up_where_the_tracer_counts(tracer_module):
             tracer.uninstall()
         counts = tracer.counts
         assert counts["weights.memo_hits"] + counts["weights.memo_misses"] > 0
+
+
+def test_tracer_only_imports_are_the_patch_points_nothing_else_needs(tracer_module):
+    # A name the tracer patches in a module that neither defines nor uses
+    # it is there only for the tracer, and its import says so; a marked
+    # import of a name the tracer no longer patches there is dead.
+    patched = {(module.__name__, attr) for module, attr, _ in tracer_module.SPANNED}
+    patched |= {
+        (module.__name__, "weight_at") for module in tracer_module.WEIGHT_LOOKUPS
+    }
+    marked, needed_only_by_tracer = set(), set()
+    for path in sorted(LIBRARY.glob("*.py")):
+        module = f"partition_snf.{path.stem}"
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        marked |= {
+            (module, alias.asname or alias.name)
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom)
+            and lines[node.lineno - 1].endswith(TRACER_ONLY)
+            for alias in node.names
+        }
+        defined = {
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        needed_only_by_tracer |= {
+            (owner, attr)
+            for owner, attr in patched
+            if owner == module and attr not in defined | used
+        }
+    stale = sorted(marked - needed_only_by_tracer)
+    assert not stale, f"the tracer no longer needs these; delete the imports: {stale}"
+    unmarked = sorted(needed_only_by_tracer - marked)
+    assert not unmarked, f"bound only for the tracer, but not marked: {unmarked}"

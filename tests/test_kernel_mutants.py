@@ -1,10 +1,13 @@
 """Kernel mutants: each is a wrong version of one of the packed multiply
-kernels, and the self-test must catch it.
+kernels or of one of the key format's methods, and the self-test must
+catch it.
 
-A mutant is put in place of the kernel wherever the library binds it,
-the public function and its unguarded body alike, so every reduction,
-certification and check runs on it.  It is caught when ``run_selftest(8)``
-reports a failure, or when a certification raises out of it.
+A kernel mutant is put in place of the kernel wherever the library binds
+it, the public function and its unguarded body alike, so every
+reduction, certification and check runs on it.  A layout mutant replaces
+a method of ``PackedLayout``, which the multivariate layout inherits.  A
+mutant is caught when ``run_selftest(8)`` reports a failure, or when a
+certification raises out of it.
 """
 
 from operator import add
@@ -18,7 +21,7 @@ import partition_snf.recurrence as recurrence_module
 import partition_snf.snf as snf_module
 import partition_snf.weights as weights_module
 from partition_snf import VerificationFailed, run_selftest
-from partition_snf.polynomials import _fields
+from partition_snf.polynomials import PackedLayout, _fields, _packed, _polynomial
 
 LIBRARY = (
     polynomials_module,
@@ -101,14 +104,55 @@ def times_off_by_one_field(terms, key):
     return {k + moved: c for k, c in terms.items()}
 
 
+ENCODE, RUN, TRANSLATE = PackedLayout.encode, PackedLayout.run, PackedLayout.translate
+
+
+def patch_layout(monkeypatch, name: str, method) -> None:
+    """Put ``method`` in place of the ``PackedLayout`` method ``name``,
+    which the multivariate layout inherits."""
+    monkeypatch.setattr(PackedLayout, name, method)
+
+
+def encode_rows_reversed(layout, poly):
+    """``encode`` of each monomial with the order of its rows reversed."""
+    flipped = {_packed(m._rows[::-1], m.degree): c for m, c in poly.items()}
+    return ENCODE(layout, _polynomial(flipped))
+
+
+def run_one_cell_along(layout, line, start, stop, transposed=False):
+    """``run`` of the run one cell further along its line."""
+    return RUN(layout, line, start + 1, stop + 1, transposed)
+
+
+def translate_one_stride_down(layout, terms, dr, dc):
+    """``translate`` whose moves down go one row, one stride, too far."""
+    return TRANSLATE(layout, terms, dr + 1 if dr else 0, dc)
+
+
 MUTANTS = {
-    "fold modulo squares": ("fold", mutant_fold(product_key=squarefree_key)),
-    "fold keeping one cancelled term": ("fold", mutant_fold(kept_zeros=1)),
-    "times off by one field": ("times", times_off_by_one_field),
+    "fold modulo squares": (
+        patch_kernel,
+        "fold",
+        mutant_fold(product_key=squarefree_key),
+    ),
+    "fold keeping one cancelled term": (
+        patch_kernel,
+        "fold",
+        mutant_fold(kept_zeros=1),
+    ),
+    "times off by one field": (patch_kernel, "times", times_off_by_one_field),
     "fold carrying out of a narrow degree field": (
+        patch_kernel,
         "fold",
         mutant_fold(product_key=carried_key),
     ),
+    "translate one stride too far down": (
+        patch_layout,
+        "translate",
+        translate_one_stride_down,
+    ),
+    "run one cell further along": (patch_layout, "run", run_one_cell_along),
+    "encode with its rows reversed": (patch_layout, "encode", encode_rows_reversed),
 }
 
 
@@ -129,8 +173,8 @@ def test_the_unmutated_kernel_passes(monkeypatch):
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_the_selftest_catches(monkeypatch, name):
-    kernel, mutant = MUTANTS[name]
-    patch_kernel(monkeypatch, kernel, mutant)
+    patch, target, mutant = MUTANTS[name]
+    patch(monkeypatch, target, mutant)
     try:
         report = run_selftest(8)
     except VerificationFailed:
